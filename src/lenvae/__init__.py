@@ -23,8 +23,7 @@ from .metrics import (
 )
 from .model import (
     HyperParams, LatentParams, LengthSchedule, bow_loss, decode_step, encode,
-    init_params, kl_divergence, length_embed, reparameterize,
-    sampled_softmax_loss, total_loss,
+    init_params, kl_divergence, length_embed, reparameterize, total_loss,
 )
 from .numerics import (
     AdamState, ParamStore, ReplayRng, Tensor, adam_step, grad_check,

@@ -11,6 +11,13 @@ desired output length and decrements to 0. Losses: per-token reconstruction
 cross-entropy (sampled in training mode, full softmax in eval mode), the
 closed-form KL against a standard-normal prior, and a bag-of-words auxiliary
 loss predicting the input's token counts from z.
+
+The training-mode reconstruction is a sampled softmax with one candidate set
+per decoder step shared across the batch (Jean et al. 2015): the batch's
+distinct targets plus ``softmax_samples`` uniform non-target draws. Other
+rows' targets serve as negatives, so each step is one GEMM against the
+candidate columns of the output layer; once the set covers the vocabulary the
+loss is exactly the full softmax.
 """
 
 from dataclasses import dataclass, replace
@@ -31,7 +38,12 @@ WEIGHT_INIT_SCALE = 0.08
 @dataclass(frozen=True)
 class HyperParams:
     """Architecture sizes. Desk-scale defaults; ``paper_scale`` holds the
-    published large-corpus configuration."""
+    published large-corpus configuration.
+
+    ``softmax_samples`` is K, the number of non-target ids each training step
+    draws for its shared candidate set, on top of the batch's distinct
+    targets (capped at the ids left in the vocabulary).
+    """
 
     vocab_size: int
     cell_size: int = 32
@@ -252,41 +264,24 @@ def bow_loss(z: Tensor, bow_counts: np.ndarray, params: ParamStore, hp: HyperPar
     return scale(weighted_cross_entropy_rows(logits, bow_counts), 1.0 / n)
 
 
-def draw_negatives(rng, vocab_size: int, sample_count: int, targets: np.ndarray) -> np.ndarray:
-    """(B, sample_count) uniform draws without replacement, excluding each
-    row's target. With sample_count == V-1 this is a permutation of all
-    non-target ids."""
+def draw_negatives(rng, vocab_size: int, sample_count: int, targets: np.ndarray):
+    """One candidate set for a decoder step, shared by every row of the batch.
+
+    Returns ``(ids, target_pos)``. ``ids`` holds the batch's U distinct
+    targets (ascending) followed by ``min(sample_count, V - U)`` distinct
+    non-target ids, drawn uniformly without replacement and sorted;
+    ``ids[target_pos[r]] == targets[r]``. The draw is a single
+    ``rng.random(V)`` call whose smallest non-target keys win, so a ReplayRng
+    can freeze it. Once ``sample_count >= V - U`` the set is all of V.
+    """
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
-    if sample_count > vocab_size - 1:
-        raise ValueError(
-            f"sample_count {sample_count} exceeds vocab_size-1 = {vocab_size - 1}")
-    n = targets.shape[0]
-    draws = np.argsort(rng.random((n, vocab_size - 1)), axis=1)[:, :sample_count]
-    return draws + (draws >= targets[:, None])
-
-
-def sampled_softmax_loss(out_w: Tensor, out_b: Tensor, hidden: Tensor, target: int,
-                         sample_count: int, rng) -> Tensor:
-    """Cross-entropy estimate over {target} + sampled negatives, one position.
-
-    ``hidden`` (1, H) or (H,). With sample_count == V-1 the estimate equals
-    the full softmax cross-entropy.
-    """
-    if hidden.data.ndim == 1:
-        hidden = Tensor(hidden.data[None, :], (hidden,),
-                        lambda g, _h=hidden: _accum_row(_h, g))
-    targets = np.array([target], dtype=np.intp)
-    negs = draw_negatives(rng, out_w.data.shape[1], sample_count, targets)
-    ids = np.concatenate([targets[:, None], negs], axis=1)
-    logits = sampled_logits(hidden, out_w, out_b, ids)
-    return cross_entropy_rows(logits, np.zeros(1, dtype=np.intp), np.ones(1))
-
-
-def _accum_row(t, g):
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g[0]
+    distinct, target_pos = np.unique(targets, return_inverse=True)
+    keys = np.array(rng.random(vocab_size))  # a copy: ReplayRng returns its record
+    keys[distinct] = 2.0  # above every uniform key: targets are never drawn
+    extra = min(sample_count, vocab_size - distinct.size)
+    negatives = np.sort(np.argpartition(keys, extra - 1)[:extra])
+    return np.concatenate([distinct, negatives]), target_pos
 
 
 def decoder_targets(batch: Batch):
@@ -341,9 +336,12 @@ def tiny_gradcheck_instance(index: int):
     return params, loss_fn
 
 
-# Screened instance seeds for tiny_gradcheck_instance; re-screen (scan the
-# minimum nonzero gradient magnitude) if the model's draw order changes.
-GRADCHECK_SEEDS = (2, 4, 5, 13, 18, 25, 28, 34, 35, 39)
+# Screened instance seeds for tiny_gradcheck_instance: the first ten seeds
+# whose minimum nonzero gradient magnitude is >= GRADCHECK_MIN_GRADIENT.
+# Re-screen (scan that minimum over seeds 0, 1, 2, ...) if the model's draw
+# order changes.
+GRADCHECK_MIN_GRADIENT = 4e-6
+GRADCHECK_SEEDS = (0, 1, 3, 11, 23, 25, 28, 30, 34, 39)
 
 
 def total_loss(batch: Batch, params: ParamStore, hp: HyperParams, kl_weight: float,
@@ -381,7 +379,6 @@ def total_loss(batch: Batch, params: ParamStore, hp: HyperParams, kl_weight: flo
         dec_in = decoder_inputs
     schedule = LengthSchedule(initial=batch.lengths.copy())
     state = init_decoder_state(z, params, hp)
-    sample_count = min(hp.softmax_samples, hp.vocab_size - 1)
 
     recon_sum = None
     for t in range(dec_in.shape[1]):
@@ -393,10 +390,10 @@ def total_loss(batch: Batch, params: ParamStore, hp: HyperParams, kl_weight: flo
             keep_mask = (rng.random((n, hp.cell_size)) < dropout_keep) / dropout_keep
             hidden = mul_const(hidden, keep_mask)
         if training:
-            negs = draw_negatives(rng, hp.vocab_size, sample_count, targets[:, t])
-            ids_t = np.concatenate([targets[:, t:t + 1], negs], axis=1)
+            ids_t, target_pos = draw_negatives(rng, hp.vocab_size, hp.softmax_samples,
+                                               targets[:, t])
             logits_t = sampled_logits(hidden, params["out.W"], params["out.b"], ids_t)
-            ce = cross_entropy_rows(logits_t, np.zeros(n, dtype=np.intp), mask[:, t])
+            ce = cross_entropy_rows(logits_t, target_pos, mask[:, t])
         else:
             logits_t = affine(hidden, params["out.W"], params["out.b"])
             ce = cross_entropy_rows(logits_t, targets[:, t], mask[:, t])

@@ -331,28 +331,30 @@ def weighted_cross_entropy_rows(logits: Tensor, counts: np.ndarray) -> Tensor:
 
 
 def sampled_logits(h: Tensor, w: Tensor, b: Tensor, ids: np.ndarray) -> Tensor:
-    """Per-row gathered output logits: out[r, k] = h[r] . w[:, ids[r, k]] + b[ids[r, k]].
+    """Output logits over a shared candidate set: out[r, k] = h[r] . w[:, ids[k]] + b[ids[k]].
 
-    ``h`` (B, H), ``w`` (H, V), ``b`` (V,), ``ids`` int (B, K). Avoids forming
-    the full (B, V) logit matrix when only K columns per row are scored.
+    ``h`` (B, H), ``w`` (H, V), ``b`` (V,), ``ids`` distinct ints (C,). One
+    (B, H) @ (H, C) GEMM scores every row against the same C columns, so the
+    full (B, V) logit matrix is never formed. Backward adds one (H, B) @ (B, C)
+    GEMM into the candidate columns of ``w.grad``; the ids must be distinct,
+    since a repeated id would receive only one of its contributions.
     """
     ids = np.asarray(ids, dtype=np.intp)
-    wg = w.data[:, ids]                       # (H, B, K)
-    out_data = np.einsum("bh,hbk->bk", h.data, wg) + b.data[ids]
+    if ids.ndim != 1:
+        raise ValueError(f"sampled_logits needs 1-D candidate ids, got shape {ids.shape}")
+    wc = w.data[:, ids]                       # (H, C)
+    out_data = h.data @ wc + b.data[ids]
 
     def bw(g):
-        _accum(h, np.einsum("bk,hbk->bh", g, wg))
-        nb, k = ids.shape
-        flat_ids = ids.reshape(nb * k)
+        _accum(h, g @ wc.T)
         if not w._constant:
-            contrib = g.reshape(nb * k, 1) * np.repeat(h.data, k, axis=0)   # (B*K, H)
-            gw_t = np.zeros((w.data.shape[1], w.data.shape[0]), dtype=w.data.dtype)
-            np.add.at(gw_t, flat_ids, contrib)
-            _accum(w, gw_t.T)
+            if w.grad is None:
+                w.grad = np.zeros_like(w.data)
+            w.grad[:, ids] += h.data.T @ g
         if not b._constant:
             if b.grad is None:
                 b.grad = np.zeros_like(b.data)
-            np.add.at(b.grad, flat_ids, g.reshape(nb * k))
+            b.grad[ids] += g.sum(axis=0)
 
     return Tensor(out_data, (h, w, b), bw)
 

@@ -157,7 +157,7 @@ def train(sentences, vocab: Vocabulary, hp: HyperParams, config: TrainConfig,
                 raise TrainingDivergedError(
                     f"non-finite {name} component at step {step}: {value}")
         loss.backward()
-        clip_grad_norm(params, config.grad_clip)
+        clip_grad_norm(params, config.grad_clip, adam.scratch[0])
         adam_step(params, adam)
 
         if step % log_every == 0 or step == config.total_steps - 1:

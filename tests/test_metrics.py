@@ -1,5 +1,7 @@
 """ROUGE fixtures (hand-computed), byte capping, baseline and histograms."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,18 +92,34 @@ def test_rouge_scores_bounded_and_identity(cand, ref):
     assert ident.recall == ident.precision == ident.f1 == 1.0
 
 
+def _lcs(cand, ref):
+    return round(rouge_l(cand, [ref]).recall * len(ref))
+
+
+def _longest_common_run(a, b):
+    return max((k for i in range(len(a)) for j in range(len(b))
+                for k in range(1, min(len(a) - i, len(b) - j) + 1)
+                if a[i:i + k] == b[j:j + k]), default=0)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.sampled_from("abc"), min_size=2, max_size=8),
-       st.lists(st.sampled_from("abc"), min_size=2, max_size=8))
-def test_lcs_at_least_bigram_overlap(cand, ref):
-    # every matched bigram is a common subsequence piece, so LCS length
-    # dominates the clipped bigram overlap count
-    from collections import Counter
-    cand_bg = Counter(zip(cand, cand[1:]))
-    ref_bg = Counter(zip(ref, ref[1:]))
-    overlap = sum(min(c, ref_bg[g]) for g, c in cand_bg.items())
-    lcs_recall = rouge_l(cand, [ref]).recall
-    assert lcs_recall * len(ref) >= overlap - 1e-9
+@given(st.lists(st.sampled_from("abc"), min_size=1, max_size=8),
+       st.lists(st.sampled_from("abc"), min_size=1, max_size=8))
+def test_lcs_between_common_run_and_unigram_overlap(cand, ref):
+    lcs = _lcs(cand, ref)
+    ref_counts = Counter(ref)
+    assert lcs <= sum(min(c, ref_counts[w]) for w, c in Counter(cand).items())
+    if set(zip(cand, cand[1:])) & set(zip(ref, ref[1:])):
+        assert lcs >= 2
+    assert lcs >= _longest_common_run(cand, ref)
+
+
+def test_lcs_can_be_below_clipped_bigram_overlap():
+    # LCS does not dominate the clipped bigram overlap: here 3 against 4
+    cand, ref = list("aaabb"), list("abbaaa")
+    assert _lcs(cand, ref) == 3
+    assert rouge_n(cand, [ref], 2).recall * (len(ref) - 1) == 4
+    assert _longest_common_run(cand, ref) == 3
 
 
 # ---------------------------------------------------------------------------

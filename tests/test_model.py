@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from lenvae.model import (
-    GRADCHECK_SEEDS, HyperParams, LatentParams, LengthSchedule, bow_loss,
-    decode_step, decoder_targets, draw_negatives, encode, encoder_mean,
-    init_decoder_state, init_params, kl_divergence, length_embed,
-    reparameterize, sampled_softmax_loss, tiny_gradcheck_instance, total_loss,
+    GRADCHECK_MIN_GRADIENT, GRADCHECK_SEEDS, HyperParams, LatentParams,
+    LengthSchedule, bow_loss, decode_step, decoder_targets, draw_negatives,
+    encode, encoder_mean, init_decoder_state, init_params, kl_divergence,
+    length_embed, reparameterize, tiny_gradcheck_instance, total_loss,
     zero_length_input,
 )
-from lenvae.numerics import Tensor, grad_check, lstm_cell_forward, zeros
+from lenvae.numerics import (
+    Tensor, cross_entropy_rows, grad_check, lstm_cell_forward, sampled_logits, zeros,
+)
 from lenvae.textpipe import EOS_ID, PAD_ID, Batch, TokenizedSentence, make_batch
 
 TINY = HyperParams(vocab_size=7, cell_size=3, embed_size=4, latent_dim=2,
@@ -320,29 +322,60 @@ class StubRng:
         return self.values
 
 
-def test_draw_negatives_excludes_target_and_is_exhaustive_at_v_minus_one():
-    rng = np.random.default_rng(3)
-    targets = np.array([2, 0, 6])
-    negs = draw_negatives(rng, 7, 6, targets)
-    for row, tgt in zip(negs, targets):
-        assert tgt not in row
-        assert sorted(row) == sorted(set(range(7)) - {tgt})
+def sampled_loss(out_w, out_b, hidden, targets, sample_count, rng):
+    """Sampled-softmax cross-entropy of one decoder step, as total_loss scores it."""
+    targets = np.asarray(targets)
+    ids, target_pos = draw_negatives(rng, out_w.data.shape[1], sample_count, targets)
+    logits = sampled_logits(hidden, out_w, out_b, ids)
+    return cross_entropy_rows(logits, target_pos, np.ones(targets.size))
+
+
+def full_loss(out_w, out_b, hidden, targets):
+    logits = hidden.data @ out_w.data + out_b.data
+    m = logits.max(axis=1, keepdims=True)
+    log_probs = logits - m - np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+    return float(-log_probs[np.arange(len(targets)), targets].sum())
+
+
+@pytest.mark.parametrize("targets,sample_count", [
+    ([2, 0, 6], 1), ([2, 0, 6], 3), ([2, 0, 6, 2], 4), ([2, 0, 6], 6),
+    ([3, 3, 3], 2), (list(range(7)), 5),
+], ids=["one-negative", "some-negatives", "repeated-target", "whole-vocab",
+        "one-distinct-target", "every-id-a-target"])
+def test_draw_negatives_shares_one_set_holding_every_target(targets, sample_count):
+    targets = np.array(targets)
+    ids, target_pos = draw_negatives(np.random.default_rng(3), 7, sample_count, targets)
+    distinct = set(targets.tolist())
+    assert len(set(ids.tolist())) == len(ids)
+    np.testing.assert_array_equal(ids[target_pos], targets)
+    negatives = set(ids.tolist()) - distinct
+    assert len(negatives) == min(sample_count, 7 - len(distinct))
+    assert negatives <= set(range(7))
+    if sample_count >= 7 - len(distinct):
+        assert sorted(ids) == list(range(7))
     with pytest.raises(ValueError):
-        draw_negatives(rng, 7, 0, targets)
-    with pytest.raises(ValueError):
-        draw_negatives(rng, 7, 7, targets)
+        draw_negatives(np.random.default_rng(3), 7, 0, targets)
+
+
+def test_draw_negatives_is_uniform_over_non_targets():
+    rng = np.random.default_rng(11)
+    counts = np.zeros(10)
+    trials = 4000
+    for _ in range(trials):
+        ids, _ = draw_negatives(rng, 10, 3, np.array([4, 7]))
+        counts[ids[2:]] += 1
+    assert counts[4] == counts[7] == 0
+    share = np.delete(counts, [4, 7]) / trials
+    np.testing.assert_allclose(share, 3 / 8, atol=0.03)
 
 
 def test_sampled_softmax_hand_computed_two_way():
-    # V=3, target 0, the single negative forced to id 1
-    hp = HyperParams(vocab_size=3, cell_size=2, embed_size=2, latent_dim=2,
-                     bow_width=2, len_embed_size=2, decoder_layers=1,
-                     max_len_index=2, softmax_samples=1)
+    # V=3, target 0, the single negative forced to id 1 (the smallest key)
     out_w = Tensor(np.array([[0.5, -0.2, 0.1], [0.3, 0.8, -0.4]]))
     out_b = Tensor(np.array([0.05, -0.1, 0.2]))
     hidden = Tensor(np.array([[1.0, -2.0]]))
-    stub = StubRng([[0.1, 0.9]])  # argsort picks raw index 0 -> shifted to id 1
-    loss = float(sampled_softmax_loss(out_w, out_b, hidden, 0, 1, stub).data)
+    stub = StubRng([0.05, 0.1, 0.9])
+    loss = float(sampled_loss(out_w, out_b, hidden, [0], 1, stub).data)
 
     logits = hidden.data[0] @ out_w.data + out_b.data
     expected = -math.log(math.exp(logits[0]) / (math.exp(logits[0]) + math.exp(logits[1])))
@@ -354,14 +387,11 @@ def test_sampled_softmax_full_negatives_equals_full_cross_entropy():
     v = 9
     out_w = Tensor(rng.standard_normal((3, v)))
     out_b = Tensor(rng.standard_normal(v))
-    hidden = Tensor(rng.standard_normal((1, 3)))
-    target = 4
-    loss = float(sampled_softmax_loss(out_w, out_b, hidden, target, v - 1,
-                                      np.random.default_rng(5)).data)
-    logits = hidden.data[0] @ out_w.data + out_b.data
-    full = -(logits[target] - math.log(np.exp(logits - logits.max()).sum())
-             - logits.max())
-    np.testing.assert_allclose(loss, full, atol=1e-6)
+    hidden = Tensor(rng.standard_normal((4, 3)))
+    targets = np.array([4, 1, 4, 8])
+    loss = float(sampled_loss(out_w, out_b, hidden, targets, v - 1,
+                              np.random.default_rng(5)).data)
+    np.testing.assert_allclose(loss, full_loss(out_w, out_b, hidden, targets), rtol=1e-12)
 
 
 def test_sampled_softmax_expectation_close_to_full_loss():
@@ -371,13 +401,11 @@ def test_sampled_softmax_expectation_close_to_full_loss():
     out_w = Tensor(0.5 * rng.standard_normal((4, v)))
     out_b = Tensor(0.1 * rng.standard_normal(v))
     hidden = Tensor(rng.standard_normal((1, 4)))
-    target = 7
-    logits = hidden.data[0] @ out_w.data + out_b.data
-    shifted = logits - logits.max()
-    full = -(shifted[target] - math.log(np.exp(shifted).sum()))
+    targets = [7]
+    full = full_loss(out_w, out_b, hidden, targets)
 
     draws = np.random.default_rng(7)
-    estimates = [float(sampled_softmax_loss(out_w, out_b, hidden, target, 18, draws).data)
+    estimates = [float(sampled_loss(out_w, out_b, hidden, targets, 18, draws).data)
                  for _ in range(4000)]
     assert abs(np.mean(estimates) - full) / full < 0.05
 
@@ -427,11 +455,11 @@ def test_training_reconstruction_equals_eval_with_all_negatives():
                      max_len_index=6, softmax_samples=6)  # V-1 negatives
     params = init_params(hp, np.random.default_rng(16))
     batch = _two_sentence_batch(hp)
-    eps = np.random.default_rng(9).standard_normal((2, hp.latent_dim))
+    eps = np.zeros((2, hp.latent_dim))
     _, train_comps = total_loss(batch, params, hp, 1.0, "train",
                                 np.random.default_rng(10), dropout_keep=1.0, eps=eps)
     _, eval_comps = total_loss(batch, params, hp, 1.0, "eval", eps=eps)
-    assert abs(train_comps["reconstruction"] - eval_comps["reconstruction"]) < 1e-6
+    assert abs(train_comps["reconstruction"] - eval_comps["reconstruction"]) <= 1e-12
 
 
 def test_total_loss_rejects_bad_mode_and_weight():
@@ -455,6 +483,22 @@ def test_decoder_targets_layout():
 
 def test_full_model_gradient_check_single_instance():
     params, loss_fn = tiny_gradcheck_instance(0)
+    assert grad_check(loss_fn, params, eps=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("index", range(len(GRADCHECK_SEEDS)))
+def test_gradcheck_instance_meets_screening_rule(index):
+    # every nonzero gradient must be resolvable by a central difference
+    params, loss_fn = tiny_gradcheck_instance(index)
+    loss_fn(params).backward()
+    grads = np.concatenate([np.abs(t.grad).ravel() for _, t in params.items()])
+    assert grads[grads > 0].min() >= GRADCHECK_MIN_GRADIENT
+
+
+@pytest.mark.parametrize("index", range(1, len(GRADCHECK_SEEDS)))
+def test_full_model_gradient_check_remaining_instances(index):
+    # instance 0 is covered by test_full_model_gradient_check_single_instance
+    params, loss_fn = tiny_gradcheck_instance(index)
     assert grad_check(loss_fn, params, eps=1e-5) < 1e-4
 
 

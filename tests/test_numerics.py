@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from lenvae.numerics import (
     AdamState, MissingGradientError, NonFiniteLossError, ParamStore, Tensor,
-    adam_step, grad_check, init_lstm_weights, lstm_cell_forward, mul,
-    softmax, sum_all,
+    adam_step, clip_grad_norm, grad_check, init_lstm_weights,
+    lstm_cell_forward, mul, softmax, sum_all,
 )
 
 
@@ -176,6 +176,51 @@ def test_adam_two_steps_descend_quadratic():
     adam_step(store, state)
     third = float(sum_all(mul(t, t)).data)
     assert second < first and third < second
+
+
+def _random_store(rng):
+    store = ParamStore()
+    for name, shape in (("w", (1000, 300)), ("b", (300,)), ("s", (1,))):
+        store.add(name, rng.standard_normal(shape))
+    return store
+
+
+def test_adam_in_place_bit_identical_to_textbook():
+    rng = np.random.default_rng(21)
+    store = _random_store(rng)
+    state = AdamState.for_params(store, learning_rate=0.002)
+    ref = {name: t.data.copy() for name, t in store.items()}
+    ref_m = {name: np.zeros_like(p) for name, p in ref.items()}
+    ref_v = {name: np.zeros_like(p) for name, p in ref.items()}
+    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
+    for step in range(1, 5):
+        for name, t in store.items():
+            t.grad = 3.0 * rng.standard_normal(t.data.shape)
+            g = t.grad.copy()
+            ref_m[name] = b1 * ref_m[name] + (1.0 - b1) * g
+            ref_v[name] = b2 * ref_v[name] + (1.0 - b2) * (g * g)
+            m_hat = ref_m[name] / (1.0 - b1 ** step)
+            v_hat = ref_v[name] / (1.0 - b2 ** step)
+            ref[name] = ref[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        adam_step(store, state)
+        for name, t in store.items():
+            assert t.data.tobytes() == ref[name].tobytes()
+            assert state.m[name].tobytes() == ref_m[name].tobytes()
+            assert state.v[name].tobytes() == ref_v[name].tobytes()
+
+
+@pytest.mark.parametrize("max_norm", [1e6, 1.0])
+def test_clip_grad_norm_in_scratch_matches_fresh_squares(max_norm):
+    rng = np.random.default_rng(22)
+    store = _random_store(rng)
+    grads = {name: rng.standard_normal(t.data.shape) for name, t in store.items()}
+    expected = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+    for name, t in store.items():
+        t.grad = grads[name].copy()
+    assert clip_grad_norm(store, max_norm, AdamState.for_params(store).scratch[0]) == expected
+    factor = min(1.0, max_norm / expected)
+    for name, t in store.items():
+        assert t.grad.tobytes() == (grads[name] * factor).tobytes()
 
 
 def test_adam_missing_gradient_errors():

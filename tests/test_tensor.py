@@ -92,12 +92,13 @@ def test_weighted_cross_entropy_rows():
 
 
 def test_sampled_logits():
-    ids = np.array([[0, 2, 4], [1, 1, 3]])  # repeated column ids on one row
+    ids = np.array([4, 0, 2])  # shared candidate columns, not in id order
+    targets = np.array([1, 0])
 
     def build(h, w, b):
-        return cross_entropy_rows(sampled_logits(h, w, b, ids),
-                                  np.zeros(2, dtype=np.intp), np.ones(2))
-    fd_check(build, 3, [(2, 3), (3, 5), (5,)])
+        return cross_entropy_rows(sampled_logits(h, w, b, ids), targets, np.ones(2))
+    # seed 1: every nonzero gradient is >= 0.02, well above central-difference noise
+    fd_check(build, 3, [(2, 3), (3, 5), (5,)], seed=1)
 
 
 def test_sampled_logits_matches_full_gather():
@@ -105,11 +106,12 @@ def test_sampled_logits_matches_full_gather():
     h = Tensor(rng.standard_normal((2, 3)))
     w = Tensor(rng.standard_normal((3, 6)))
     b = Tensor(rng.standard_normal(6))
-    ids = np.array([[5, 0, 3], [2, 2, 1]])
+    ids = np.array([5, 0, 3])
     got = sampled_logits(h, w, b, ids).data
     full = h.data @ w.data + b.data
-    expected = np.take_along_axis(full, ids, axis=1)
-    np.testing.assert_allclose(got, expected, rtol=1e-12)
+    np.testing.assert_allclose(got, full[:, ids], rtol=1e-12)
+    with pytest.raises(ValueError, match="1-D"):
+        sampled_logits(h, w, b, np.array([[5, 0], [3, 1]]))
 
 
 def test_backward_requires_scalar():
