@@ -14,7 +14,7 @@ from .checkpoint import (
     IncompatibleCheckpointError, checkpoint_load, checkpoint_save,
 )
 from .inference import (
-    NATURAL, BeamResult, DecodeRequest, Hypothesis, beam_search, detokenize,
+    NATURAL, BeamResult, DecodeRequest, beam_search, detokenize,
     reconstruct, summarize,
 )
 from .metrics import (

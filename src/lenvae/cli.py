@@ -97,10 +97,6 @@ def _cmd_train(args, cfg):
 def _cmd_summarize(args, cfg):
     params, hp, vocab, _ = ckpt.checkpoint_load(args.checkpoint)
     desired = NATURAL if args.length == NATURAL else int(args.length)
-    if desired != NATURAL and not hp.lenemb:
-        raise ckpt.IncompatibleCheckpointError(
-            "checkpoint was trained without length embeddings; "
-            "use --length natural")
     lines = _read_lines(args.input)
     outputs = []
     for line in lines:

@@ -5,9 +5,15 @@ plain reconstruction, or any smaller number to ask the decoder to compress.
 Inference uses z = mu (zero noise), so decoding is deterministic. The
 countdown biases the decoder toward stopping but never forces termination;
 end-of-sentence stays an ordinary predicted token.
+
+The beam lives in stacked arrays, one row per live hypothesis: emitted token
+ids (rows, t), cumulative log-probabilities (rows,), countdowns (rows,) and
+each decoder layer's (h, c) pair, (rows, cell_size) apiece. All rows advance
+in lockstep; after every step each array is re-gathered by the parent-row
+index of the selected expansions, in selection order.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,46 +30,66 @@ NATURAL = "natural"
 
 @dataclass
 class DecodeRequest:
-    """What to decode and how hard to squeeze it.
+    """How wide and how long to search; the countdown's start is passed to
+    ``beam_search`` on its own."""
 
-    desired_length: target word count for the countdown, or NATURAL to use
-    the input's own word count.
-    """
-
-    desired_length: int | str = 20
     beam_width: int = 8
     max_tokens: int = 40
-    sentence: str | None = None
 
     def __post_init__(self):
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
-        if self.desired_length != NATURAL and int(self.desired_length) < 0:
-            raise ValueError("desired_length must be >= 0 or 'natural'")
-
-
-@dataclass
-class Hypothesis:
-    """One partial decode: emitted ids, score, recurrent state, countdown."""
-
-    ids: list = field(default_factory=list)
-    log_prob: float = 0.0
-    state: list = field(default_factory=list)   # per layer (h, c) arrays
-    remaining: int = 0
-    finished: bool = False
 
 
 @dataclass
 class BeamResult:
+    """The winning sequence and how the search ended.
+
+    ``truncated``: the winner never emitted EOS. ``steps``: decoder steps
+    taken. ``stop_reason``: "bound" (the best completed score reached the
+    best live one), "horizon" (``max_tokens`` steps ran) or "exhausted" (no
+    live hypothesis was left to expand).
+    """
+
     ids: list
     log_prob: float
     truncated: bool = False
+    steps: int = 0
+    stop_reason: str = "horizon"
 
 
-def _state_to_arrays(state):
-    return [(h.data, c.data) for h, c in state]
+def best_entries(scores: np.ndarray, width: int):
+    """Flat indices and values of the ``width`` best finite entries of the
+    (rows, V) ``scores``, ordered by (-score, row, token).
+
+    Entries at or above a threshold that at least ``width`` finite entries
+    reach are the only candidates: with rows >= width, the width-th largest
+    row maximum (each row maximum is an entry); otherwise every finite entry.
+    A partition over the candidates narrows them to those at or above the
+    width-th largest, ties included, and a stable sort of that handful by
+    descending score keeps the ascending flat index, i.e. (row, token), as
+    the tie-break. NaN ranks as -inf; non-finite entries are never returned.
+    """
+    row_max = scores.max(axis=1)
+    if np.isnan(row_max).any():
+        scores = np.where(np.isnan(scores), -np.inf, scores)
+        row_max = scores.max(axis=1)
+    flat = scores.ravel()
+    rows = row_max.size
+    bound = np.partition(row_max, rows - width)[rows - width] if rows >= width else -np.inf
+    if bound > -np.inf:
+        idx = np.flatnonzero(flat >= bound)
+    else:
+        idx = np.flatnonzero(np.isfinite(flat))
+    values = flat[idx]
+    if idx.size > width:
+        kth = np.partition(values, idx.size - width)[idx.size - width]
+        keep = np.flatnonzero(values >= kth)
+        idx, values = idx[keep], values[keep]
+    order = np.argsort(-values, kind="stable")[:width]
+    return idx[order], values[order]
 
 
 def beam_search(z: np.ndarray, request: DecodeRequest, params: ParamStore,
@@ -71,75 +97,81 @@ def beam_search(z: np.ndarray, request: DecodeRequest, params: ParamStore,
                 forbidden_ids=(PAD_ID, BOS_ID)) -> BeamResult:
     """Highest cumulative-log-probability sequence under the decoder.
 
-    ``z`` is a (latent_dim,) vector. Live hypotheses expand in lockstep; a
-    hypothesis that emits EOS moves to the completed pool and is never
-    extended. Search stops once the best completed score cannot be beaten by
-    any live hypothesis (token log-probabilities are <= 0, so scores only
-    fall) or at ``max_tokens``; hypotheses still alive at the horizon compete
-    with the pool at their cumulative score. No length normalization is
-    applied. ``truncated=True`` marks a winner that never emitted EOS.
+    ``z`` is a (latent_dim,) vector; ``initial_length`` starts the countdown.
+    Each step runs the decoder once over all live rows, adds every row's
+    cumulative score to its token log-probabilities and keeps the
+    ``beam_width`` best finite (row, token) expansions in (-score, row,
+    token) order (see ``best_entries``). An expansion that emits EOS moves
+    to the completed pool and is never extended; the others are the next
+    step's rows, in the same order. No length normalization is applied.
+
+    The search stops with ``stop_reason``:
+      - "bound": the best completed score is >= the best live score (token
+        log-probabilities are <= 0, so scores only fall);
+      - "exhausted": no live expansion is left; if nothing has completed
+        either, the previous live rows stand;
+      - "horizon": ``max_tokens`` steps ran; rows still alive then compete
+        with the pool at their cumulative score.
+    The winner is the best of the pool and the live rows, the pool winning
+    ties. ``truncated=True`` marks a winner that never emitted EOS.
 
     ``forbidden_ids`` are never proposed (padding/control tokens); pass ()
     to rank the raw full vocabulary.
     """
-    z_row = Tensor(np.asarray(z, dtype=np.float64)[None, :])
-    init_state = _state_to_arrays(init_decoder_state(z_row, params, hp))
-    beams = [Hypothesis(state=init_state, remaining=initial_length)]
-    completed: list[Hypothesis] = []
+    width = request.beam_width
+    z = np.asarray(z, dtype=np.float64)
+    state = [(h.data, c.data) for h, c in init_decoder_state(Tensor(z[None, :]), params, hp)]
+    ids = np.zeros((1, 0), dtype=np.intp)
+    log_prob = np.zeros(1)
+    remaining = np.array([initial_length], dtype=np.intp)
+    prev_ids = np.array([BOS_ID], dtype=np.intp)
+    done = None  # (ids, log_prob) of the first best completed hypothesis
     forbidden = [i for i in forbidden_ids if i < hp.vocab_size]
+    stop_reason = "horizon"
 
-    for step in range(request.max_tokens):
-        n = len(beams)
-        prev_ids = np.array([b.ids[-1] if b.ids else BOS_ID for b in beams], dtype=np.intp)
-        z_batch = Tensor(np.repeat(np.asarray(z, dtype=np.float64)[None, :], n, axis=0))
-        state = [(Tensor(np.stack([b.state[l][0][0] for b in beams])),
-                  Tensor(np.stack([b.state[l][1][0] for b in beams])))
-                 for l in range(hp.decoder_layers)]
+    for steps in range(1, request.max_tokens + 1):
+        n = log_prob.size
         prev_emb = gather_rows(params["embed.W"], prev_ids)
         if hp.lenemb:
-            idx = np.array([min(b.remaining, hp.max_len_index) for b in beams], dtype=np.intp)
-            len_emb = gather_rows(params["len_table.W"], idx)
+            len_emb = gather_rows(params["len_table.W"], np.minimum(remaining, hp.max_len_index))
         else:
             len_emb = zero_length_input(n, hp)
-        logits, new_state = decode_step(z_batch, prev_emb, len_emb, state, params, hp)
-        log_probs = log_softmax_rows(logits.data)
+        z_rows = Tensor(np.repeat(z[None, :], n, axis=0))
+        logits, new_state = decode_step(z_rows, prev_emb, len_emb,
+                                        [(Tensor(h), Tensor(c)) for h, c in state], params, hp)
+        scores = log_softmax_rows(logits.data)
         if forbidden:
-            log_probs[:, forbidden] = -np.inf
-        rows_state = _state_to_arrays(new_state)
+            scores[:, forbidden] = -np.inf
+        scores += log_prob[:, None]
+        picked, picked_scores = best_entries(scores, width)
+        parents, tokens = np.divmod(picked, hp.vocab_size)
 
-        candidates = []
-        for r, beam in enumerate(beams):
-            scores = beam.log_prob + log_probs[r]
-            for v in np.argsort(scores)[::-1][:request.beam_width + 1]:
-                if not np.isfinite(scores[v]):
-                    continue
-                candidates.append((float(scores[v]), r, int(v)))
-        candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
-
-        next_beams = []
-        for score, r, v in candidates[:request.beam_width]:
-            row_state = [(rows_state[l][0][r:r + 1], rows_state[l][1][r:r + 1])
-                         for l in range(hp.decoder_layers)]
-            hyp = Hypothesis(ids=beams[r].ids + [v], log_prob=score, state=row_state,
-                             remaining=max(beams[r].remaining - 1, 0),
-                             finished=(v == EOS_ID))
-            if hyp.finished:
-                completed.append(hyp)
-            else:
-                next_beams.append(hyp)
-        if not next_beams and not completed:
-            break  # nothing expandable; fall through with the previous live set
-        beams = next_beams
-        if not beams:
+        finished = tokens == EOS_ID
+        if finished.any():
+            k = int(np.argmax(finished))  # this step's first, so best, completion
+            if done is None or picked_scores[k] > done[1]:
+                done = (ids[parents[k]].tolist() + [EOS_ID], float(picked_scores[k]))
+        live = np.flatnonzero(~finished)
+        if live.size == 0:
+            stop_reason = "exhausted"
+            if done is not None:  # the pool alone competes; else the last rows stand
+                log_prob = log_prob[:0]
             break
-        if completed:
-            best_done = max(c.log_prob for c in completed)
-            if best_done >= max(b.log_prob for b in beams):
-                break
+        parents, prev_ids = parents[live], tokens[live]
+        ids = np.concatenate([ids[parents], prev_ids[:, None]], axis=1)
+        log_prob = picked_scores[live]
+        remaining = np.maximum(remaining[parents] - 1, 0)
+        state = [(h.data[parents], c.data[parents]) for h, c in new_state]
+        if done is not None and done[1] >= log_prob[0]:
+            stop_reason = "bound"
+            break
 
-    candidates_final = completed + beams  # live-at-horizon hypotheses count
-    best = max(candidates_final, key=lambda h: h.log_prob)
-    return BeamResult(ids=best.ids, log_prob=best.log_prob, truncated=not best.finished)
+    # live rows are in descending score order, so row 0 is the best of them
+    if done is not None and (log_prob.size == 0 or done[1] >= log_prob[0]):
+        return BeamResult(ids=done[0], log_prob=done[1], truncated=False,
+                          steps=steps, stop_reason=stop_reason)
+    return BeamResult(ids=ids[0].tolist(), log_prob=float(log_prob[0]), truncated=True,
+                      steps=steps, stop_reason=stop_reason)
 
 
 def _encode_mu(sentence_ids: list, params: ParamStore, hp: HyperParams) -> np.ndarray:
@@ -171,12 +203,12 @@ def summarize(sentence: str, desired_length, params: ParamStore, hp: HyperParams
         length = len(tokens)
     else:
         length = int(desired_length)
+        if length < 0:
+            raise ValueError("desired_length must be >= 0 or 'natural'")
         if not hp.lenemb:
             raise IncompatibleCheckpointError(
-                "model was trained without length embeddings; only "
-                "desired_length='natural' decoding is possible")
-    request = DecodeRequest(desired_length=desired_length, beam_width=beam_width,
-                            max_tokens=max_tokens, sentence=sentence)
+                "checkpoint was trained without length embeddings; use --length natural")
+    request = DecodeRequest(beam_width=beam_width, max_tokens=max_tokens)
     mu = _encode_mu(vocab.encode(tokens), params, hp)
     result = beam_search(mu, request, params, hp, initial_length=length)
     return detokenize(result.ids, vocab)

@@ -238,16 +238,9 @@ def decoder_stack_step(z: Tensor, prev_emb: Tensor, len_emb: Tensor, state: list
 
 
 def decode_step(z: Tensor, prev_emb: Tensor, len_emb: Tensor, state: list,
-                params: ParamStore, hp: HyperParams, *,
-                dropout_mask: np.ndarray | None = None):
-    """Returns (vocabulary logits (B, V), new state).
-
-    ``dropout_mask`` (already scaled by 1/keep) regularizes the top hidden
-    activations during training; pass None for inference/eval.
-    """
+                params: ParamStore, hp: HyperParams):
+    """Returns (vocabulary logits (B, V), new state)."""
     hidden, new_state = decoder_stack_step(z, prev_emb, len_emb, state, params, hp)
-    if dropout_mask is not None:
-        hidden = mul_const(hidden, dropout_mask)
     logits = affine(hidden, params["out.W"], params["out.b"])
     return logits, new_state
 

@@ -185,7 +185,9 @@ def test_summarize_no_lenemb_checkpoint_is_exit_4(trained, tmp_path, capsys):
                "--input", str(inputs), "--output", str(tmp_path / "o.txt"),
                "--length", "3")
     assert code == EXIT_INCOMPATIBLE
-    capsys.readouterr()
+    assert capsys.readouterr().err == (
+        "error: incompatible checkpoint: checkpoint was trained without length "
+        "embeddings; use --length natural\n")
 
 
 def test_corrupt_checkpoint_is_exit_5(trained, tmp_path, capsys):

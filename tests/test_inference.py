@@ -1,10 +1,14 @@
 """Beam search against brute-force enumeration, plus decode plumbing."""
 
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
+from lenvae import inference
 from lenvae.inference import (
-    NATURAL, DecodeRequest, beam_search, detokenize, reconstruct, summarize,
+    NATURAL, DecodeRequest, beam_search, best_entries, detokenize, reconstruct,
+    summarize,
 )
 from lenvae.model import (
     HyperParams, decode_step, init_decoder_state, init_params,
@@ -76,7 +80,7 @@ def test_beam_matches_brute_force_enumeration(seed):
     params, z = random_model(10 * seed, hp)
     expected_ids, expected_logp = brute_force_best(z, params, hp, max_len=3,
                                                    initial_length=3)
-    request = DecodeRequest(desired_length=3, beam_width=64, max_tokens=3)
+    request = DecodeRequest(beam_width=64, max_tokens=3)
     result = beam_search(z, request, params, hp, initial_length=3, forbidden_ids=())
     np.testing.assert_allclose(result.log_prob, expected_logp, rtol=1e-10)
     assert result.ids == expected_ids
@@ -105,7 +109,7 @@ def test_beam_width_one_equals_greedy(seed):
     params, z = random_model(100 + seed, hp)
     forbidden = (PAD_ID, BOS_ID)
     greedy_ids, greedy_logp = greedy_decode(z, params, hp, 6, 4, forbidden)
-    request = DecodeRequest(desired_length=4, beam_width=1, max_tokens=6)
+    request = DecodeRequest(beam_width=1, max_tokens=6)
     result = beam_search(z, request, params, hp, initial_length=4,
                          forbidden_ids=forbidden)
     assert result.ids == greedy_ids
@@ -115,7 +119,7 @@ def test_beam_width_one_equals_greedy(seed):
 def test_beam_deterministic():
     hp = tiny_hp(v=6)
     params, z = random_model(55, hp)
-    request = DecodeRequest(desired_length=3, beam_width=4, max_tokens=8)
+    request = DecodeRequest(beam_width=4, max_tokens=8)
     a = beam_search(z, request, params, hp, initial_length=3)
     b = beam_search(z, request, params, hp, initial_length=3)
     assert a.ids == b.ids and a.log_prob == b.log_prob
@@ -130,7 +134,7 @@ def test_wider_beam_never_scores_worse(seed):
     params, z = random_model(seed, hp)
     scores = []
     for width in (1, 2, 4, 8, 16):
-        request = DecodeRequest(desired_length=4, beam_width=width, max_tokens=12)
+        request = DecodeRequest(beam_width=width, max_tokens=12)
         result = beam_search(z, request, params, hp, initial_length=4)
         scores.append(result.log_prob)
     assert all(a <= b + 1e-12 for a, b in zip(scores, scores[1:]))
@@ -141,11 +145,10 @@ def test_exhaustive_width_upper_bounds_every_beam(seed):
     # the exhaustive beam is the global argmax, so no width can beat it
     hp = tiny_hp(v=4)
     params, z = random_model(300 + seed, hp)
-    exhaustive = beam_search(z, DecodeRequest(desired_length=3, beam_width=4 ** 3,
-                                              max_tokens=3),
+    exhaustive = beam_search(z, DecodeRequest(beam_width=4 ** 3, max_tokens=3),
                              params, hp, initial_length=3, forbidden_ids=())
     for width in (1, 2, 4, 8):
-        request = DecodeRequest(desired_length=3, beam_width=width, max_tokens=3)
+        request = DecodeRequest(beam_width=width, max_tokens=3)
         result = beam_search(z, request, params, hp, initial_length=3,
                              forbidden_ids=())
         assert result.log_prob <= exhaustive.log_prob + 1e-12
@@ -155,7 +158,7 @@ def test_beam_truncation_flag_when_eos_unreachable():
     hp = tiny_hp(v=5)
     params, z = random_model(7, hp)
     params["out.b"].data[EOS_ID] = -1e9  # EOS never competitive
-    request = DecodeRequest(desired_length=3, beam_width=2, max_tokens=4)
+    request = DecodeRequest(beam_width=2, max_tokens=4)
     result = beam_search(z, request, params, hp, initial_length=3)
     assert result.truncated
     assert len(result.ids) == 4
@@ -167,10 +170,213 @@ def test_exhaustive_beam_equals_brute_force_argmax():
     params, z = random_model(31, hp)
     expected_ids, expected_logp = brute_force_best(z, params, hp, max_len=3,
                                                    initial_length=2)
-    request = DecodeRequest(desired_length=2, beam_width=3 ** 3, max_tokens=3)
+    request = DecodeRequest(beam_width=3 ** 3, max_tokens=3)
     result = beam_search(z, request, params, hp, initial_length=2, forbidden_ids=())
     np.testing.assert_allclose(result.log_prob, expected_logp, rtol=1e-10)
     assert result.ids == expected_ids
+
+
+# ---------------------------------------------------------------------------
+# the array engine against the per-hypothesis reference
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Hypothesis:
+    ids: list = field(default_factory=list)
+    log_prob: float = 0.0
+    state: list = field(default_factory=list)   # per layer (h, c) arrays
+    remaining: int = 0
+    finished: bool = False
+
+
+def _state_to_arrays(state):
+    return [(h.data, c.data) for h, c in state]
+
+
+def reference_beam_search(z, request, params, hp, initial_length,
+                          forbidden_ids=(PAD_ID, BOS_ID)):
+    """One ``Hypothesis`` per live row, a full argsort per row and a sort of
+    Python candidate tuples by (-score, row, token); returns (ids, log_prob,
+    truncated). Ties are exact wherever no three equal scores straddle a
+    row's width-th place."""
+    z_row = Tensor(np.asarray(z, dtype=np.float64)[None, :])
+    init_state = _state_to_arrays(init_decoder_state(z_row, params, hp))
+    beams = [Hypothesis(state=init_state, remaining=initial_length)]
+    completed = []
+    forbidden = [i for i in forbidden_ids if i < hp.vocab_size]
+
+    for _ in range(request.max_tokens):
+        n = len(beams)
+        prev_ids = np.array([b.ids[-1] if b.ids else BOS_ID for b in beams], dtype=np.intp)
+        z_batch = Tensor(np.repeat(np.asarray(z, dtype=np.float64)[None, :], n, axis=0))
+        state = [(Tensor(np.stack([b.state[l][0][0] for b in beams])),
+                  Tensor(np.stack([b.state[l][1][0] for b in beams])))
+                 for l in range(hp.decoder_layers)]
+        prev_emb = gather_rows(params["embed.W"], prev_ids)
+        if hp.lenemb:
+            idx = np.array([min(b.remaining, hp.max_len_index) for b in beams], dtype=np.intp)
+            len_emb = gather_rows(params["len_table.W"], idx)
+        else:
+            len_emb = zero_length_input(n, hp)
+        logits, new_state = decode_step(z_batch, prev_emb, len_emb, state, params, hp)
+        log_probs = log_softmax_rows(logits.data)
+        if forbidden:
+            log_probs[:, forbidden] = -np.inf
+        rows_state = _state_to_arrays(new_state)
+
+        candidates = []
+        for r, beam in enumerate(beams):
+            scores = beam.log_prob + log_probs[r]
+            for v in np.argsort(scores)[::-1][:request.beam_width + 1]:
+                if not np.isfinite(scores[v]):
+                    continue
+                candidates.append((float(scores[v]), r, int(v)))
+        candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
+
+        next_beams = []
+        for score, r, v in candidates[:request.beam_width]:
+            row_state = [(rows_state[l][0][r:r + 1], rows_state[l][1][r:r + 1])
+                         for l in range(hp.decoder_layers)]
+            hyp = Hypothesis(ids=beams[r].ids + [v], log_prob=score, state=row_state,
+                             remaining=max(beams[r].remaining - 1, 0),
+                             finished=(v == EOS_ID))
+            if hyp.finished:
+                completed.append(hyp)
+            else:
+                next_beams.append(hyp)
+        if not next_beams and not completed:
+            break
+        beams = next_beams
+        if not beams:
+            break
+        if completed:
+            best_done = max(c.log_prob for c in completed)
+            if best_done >= max(b.log_prob for b in beams):
+                break
+
+    best = max(completed + beams, key=lambda h: h.log_prob)
+    return best.ids, best.log_prob, not best.finished
+
+
+def assert_matches_reference(z, request, params, hp, initial_length, **kwargs):
+    result = beam_search(z, request, params, hp, initial_length, **kwargs)
+    expected = reference_beam_search(z, request, params, hp, initial_length, **kwargs)
+    assert (result.ids, result.log_prob, result.truncated) == expected
+    return result
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("lenemb", [True, False])
+@pytest.mark.parametrize("forbidden", ["default", ()])
+@pytest.mark.parametrize("width", [1, 2, 8, 6 ** 4])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_array_engine_equals_reference(seed, width, forbidden, lenemb, layers):
+    # width 6**4 keeps every (row, token) expansion of a 4-step search
+    hp = tiny_hp(v=6, layers=layers, lenemb=lenemb)
+    params, z = random_model(400 + seed, hp)
+    params["out.b"].data[EOS_ID] += 1.0  # let some hypotheses complete
+    kwargs = {} if forbidden == "default" else {"forbidden_ids": forbidden}
+    assert_matches_reference(z, DecodeRequest(beam_width=width, max_tokens=4),
+                             params, hp, initial_length=2, **kwargs)
+
+
+def test_exact_tie_settled_by_row_then_token():
+    # tokens 4 and 5 get the same constant logit in every row, so they tie
+    # exactly; the rows they open then tie as well, up to rounding
+    hp = tiny_hp(v=6)
+    params, z = random_model(21, hp)
+    params["out.W"].data[:, 4:6] = 0.0
+    params["out.b"].data[4:6] = 50.0
+    params["embed.W"].data[5] = params["embed.W"].data[4]
+    result = assert_matches_reference(z, DecodeRequest(beam_width=2, max_tokens=3),
+                                      params, hp, initial_length=3)
+    assert result.ids[0] == 4
+    # ties across rows and within a row, settled by (row, token)
+    idx, values = best_entries(np.array([[-1.0, -0.5, -0.5], [-0.5, -0.5, -2.0]]), 3)
+    assert idx.tolist() == [1, 2, 3] and values.tolist() == [-0.5] * 3
+
+
+def test_fewer_finite_candidates_than_width():
+    hp = tiny_hp(v=6)
+    params, z = random_model(5, hp)
+    forbidden = [i for i in range(hp.vocab_size) if i not in (EOS_ID, 4)]
+    result = assert_matches_reference(z, DecodeRequest(beam_width=8, max_tokens=5),
+                                      params, hp, initial_length=3, forbidden_ids=forbidden)
+    assert set(result.ids) <= {EOS_ID, 4}
+
+
+def test_fewer_rows_than_width_partitions_every_entry():
+    # a width above the live row count but below rows x V uses the
+    # partition over all entries instead of the row-maximum bound
+    hp = tiny_hp(v=7)
+    params, z = random_model(9, hp)
+    params["out.b"].data[EOS_ID] += 2.0   # completions shrink the live rows
+    assert_matches_reference(z, DecodeRequest(beam_width=5, max_tokens=6),
+                             params, hp, initial_length=4)
+
+
+@pytest.mark.parametrize("rows,width", [(1, 3), (3, 5), (4, 4), (6, 2), (5, 40)])
+def test_best_entries_equals_full_sort(rows, width):
+    rng = np.random.default_rng(rows * 100 + width)
+    scores = rng.integers(-4, 0, size=(rows, 7)).astype(float)   # many exact ties
+    scores[rng.random(scores.shape) < 0.3] = -np.inf
+    scores[0, 0] = np.nan
+    flat = scores.ravel()
+    ranked = sorted((-flat[i], i) for i in range(flat.size) if np.isfinite(flat[i]))
+    expected = [i for _, i in ranked[:width]]
+    idx, values = best_entries(scores, width)
+    assert idx.tolist() == expected
+    assert values.tolist() == [flat[i] for i in expected]
+
+
+def _decode_calls(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].data.shape[0])
+        return decode_step(*args, **kwargs)
+    monkeypatch.setattr(inference, "decode_step", counted)
+    return calls
+
+
+def test_stop_reason_bound(monkeypatch):
+    hp = tiny_hp(v=6)
+    params, z = random_model(3, hp)
+    params["out.b"].data[EOS_ID] = 20.0   # EOS leads by far at the first step
+    calls = _decode_calls(monkeypatch)
+    result = assert_matches_reference(z, DecodeRequest(beam_width=3, max_tokens=8),
+                                      params, hp, initial_length=3)
+    assert (result.stop_reason, result.steps, result.ids) == ("bound", 1, [EOS_ID])
+    assert len(calls) == result.steps and not result.truncated
+
+
+def test_stop_reason_horizon(monkeypatch):
+    hp = tiny_hp(v=6)
+    params, z = random_model(7, hp)
+    params["out.b"].data[EOS_ID] = -1e9   # EOS never competitive
+    calls = _decode_calls(monkeypatch)
+    result = assert_matches_reference(z, DecodeRequest(beam_width=2, max_tokens=5),
+                                      params, hp, initial_length=3)
+    assert (result.stop_reason, result.steps) == ("horizon", 5)
+    assert len(calls) == 5 and result.truncated and len(result.ids) == 5
+
+
+def test_stop_reason_exhausted(monkeypatch):
+    hp = tiny_hp(v=6)
+    params, z = random_model(3, hp)
+    params["out.b"].data[EOS_ID] = 20.0
+    calls = _decode_calls(monkeypatch)
+    # width 1: the only expansion completes, so nothing is left to extend
+    result = assert_matches_reference(z, DecodeRequest(beam_width=1, max_tokens=8),
+                                      params, hp, initial_length=3)
+    assert (result.stop_reason, result.steps, result.ids) == ("exhausted", 1, [EOS_ID])
+    assert len(calls) == 1
+    # every token forbidden: no expansion at all, the empty start stands
+    result = assert_matches_reference(z, DecodeRequest(beam_width=4, max_tokens=8),
+                                      params, hp, initial_length=3,
+                                      forbidden_ids=tuple(range(hp.vocab_size)))
+    assert (result.stop_reason, result.steps, result.ids) == ("exhausted", 1, [])
+    assert result.truncated and result.log_prob == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +444,9 @@ def test_decode_request_validation():
         DecodeRequest(beam_width=0)
     with pytest.raises(ValueError):
         DecodeRequest(max_tokens=0)
+
+
+def test_summarize_rejects_negative_length(toy_model):
+    params, hp, vocab = toy_model
     with pytest.raises(ValueError):
-        DecodeRequest(desired_length=-1)
-    assert DecodeRequest(desired_length=NATURAL).desired_length == NATURAL
+        summarize("the cat runs", -1, params, hp, vocab)

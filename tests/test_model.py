@@ -249,16 +249,6 @@ def test_decode_step_sensitive_to_latent(seed):
     assert np.abs(logits_a.data - logits_b.data).max() > 1e-6
 
 
-def test_decode_step_keep_rate_one_equals_inference():
-    hp, params = TINY, tiny_params(8)
-    z, prev, len_emb, state = _step_inputs(hp, params, 1)
-    inference, _ = decode_step(z, prev, len_emb, state, params, hp, dropout_mask=None)
-    keep_one_mask = np.ones((1, hp.cell_size))  # keep rate 1.0 scales by 1/1
-    training, _ = decode_step(z, prev, len_emb, state, params, hp,
-                              dropout_mask=keep_one_mask)
-    np.testing.assert_array_equal(inference.data, training.data)
-
-
 # ---------------------------------------------------------------------------
 # bag-of-words loss
 # ---------------------------------------------------------------------------
