@@ -2,6 +2,7 @@
 
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,11 +38,9 @@ cfg = TrainConfig(batch_size=64, total_steps=STEPS, anneal_horizon=min(1000, STE
 result = train(train_sents, vocab, hp, cfg)
 print(f"lenemb model trained in {time.time()-t0:.0f}s; last:", result.metrics.records[-1])
 
-hp_no = hp.without_lenemb()
-cfg_no = TrainConfig(batch_size=64, total_steps=STEPS, anneal_horizon=min(1000, STEPS // 2),
-                     seed=SEED, learning_rate=LR, checkpoint_interval=10**9, lenemb=False)
+hp_no = replace(hp, lenemb=False)
 t1 = time.time()
-result_no = train(train_sents, vocab, hp_no, cfg_no)
+result_no = train(train_sents, vocab, hp_no, cfg)
 print(f"no-lenemb model trained in {time.time()-t1:.0f}s; last:", result_no.metrics.records[-1])
 
 # --- criterion 7: length control ---

@@ -22,8 +22,8 @@ from .metrics import (
     rouge_l, rouge_n,
 )
 from .model import (
-    HyperParams, LatentParams, LengthSchedule, bow_loss, decode_step, encode,
-    init_params, kl_divergence, length_embed, reparameterize, total_loss,
+    HyperParams, LatentParams, bow_loss, decode_step, encode, init_params,
+    kl_divergence, length_input, reparameterize, total_loss,
 )
 from .numerics import (
     AdamState, ParamStore, ReplayRng, Tensor, adam_step, grad_check,

@@ -5,9 +5,14 @@ u64 config length + UTF-8 JSON config (hyperparameters, step, vocabulary
 token list), u64 tensor count, then per tensor: u32 name length + name,
 u32 rank, u64 dims, float64 little-endian row-major values. The file ends
 with a CRC32 of every preceding byte.
+
+A save writes a temporary file beside the target, syncs it to disk and
+renames it over the target, so a crash mid-save leaves the previous file
+whole.
 """
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import asdict
@@ -62,9 +67,18 @@ def checkpoint_save(path, params: ParamStore, hp: HyperParams, vocab: Vocabulary
         parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         parts.append(arr.tobytes())
     body = b"".join(parts)
-    with open(path, "wb") as f:
-        f.write(body)
-        f.write(struct.pack("<I", zlib.crc32(body)))
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    f = open(tmp, "xb")
+    try:
+        with f:
+            f.write(body)
+            f.write(struct.pack("<I", zlib.crc32(body)))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 class _Reader:

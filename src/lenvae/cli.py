@@ -75,7 +75,7 @@ def _cmd_preprocess(args, cfg):
 
 
 def _cmd_toy_corpus(args, cfg):
-    seed = args.toy_seed if args.toy_seed is not None else cfg.seed
+    seed = args.toy_seed if args.toy_seed is not None else cfg.train.seed
     lines = generate_toy_corpus(default_toy_grammar(), args.size, seed)
     _write_lines(args.output, lines)
     print(f"wrote {len(lines)} sentences to {args.output}")
@@ -86,17 +86,17 @@ def _cmd_train(args, cfg):
     vocab = Vocabulary.load(args.vocab)
     sentences = _load_corpus(args.corpus, vocab)
     hp = cfg.hyperparams(vocab.size)
-    result = train(sentences, vocab, hp, cfg.train_config(), out_dir=args.out_dir)
+    result = train(sentences, vocab, hp, cfg.train, out_dir=args.out_dir)
     _echo_config(cfg, args.out_dir)
     final = result.metrics.records[-1]
-    print(f"trained {cfg.total_steps} steps; final total loss {final[5]:.4f}; "
+    print(f"trained {cfg.train.total_steps} steps; final total loss {final[5]:.4f}; "
           f"checkpoints: {', '.join(result.checkpoint_paths)}")
     return EXIT_OK
 
 
 def _cmd_summarize(args, cfg):
     params, hp, vocab, _ = ckpt.checkpoint_load(args.checkpoint)
-    desired = NATURAL if args.length == NATURAL else int(args.length)
+    desired = NATURAL if cfg.desired_length == NATURAL else int(cfg.desired_length)
     lines = _read_lines(args.input)
     outputs = []
     for line in lines:
@@ -104,10 +104,11 @@ def _cmd_summarize(args, cfg):
             outputs.append("")
             continue
         outputs.append(summarize(line, desired, params, hp, vocab,
-                                 beam_width=cfg.beam_width, max_tokens=cfg.max_tokens))
+                                 beam_width=cfg.decode.beam_width,
+                                 max_tokens=cfg.decode.max_tokens))
     _write_lines(args.output, outputs)
     _echo_config(cfg, os.path.dirname(os.path.abspath(args.output)))
-    print(f"decoded {len(outputs)} sentences at length={args.length}")
+    print(f"decoded {len(outputs)} sentences at length={cfg.desired_length}")
     return EXIT_OK
 
 
@@ -155,7 +156,7 @@ def _cmd_probe(args, cfg):
         raise ckpt.IncompatibleCheckpointError("probe checkpoints use different vocabularies")
     sentences = _load_corpus(args.corpus, vocab)
     result = probe_experiment(params_with, hp_with, params_without, hp_without,
-                              sentences, seed=cfg.seed)
+                              sentences, seed=cfg.train.seed)
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
         with open(os.path.join(args.out_dir, "probe_report.txt"), "w", encoding="utf-8") as f:
@@ -218,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--length", default="20", help="word count or 'natural'")
+    p.add_argument("--length", dest="desired_length",
+                   help="word count or 'natural' (default: the config's desired_length)")
     p.add_argument("--beam-width", type=int, dest="beam_width")
 
     p = sub.add_parser("evaluate", help="score candidate files with ROUGE")
@@ -252,7 +254,7 @@ _HANDLERS = {
 }
 
 _CONFIG_OVERRIDE_KEYS = ("seed", "top_k", "max_words", "total_steps", "batch_size",
-                         "beam_width", "byte_cap")
+                         "desired_length", "beam_width", "byte_cap")
 
 
 def main(argv=None) -> int:

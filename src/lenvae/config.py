@@ -1,12 +1,24 @@
 """Run configuration: `key = value` files, presets, flag overrides.
 
-Every field has a documented default at desk scale; the "paper" preset
-switches to the published large-corpus hyperparameters. Unknown keys are
+Each key is declared once, as a field of the dataclass that uses it:
+  - architecture: the fields of ``HyperParams`` (model.py) but
+    ``vocab_size``, which the vocabulary sets;
+  - training: the fields of ``TrainConfig`` (training.py);
+  - beam search: the fields of ``DecodeRequest`` (inference.py),
+    ``beam_width`` and ``max_tokens``;
+  - the run-level keys no other dataclass owns (``top_k``, ``max_words``,
+    ``desired_length``, ``byte_cap``, ``bucket_width``): ``RunConfig`` below.
+The key table and the defaults are read off those fields, so they are the
+desk-scale defaults; the "paper" preset switches to the published
+large-corpus hyperparameters (``HyperParams.paper_scale``). Values are
+merged in the order defaults <- preset <- config file <- flags, and the
+owning dataclass validates them when the config is loaded. Unknown keys are
 rejected. Lines starting with `#` (and trailing ` #` comments) are ignored.
 """
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
+from .inference import DecodeRequest
 from .model import HyperParams
 from .training import TrainConfig
 
@@ -15,85 +27,53 @@ class ConfigError(ValueError):
     pass
 
 
+def _architecture(make=HyperParams, **values) -> dict:
+    """The architecture keys of ``make(vocab_size, **values)``: every field
+    but ``vocab_size``, which the vocabulary sets (a placeholder here)."""
+    hp = make(vocab_size=1, **values)
+    return {name: value for name, value in asdict(hp).items() if name != "vocab_size"}
+
+
 @dataclass
 class RunConfig:
-    # architecture
-    cell_size: int = 32
-    embed_size: int = 32
-    latent_dim: int = 16
-    bow_width: int = 32
-    len_embed_size: int = 8
-    decoder_layers: int = 2
-    max_len_index: int = 30
-    softmax_samples: int = 32
-    lenemb: bool = True
+    """One run's settings: the run-level keys, plus the settings objects that
+    own the other keys."""
+
     # preprocessing
     top_k: int = 1000
     max_words: int = 30
-    # training
-    batch_size: int = 64
-    total_steps: int = 2000
-    anneal_kind: str = "linear"
-    anneal_horizon: int = 1000
-    word_drop_p: float = 0.20
-    dropout_keep: float = 0.87
-    learning_rate: float = 0.002
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    grad_clip: float = 5.0
-    seed: int = 0
-    checkpoint_interval: int = 1000
     # decoding
     desired_length: str = "20"      # a word count or "natural"
-    beam_width: int = 8
-    max_tokens: int = 40
     # evaluation
     byte_cap: int = 75
     bucket_width: int = 5
+    # HyperParams keyword arguments but vocab_size
+    architecture: dict = field(default_factory=_architecture)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    decode: DecodeRequest = field(default_factory=DecodeRequest)
 
     def hyperparams(self, vocab_size: int) -> HyperParams:
-        return HyperParams(vocab_size=vocab_size, cell_size=self.cell_size,
-                           embed_size=self.embed_size, latent_dim=self.latent_dim,
-                           bow_width=self.bow_width, len_embed_size=self.len_embed_size,
-                           decoder_layers=self.decoder_layers,
-                           max_len_index=self.max_len_index,
-                           softmax_samples=self.softmax_samples, lenemb=self.lenemb)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(batch_size=self.batch_size, total_steps=self.total_steps,
-                           anneal_kind=self.anneal_kind,
-                           anneal_horizon=self.anneal_horizon,
-                           word_drop_p=self.word_drop_p, dropout_keep=self.dropout_keep,
-                           learning_rate=self.learning_rate,
-                           adam_beta1=self.adam_beta1, adam_beta2=self.adam_beta2,
-                           adam_eps=self.adam_eps, grad_clip=self.grad_clip,
-                           seed=self.seed, checkpoint_interval=self.checkpoint_interval,
-                           lenemb=self.lenemb)
+        return HyperParams(vocab_size=vocab_size, **self.architecture)
 
     def render(self) -> str:
-        lines = [f"{name} = {value}" for name, value in asdict(self).items()]
-        return "\n".join(lines) + "\n"
+        values = asdict(self)
+        for owned in _OWNED:
+            values.update(values.pop(owned))
+        return "".join(f"{name} = {value}\n" for name, value in values.items())
 
 
-# Published large-corpus settings, selectable with --preset paper.
-PAPER_PRESET = {
-    "cell_size": 243,
-    "embed_size": 254,
-    "latent_dim": 124,
-    "bow_width": 236,
-    "len_embed_size": 50,
-    "softmax_samples": 1000,
-    "top_k": 40000,
-    "batch_size": 512,
-    "beam_width": 100,
-    "desired_length": "20",
-}
-
-PRESETS = {"desk": {}, "paper": PAPER_PRESET}
+# RunConfig fields that hold the settings of another dataclass, and that dataclass
+_OWNED = {"architecture": HyperParams, "train": TrainConfig, "decode": DecodeRequest}
 
 _FIELD_TYPES = {f.name: (f.type if isinstance(f.type, str) else f.type.__name__)
-                for f in fields(RunConfig)}
+                for cls in (*_OWNED.values(), RunConfig) for f in fields(cls)
+                if f.name != "vocab_size" and f.name not in _OWNED}
+
+# Published large-corpus settings, selectable with --preset paper: the
+# architecture of HyperParams.paper_scale and the settings around it.
+PAPER_PRESET = {"top_k": 40000, "batch_size": 512, "beam_width": 100}
+
+PRESETS = {"desk": {}, "paper": {**_architecture(HyperParams.paper_scale), **PAPER_PRESET}}
 
 
 def _parse_value(key: str, text: str):
@@ -146,4 +126,11 @@ def load_run_config(config_path=None, preset: str = "desk", overrides=None) -> R
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         merged[key] = value
-    return RunConfig(**merged)
+
+    def owned_by(cls):
+        return {f.name: merged[f.name] for f in fields(cls) if f.name in merged}
+
+    return RunConfig(architecture=_architecture(**owned_by(HyperParams)),
+                     train=TrainConfig(**owned_by(TrainConfig)),
+                     decode=DecodeRequest(**owned_by(DecodeRequest)),
+                     **owned_by(RunConfig))

@@ -7,10 +7,10 @@ countdown biases the decoder toward stopping but never forces termination;
 end-of-sentence stays an ordinary predicted token.
 
 The beam lives in stacked arrays, one row per live hypothesis: emitted token
-ids (rows, t), cumulative log-probabilities (rows,), countdowns (rows,) and
-each decoder layer's (h, c) pair, (rows, cell_size) apiece. All rows advance
-in lockstep; after every step each array is re-gathered by the parent-row
-index of the selected expansions, in selection order.
+ids (rows, t), cumulative log-probabilities (rows,) and each decoder layer's
+(h, c) pair, (rows, cell_size) apiece. All rows advance in lockstep, so they
+share one countdown; after every step each array is re-gathered by the
+parent-row index of the selected expansions, in selection order.
 """
 
 from dataclasses import dataclass
@@ -19,8 +19,8 @@ import numpy as np
 
 from .checkpoint import IncompatibleCheckpointError
 from .model import (
-    HyperParams, decode_step, encode, init_decoder_state, reparameterize,
-    zero_length_input,
+    HyperParams, decode_step, encode, init_decoder_state, length_input,
+    reparameterize,
 )
 from .numerics import ParamStore, Tensor, gather_rows, log_softmax_rows
 from .textpipe import BOS_ID, EOS_ID, PAD_ID, TokenizedSentence, Vocabulary, make_batch, normalize
@@ -97,7 +97,8 @@ def beam_search(z: np.ndarray, request: DecodeRequest, params: ParamStore,
                 forbidden_ids=(PAD_ID, BOS_ID)) -> BeamResult:
     """Highest cumulative-log-probability sequence under the decoder.
 
-    ``z`` is a (latent_dim,) vector; ``initial_length`` starts the countdown.
+    ``z`` is a (latent_dim,) vector; ``initial_length`` (>= 0) starts the
+    countdown.
     Each step runs the decoder once over all live rows, adds every row's
     cumulative score to its token log-probabilities and keeps the
     ``beam_width`` best finite (row, token) expansions in (-score, row,
@@ -118,12 +119,13 @@ def beam_search(z: np.ndarray, request: DecodeRequest, params: ParamStore,
     ``forbidden_ids`` are never proposed (padding/control tokens); pass ()
     to rank the raw full vocabulary.
     """
+    if initial_length < 0:
+        raise ValueError(f"initial_length must be >= 0, got {initial_length}")
     width = request.beam_width
     z = np.asarray(z, dtype=np.float64)
     state = [(h.data, c.data) for h, c in init_decoder_state(Tensor(z[None, :]), params, hp)]
     ids = np.zeros((1, 0), dtype=np.intp)
     log_prob = np.zeros(1)
-    remaining = np.array([initial_length], dtype=np.intp)
     prev_ids = np.array([BOS_ID], dtype=np.intp)
     done = None  # (ids, log_prob) of the first best completed hypothesis
     forbidden = [i for i in forbidden_ids if i < hp.vocab_size]
@@ -132,10 +134,7 @@ def beam_search(z: np.ndarray, request: DecodeRequest, params: ParamStore,
     for steps in range(1, request.max_tokens + 1):
         n = log_prob.size
         prev_emb = gather_rows(params["embed.W"], prev_ids)
-        if hp.lenemb:
-            len_emb = gather_rows(params["len_table.W"], np.minimum(remaining, hp.max_len_index))
-        else:
-            len_emb = zero_length_input(n, hp)
+        len_emb = length_input(np.full(n, initial_length), steps - 1, params, hp)
         z_rows = Tensor(np.repeat(z[None, :], n, axis=0))
         logits, new_state = decode_step(z_rows, prev_emb, len_emb,
                                         [(Tensor(h), Tensor(c)) for h, c in state], params, hp)
@@ -160,7 +159,6 @@ def beam_search(z: np.ndarray, request: DecodeRequest, params: ParamStore,
         parents, prev_ids = parents[live], tokens[live]
         ids = np.concatenate([ids[parents], prev_ids[:, None]], axis=1)
         log_prob = picked_scores[live]
-        remaining = np.maximum(remaining[parents] - 1, 0)
         state = [(h.data[parents], c.data[parents]) for h, c in new_state]
         if done is not None and done[1] >= log_prob[0]:
             stop_reason = "bound"
@@ -189,7 +187,8 @@ def detokenize(ids, vocab: Vocabulary) -> str:
 
 
 def summarize(sentence: str, desired_length, params: ParamStore, hp: HyperParams,
-              vocab: Vocabulary, beam_width: int = 8, max_tokens: int = 40) -> str:
+              vocab: Vocabulary, beam_width: int = DecodeRequest.beam_width,
+              max_tokens: int = DecodeRequest.max_tokens) -> str:
     """Decode a shortened (or same-length) version of one sentence.
 
     ``desired_length`` is a word count, or NATURAL for the input's own count.
@@ -215,7 +214,8 @@ def summarize(sentence: str, desired_length, params: ParamStore, hp: HyperParams
 
 
 def reconstruct(sentence: str, params: ParamStore, hp: HyperParams,
-                vocab: Vocabulary, beam_width: int = 8, max_tokens: int = 40) -> str:
+                vocab: Vocabulary, beam_width: int = DecodeRequest.beam_width,
+                max_tokens: int = DecodeRequest.max_tokens) -> str:
     """Decode at the input's natural length (no shortening)."""
     return summarize(sentence, NATURAL, params, hp, vocab,
                      beam_width=beam_width, max_tokens=max_tokens)

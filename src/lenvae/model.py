@@ -20,7 +20,7 @@ candidate columns of the output layer; once the set covers the vocabulary the
 loss is exactly the full softmax.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,9 +69,6 @@ class HyperParams:
                    latent_dim=124, bow_width=236, len_embed_size=50,
                    decoder_layers=2, max_len_index=30, softmax_samples=1000,
                    lenemb=lenemb)
-
-    def without_lenemb(self) -> "HyperParams":
-        return replace(self, lenemb=False)
 
 
 @dataclass
@@ -179,33 +176,17 @@ def kl_divergence(latent: LatentParams) -> Tensor:
 # length countdown
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LengthSchedule:
-    """Countdown over desired output length: starts at ``initial``, decrements
-    by one per emitted word, floors at 0."""
+def length_input(start: np.ndarray, t: int, params: ParamStore, hp: HyperParams) -> Tensor:
+    """(B, len_embed_size) length input at decoder step ``t`` for countdowns
+    that start at the (B,) ints ``start`` and fall by one per step.
 
-    initial: np.ndarray  # (B,) int
-    step: int = 0
-
-    def current(self) -> np.ndarray:
-        return np.maximum(self.initial - self.step, 0)
-
-    def advance(self) -> None:
-        self.step += 1
-
-
-def length_embed(schedule: LengthSchedule, params: ParamStore, hp: HyperParams) -> Tensor:
-    """(B, len_embed_size) table row for each sentence's current countdown value.
-
-    Countdown values beyond the table clamp to the last row.
+    With ``lenemb``: the ``len_table`` row at min(max(start - t, 0),
+    max_len_index) for each row, so the countdown floors at 0 and values
+    beyond the table clamp to its last row. Without it: constant zeros.
     """
-    idx = np.minimum(schedule.current(), hp.max_len_index)
-    return gather_rows(params["len_table.W"], idx)
-
-
-def zero_length_input(n: int, hp: HyperParams) -> Tensor:
-    """Constant zero stand-in for the length embedding (length control off)."""
-    return zeros((n, hp.len_embed_size))
+    if not hp.lenemb:
+        return zeros((len(start), hp.len_embed_size))
+    return gather_rows(params["len_table.W"], np.minimum(np.maximum(start - t, 0), hp.max_len_index))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +284,7 @@ def tiny_gradcheck_instance(index: int):
     1e-5; below that magnitude the relative-error quotient measures rounding
     noise rather than correctness.
     """
-    from .numerics import ReplayRng, grad_check  # noqa: F401 (grad_check re-exported use)
+    from .numerics import ReplayRng
 
     seed = GRADCHECK_SEEDS[index % len(GRADCHECK_SEEDS)]
     hp = HyperParams(vocab_size=7, cell_size=4, embed_size=5, latent_dim=3,
@@ -370,14 +351,12 @@ def total_loss(batch: Batch, params: ParamStore, hp: HyperParams, kl_weight: flo
     dec_in, targets, mask = decoder_targets(batch)
     if decoder_inputs is not None:
         dec_in = decoder_inputs
-    schedule = LengthSchedule(initial=batch.lengths.copy())
     state = init_decoder_state(z, params, hp)
 
     recon_sum = None
     for t in range(dec_in.shape[1]):
         prev_emb = gather_rows(params["embed.W"], dec_in[:, t])
-        len_emb = length_embed(schedule, params, hp) if hp.lenemb \
-            else zero_length_input(n, hp)
+        len_emb = length_input(batch.lengths, t, params, hp)
         hidden, state = decoder_stack_step(z, prev_emb, len_emb, state, params, hp)
         if training and dropout_keep < 1.0:
             keep_mask = (rng.random((n, hp.cell_size)) < dropout_keep) / dropout_keep
@@ -391,7 +370,6 @@ def total_loss(batch: Batch, params: ParamStore, hp: HyperParams, kl_weight: flo
             logits_t = affine(hidden, params["out.W"], params["out.b"])
             ce = cross_entropy_rows(logits_t, targets[:, t], mask[:, t])
         recon_sum = ce if recon_sum is None else add(recon_sum, ce)
-        schedule.advance()
     reconstruction = scale(recon_sum, 1.0 / n)
 
     bow = bow_loss(z, batch.bow, params, hp)

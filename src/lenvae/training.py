@@ -31,7 +31,6 @@ class TrainConfig:
     grad_clip: float = 5.0
     seed: int = 0
     checkpoint_interval: int = 1000
-    lenemb: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.word_drop_p <= 1.0:
@@ -113,17 +112,16 @@ class TrainResult:
 
 
 def train(sentences, vocab: Vocabulary, hp: HyperParams, config: TrainConfig,
-          out_dir=None, log_every: int = 1) -> TrainResult:
+          out_dir=None) -> TrainResult:
     """Train on encoded sentences; deterministic given (sentences, config, seed).
 
-    During training the length countdown starts at each example's true word
-    count. Writes interval checkpoints, a final checkpoint and the metrics
-    CSV into ``out_dir`` when given.
+    With ``hp.lenemb`` the length countdown starts at each example's true
+    word count; without it the decoder sees no length input. Writes interval
+    checkpoints, a final checkpoint and the metrics CSV into ``out_dir`` when
+    given.
     """
     if hp.vocab_size != vocab.size:
         raise ValueError(f"hp.vocab_size {hp.vocab_size} != vocabulary size {vocab.size}")
-    if hp.lenemb != config.lenemb:
-        raise ValueError("hp.lenemb and config.lenemb disagree")
     max_words = max(s.word_count for s in sentences)
     if hp.lenemb and hp.max_len_index < max_words:
         raise ValueError(
@@ -160,9 +158,8 @@ def train(sentences, vocab: Vocabulary, hp: HyperParams, config: TrainConfig,
         clip_grad_norm(params, config.grad_clip, adam.scratch[0])
         adam_step(params, adam)
 
-        if step % log_every == 0 or step == config.total_steps - 1:
-            metrics.append(step, kl_w, comps["kl"], comps["reconstruction"],
-                           comps["bow"], comps["total"])
+        metrics.append(step, kl_w, comps["kl"], comps["reconstruction"],
+                       comps["bow"], comps["total"])
         step += 1
         if out_dir is not None and step % config.checkpoint_interval == 0 \
                 and step < config.total_steps:

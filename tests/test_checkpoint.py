@@ -1,5 +1,6 @@
-"""Checkpoint round trips and typed corruption errors."""
+"""Checkpoint round trips, typed corruption errors and atomic saves."""
 
+import os
 import struct
 
 import numpy as np
@@ -114,3 +115,22 @@ def test_float32_params_roundtrip_through_float64_file(tmp_path):
     loaded, *_ = checkpoint_load(path)
     for name, t in params.items():
         np.testing.assert_array_equal(loaded[name].data.astype(np.float32), t.data)
+
+
+@pytest.mark.parametrize("failing", ["fsync", "replace"])
+def test_failed_save_keeps_previous_checkpoint(saved, monkeypatch, failing):
+    path, params, hp, vocab = saved
+    before = path.read_bytes()
+    for _, t in params.items():
+        t.data += 1.0  # a save that went through would change the file
+
+    def fail(*args):
+        raise OSError(f"simulated {failing} failure")
+
+    monkeypatch.setattr(os, failing, fail)
+    with pytest.raises(OSError, match="simulated"):
+        checkpoint_save(path, params, hp, vocab, step=124)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert checkpoint_load(path)[3] == 123
+    assert os.listdir(path.parent) == [path.name]  # no temporary file left behind

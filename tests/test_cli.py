@@ -11,6 +11,7 @@ from lenvae.cli import (
 from lenvae.config import ConfigError, PAPER_PRESET, RunConfig, load_run_config, parse_config_text
 from lenvae.model import HyperParams, init_params
 from lenvae.textpipe import build_vocab
+from lenvae.training import TrainConfig
 
 
 def run(*argv):
@@ -29,11 +30,54 @@ def test_config_defaults_documented_per_field():
     assert parse_config_text(text)  # render/parse round trip
 
 
+# the 29 keys the run config renders, with their desk defaults
+DEFAULT_RENDER = {
+    "cell_size = 32", "embed_size = 32", "latent_dim = 16", "bow_width = 32",
+    "len_embed_size = 8", "decoder_layers = 2", "max_len_index = 30",
+    "softmax_samples = 32", "lenemb = True", "top_k = 1000", "max_words = 30",
+    "batch_size = 64", "total_steps = 2000", "anneal_kind = linear",
+    "anneal_horizon = 1000", "word_drop_p = 0.2", "dropout_keep = 0.87",
+    "learning_rate = 0.002", "adam_beta1 = 0.9", "adam_beta2 = 0.999",
+    "adam_eps = 1e-08", "grad_clip = 5.0", "seed = 0", "checkpoint_interval = 1000",
+    "desired_length = 20", "beam_width = 8", "max_tokens = 40", "byte_cap = 75",
+    "bucket_width = 5",
+}
+
+
+def test_default_render_keeps_every_key_and_value():
+    lines = load_run_config().render().splitlines()
+    assert len(lines) == 29
+    assert set(lines) == DEFAULT_RENDER
+
+
+@pytest.mark.parametrize("preset", ["desk", "paper"])
+def test_render_parse_round_trip(preset):
+    cfg = load_run_config(preset=preset)
+    assert load_run_config(overrides=parse_config_text(cfg.render())) == cfg
+
+
+def test_config_derives_the_dataclass_defaults():
+    cfg = load_run_config()
+    assert cfg == RunConfig()
+    assert cfg.hyperparams(57) == HyperParams(vocab_size=57)
+    assert cfg.train == TrainConfig()
+    assert load_run_config(preset="paper").hyperparams(57) == HyperParams.paper_scale(57)
+
+
+def test_out_of_range_value_rejected_at_load():
+    with pytest.raises(ValueError, match="word_drop_p"):
+        load_run_config(overrides={"word_drop_p": 1.5})
+    with pytest.raises(ValueError, match="cell_size"):
+        load_run_config(overrides={"cell_size": 0})
+    with pytest.raises(ValueError, match="beam_width"):
+        load_run_config(overrides={"beam_width": 0})
+
+
 def test_config_file_overrides_and_comments(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment line\nbatch_size = 16  # trailing note\nseed = 9\n")
     cfg = load_run_config(path)
-    assert cfg.batch_size == 16 and cfg.seed == 9
+    assert cfg.train.batch_size == 16 and cfg.train.seed == 9
 
 
 def test_config_unknown_key_rejected(tmp_path):
@@ -47,24 +91,25 @@ def test_config_flag_overrides_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("seed = 9\n")
     cfg = load_run_config(path, overrides={"seed": 4})
-    assert cfg.seed == 4
+    assert cfg.train.seed == 4
 
 
 def test_paper_preset_records_published_values():
     cfg = load_run_config(preset="paper")
-    assert cfg.cell_size == 243
-    assert cfg.embed_size == 254
-    assert cfg.latent_dim == 124
-    assert cfg.bow_width == 236
-    assert cfg.len_embed_size == 50
-    assert cfg.softmax_samples == 1000
+    hp = cfg.hyperparams(40000)
+    assert hp.cell_size == 243
+    assert hp.embed_size == 254
+    assert hp.latent_dim == 124
+    assert hp.bow_width == 236
+    assert hp.len_embed_size == 50
+    assert hp.softmax_samples == 1000
     assert cfg.top_k == 40000
-    assert cfg.batch_size == 512
-    assert cfg.beam_width == 100
+    assert cfg.train.batch_size == 512
+    assert cfg.decode.beam_width == 100
     assert cfg.desired_length == "20"
-    assert cfg.word_drop_p == 0.20
-    assert cfg.dropout_keep == 0.87
-    assert set(PAPER_PRESET) <= set(RunConfig().__dict__)
+    assert cfg.train.word_drop_p == 0.20
+    assert cfg.train.dropout_keep == 0.87
+    assert set(PAPER_PRESET) <= set(parse_config_text(RunConfig().render()))
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +233,29 @@ def test_summarize_no_lenemb_checkpoint_is_exit_4(trained, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: incompatible checkpoint: checkpoint was trained without length "
         "embeddings; use --length natural\n")
+
+
+def test_summarize_length_from_config_file(trained, tmp_path, capsys):
+    root, corpus, vocab, cfg, _, out_without = trained
+    natural = tmp_path / "natural.cfg"
+    natural.write_text(cfg.read_text() + "desired_length = natural\n")
+    inputs = tmp_path / "in.txt"
+    inputs.write_text("the dog sleeps\n")
+    outputs = tmp_path / "out" / "o.txt"
+    outputs.parent.mkdir()
+    code = run("--config", str(natural), "summarize",
+               "--checkpoint", str(out_without / "final.lvae"),
+               "--input", str(inputs), "--output", str(outputs))
+    assert code == EXIT_OK
+    assert "at length=natural" in capsys.readouterr().out
+    echoed = (outputs.parent / "effective_config.txt").read_text().splitlines()
+    assert "desired_length = natural" in echoed
+    # --length still overrides the file
+    code = run("--config", str(natural), "summarize",
+               "--checkpoint", str(out_without / "final.lvae"),
+               "--input", str(inputs), "--output", str(outputs), "--length", "3")
+    assert code == EXIT_INCOMPATIBLE
+    capsys.readouterr()
 
 
 def test_corrupt_checkpoint_is_exit_5(trained, tmp_path, capsys):

@@ -10,11 +10,8 @@ from lenvae.inference import (
     NATURAL, DecodeRequest, beam_search, best_entries, detokenize, reconstruct,
     summarize,
 )
-from lenvae.model import (
-    HyperParams, decode_step, init_decoder_state, init_params,
-    zero_length_input,
-)
-from lenvae.numerics import Tensor, gather_rows, log_softmax_rows
+from lenvae.model import HyperParams, decode_step, init_decoder_state, init_params
+from lenvae.numerics import Tensor, gather_rows, log_softmax_rows, zeros
 from lenvae.textpipe import BOS_ID, EOS_ID, PAD_ID, build_vocab
 
 
@@ -40,7 +37,7 @@ def step_log_probs(prev_id, state, z, params, hp, remaining):
         idx = np.array([min(remaining, hp.max_len_index)])
         len_emb = gather_rows(params["len_table.W"], idx)
     else:
-        len_emb = zero_length_input(1, hp)
+        len_emb = zeros((1, hp.len_embed_size))
     logits, new_state = decode_step(z_row, prev, len_emb, state, params, hp)
     return log_softmax_rows(logits.data)[0], new_state
 
@@ -217,7 +214,7 @@ def reference_beam_search(z, request, params, hp, initial_length,
             idx = np.array([min(b.remaining, hp.max_len_index) for b in beams], dtype=np.intp)
             len_emb = gather_rows(params["len_table.W"], idx)
         else:
-            len_emb = zero_length_input(n, hp)
+            len_emb = zeros((n, hp.len_embed_size))
         logits, new_state = decode_step(z_batch, prev_emb, len_emb, state, params, hp)
         log_probs = log_softmax_rows(logits.data)
         if forbidden:
@@ -450,3 +447,13 @@ def test_summarize_rejects_negative_length(toy_model):
     params, hp, vocab = toy_model
     with pytest.raises(ValueError):
         summarize("the cat runs", -1, params, hp, vocab)
+
+
+@pytest.mark.parametrize("lenemb", [True, False])
+def test_beam_search_rejects_negative_length(lenemb):
+    # a negative start would index the length table from its end
+    hp = tiny_hp(lenemb=lenemb)
+    params, z = random_model(3, hp)
+    with pytest.raises(ValueError, match="initial_length"):
+        beam_search(z, DecodeRequest(beam_width=2, max_tokens=4), params, hp,
+                    initial_length=-3)

@@ -1,16 +1,16 @@
 """Encoder, latent ops, countdown, decoder and loss oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lenvae.model import (
     GRADCHECK_MIN_GRADIENT, GRADCHECK_SEEDS, HyperParams, LatentParams,
-    LengthSchedule, bow_loss, decode_step, decoder_targets, draw_negatives,
-    encode, encoder_mean, init_decoder_state, init_params, kl_divergence,
-    length_embed, reparameterize, tiny_gradcheck_instance, total_loss,
-    zero_length_input,
+    bow_loss, decode_step, decoder_targets, draw_negatives, encode,
+    encoder_mean, init_decoder_state, init_params, kl_divergence,
+    length_input, reparameterize, tiny_gradcheck_instance, total_loss,
 )
 from lenvae.numerics import (
     Tensor, cross_entropy_rows, grad_check, lstm_cell_forward, sampled_logits, zeros,
@@ -177,29 +177,31 @@ def test_kl_nonnegative_random_inputs():
 # length countdown
 # ---------------------------------------------------------------------------
 
+# A countdown table whose row i is the constant i, so length_input reads back
+# the countdown value it looked up.
+COUNTDOWN_HP = HyperParams(vocab_size=7, cell_size=3, embed_size=4, latent_dim=2,
+                           bow_width=5, len_embed_size=2, decoder_layers=2,
+                           max_len_index=60, softmax_samples=3)
+
+
+def countdown(start, steps, hp=COUNTDOWN_HP):
+    params = init_params(hp, np.random.default_rng(0))
+    params["len_table.W"].data[:] = np.arange(hp.max_len_index + 1)[:, None]
+    return [int(length_input(np.array([start]), t, params, hp).data[0, 0])
+            for t in range(steps)]
+
+
 def test_countdown_sequence_from_three():
-    sched = LengthSchedule(initial=np.array([3]))
-    seen = []
-    for _ in range(6):
-        seen.append(int(sched.current()[0]))
-        sched.advance()
-    assert seen == [3, 2, 1, 0, 0, 0]
+    assert countdown(3, 6) == [3, 2, 1, 0, 0, 0]
 
 
 def test_countdown_from_zero_stays_zero():
-    sched = LengthSchedule(initial=np.array([0]))
-    for _ in range(4):
-        assert sched.current()[0] == 0
-        sched.advance()
+    assert countdown(0, 4) == [0, 0, 0, 0]
 
 
 def test_countdown_exact_for_all_starts_up_to_fifty():
     for start in range(51):
-        sched = LengthSchedule(initial=np.array([start]))
-        values = []
-        for _ in range(start + 3):
-            values.append(int(sched.current()[0]))
-            sched.advance()
+        values = countdown(start, start + 3)
         assert values == [max(start - t, 0) for t in range(start + 3)]
         assert values[start] == 0  # reaches zero after exactly `start` steps
         assert all(a >= b for a, b in zip(values, values[1:]))
@@ -207,13 +209,13 @@ def test_countdown_exact_for_all_starts_up_to_fifty():
 
 def test_length_embed_lookup_and_clamp():
     hp, params = TINY, tiny_params(6)
-    sched = LengthSchedule(initial=np.array([2, 2]))
-    first = length_embed(sched, params, hp).data
+    first = length_input(np.array([2, 2]), 0, params, hp).data
     np.testing.assert_array_equal(first[0], first[1])  # same index, same vector
     np.testing.assert_allclose(first[0], params["len_table.W"].data[2])
-    beyond = LengthSchedule(initial=np.array([hp.max_len_index + 5]))
-    clamped = length_embed(beyond, params, hp).data
-    np.testing.assert_allclose(clamped[0], params["len_table.W"].data[hp.max_len_index])
+    beyond = length_input(np.array([hp.max_len_index + 5]), 0, params, hp).data
+    np.testing.assert_allclose(beyond[0], params["len_table.W"].data[hp.max_len_index])
+    later = length_input(np.array([hp.max_len_index + 5]), 6, params, hp).data
+    np.testing.assert_allclose(later[0], params["len_table.W"].data[hp.max_len_index - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +495,13 @@ def test_full_model_gradient_check_remaining_instances(index):
 
 
 def test_no_lenemb_model_has_no_length_table():
-    hp = TINY.without_lenemb()
+    hp = replace(TINY, lenemb=False)
     params = init_params(hp, np.random.default_rng(18))
     assert "len_table.W" not in params
     batch = _two_sentence_batch(hp)
     _, comps = total_loss(batch, params, hp, 0.5, "eval",
                           eps=np.zeros((2, hp.latent_dim)))
     assert np.isfinite(comps["total"])
-    assert zero_length_input(2, hp).data.shape == (2, hp.len_embed_size)
+    for t in (0, 5):
+        zero = length_input(np.array([3, 9]), t, params, hp).data
+        np.testing.assert_array_equal(zero, np.zeros((2, hp.len_embed_size)))
