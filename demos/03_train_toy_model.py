@@ -33,7 +33,7 @@ print("checkpoints:", ", ".join(result.checkpoint_paths))
 
 print("\n steps | kl weight | kl value | reconstruction")
 for record in result.metrics.records[::100]:
-    step, kl_w, kl_v, rec, _, _ = record
+    step, kl_w, kl_v, rec = record[:4]
     bar = "#" * int(kl_v * 10)
     print(f"  {step:4d} | {kl_w:9.2f} | {kl_v:8.3f} | {rec:7.2f}  {bar}")
 

@@ -18,7 +18,7 @@ rejected. Lines starting with `#` (and trailing ` #` comments) are ignored.
 
 from dataclasses import asdict, dataclass, field, fields
 
-from .inference import DecodeRequest
+from .inference import NATURAL, DecodeRequest
 from .model import HyperParams
 from .training import TrainConfig
 
@@ -51,6 +51,17 @@ class RunConfig:
     architecture: dict = field(default_factory=_architecture)
     train: TrainConfig = field(default_factory=TrainConfig)
     decode: DecodeRequest = field(default_factory=DecodeRequest)
+
+    def __post_init__(self):
+        if self.desired_length == NATURAL:
+            return
+        try:
+            words = int(self.desired_length)
+        except ValueError:
+            words = -1
+        if words < 0:
+            raise ConfigError(f"desired_length must be a word count >= 0 or "
+                              f"{NATURAL!r}, got {self.desired_length!r}")
 
     def hyperparams(self, vocab_size: int) -> HyperParams:
         return HyperParams(vocab_size=vocab_size, **self.architecture)

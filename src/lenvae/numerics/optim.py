@@ -6,6 +6,10 @@ import numpy as np
 
 from .params import ParamStore
 
+# values per block of the optimizer's walk: 512 KB of float64, so a block of
+# gradient, moments, parameter and scratch stays in a 4 MB L2 cache
+BLOCK = 1 << 16
+
 
 class MissingGradientError(RuntimeError):
     pass
@@ -14,7 +18,8 @@ class MissingGradientError(RuntimeError):
 @dataclass
 class AdamState:
     """First/second moment accumulators keyed like the ParamStore, plus two
-    flat scratch buffers as large as the largest parameter."""
+    flat scratch blocks of ``BLOCK`` values each (as many as the largest
+    parameter has, when that is fewer)."""
 
     learning_rate: float = 0.001
     beta1: float = 0.9
@@ -33,63 +38,98 @@ class AdamState:
             state.m[name] = np.zeros_like(t.data)
             state.v[name] = np.zeros_like(t.data)
         largest = max((t.data for _, t in params.items()), key=np.size, default=np.empty(0))
-        state.scratch = tuple(np.empty(largest.size, dtype=largest.dtype) for _ in range(2))
+        size = min(BLOCK, largest.size)
+        state.scratch = tuple(np.empty(size, dtype=largest.dtype) for _ in range(2))
         return state
-
-
-def _view(buffer: np.ndarray, like: np.ndarray) -> np.ndarray:
-    return buffer[:like.size].reshape(like.shape)
 
 
 def adam_step(params: ParamStore, state: AdamState) -> None:
     """In-place update of every parameter from its gradient; zeroes gradients after.
 
-    The moments and parameters are updated in place through the state's
-    scratch buffers, with the textbook expression's operations in the
-    textbook order, so the result is bit-identical to evaluating
-    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)`` and
+    Every gradient is checked first (present, and of its parameter's shape
+    and dtype), so a bad one raises before any state changes. Each
+    parameter's flat (gradient, m, v, value) is then walked in blocks of
+    ``BLOCK`` values through the state's two scratch blocks, so memory is
+    read once per step (``ParamStore`` keeps values C-contiguous, so the
+    flat views write through). Each block makes the textbook expression's
+    operations in the textbook order, so the result is bit-identical to
+    evaluating ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)`` and
     ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` with fresh arrays.
+
+    The walk zeroes each gradient block while it is in cache, so the
+    caller's C-contiguous gradient arrays are all zeros afterwards. Each
+    ``t.grad`` is then ``None``, and its zeroed array stays on the leaf:
+    the next backward accumulates into it instead of allocating fresh
+    zeros (``ParamStore.zero_grads`` drops it).
     """
     for name, t in params.items():
         if t.grad is None:
             raise MissingGradientError(f"parameter {name!r} has no gradient")
+        if t.grad.shape != t.data.shape or t.grad.dtype != t.data.dtype:
+            raise ValueError(f"gradient of {name!r} is {t.grad.dtype}{t.grad.shape}, "
+                             f"parameter is {t.data.dtype}{t.data.shape}")
     state.step += 1
     t_step = state.step
     b1, b2 = state.beta1, state.beta2
     m_corr, v_corr = 1.0 - b1 ** t_step, 1.0 - b2 ** t_step
     for name, t in params.items():
-        g, m, v = t.grad, state.m[name], state.v[name]
-        s1, s2 = _view(state.scratch[0], g), _view(state.scratch[1], g)
-        np.multiply(m, b1, out=m)
-        np.multiply(g, 1.0 - b1, out=s1)
-        np.add(m, s1, out=m)
-        np.multiply(g, g, out=s1)
-        np.multiply(s1, 1.0 - b2, out=s1)
-        np.multiply(v, b2, out=v)
-        np.add(v, s1, out=v)
-        np.divide(m, m_corr, out=s1)
-        np.multiply(s1, state.learning_rate, out=s1)
-        np.divide(v, v_corr, out=s2)
-        np.sqrt(s2, out=s2)
-        np.add(s2, state.eps, out=s2)
-        np.divide(s1, s2, out=s1)
-        np.subtract(t.data, s1, out=t.data)
-    params.zero_grads()
+        g, p = t.grad.reshape(-1), t.data.reshape(-1)
+        m, v = state.m[name].reshape(-1), state.v[name].reshape(-1)
+        for lo in range(0, g.size, BLOCK):
+            gb, pb = g[lo:lo + BLOCK], p[lo:lo + BLOCK]
+            mb, vb = m[lo:lo + BLOCK], v[lo:lo + BLOCK]
+            s1, s2 = state.scratch[0][:gb.size], state.scratch[1][:gb.size]
+            np.multiply(mb, b1, out=mb)
+            np.multiply(gb, 1.0 - b1, out=s1)
+            np.add(mb, s1, out=mb)
+            np.multiply(gb, gb, out=s1)
+            np.multiply(s1, 1.0 - b2, out=s1)
+            np.multiply(vb, b2, out=vb)
+            np.add(vb, s1, out=vb)
+            np.divide(mb, m_corr, out=s1)
+            np.multiply(s1, state.learning_rate, out=s1)
+            np.divide(vb, v_corr, out=s2)
+            np.sqrt(s2, out=s2)
+            np.add(s2, state.eps, out=s2)
+            np.divide(s1, s2, out=s1)
+            np.subtract(pb, s1, out=pb)
+            gb.fill(0.0)
+        t.keep_zeroed_grad()
+
+
+def _sum_of_squares(flat: np.ndarray, scratch: np.ndarray):
+    """``(flat * flat).sum()`` bit for bit, squaring at most ``BLOCK`` values
+    at a time into ``scratch``.
+
+    numpy sums a contiguous array pairwise: above 128 values it splits n at
+    n // 2 rounded down to a multiple of 8 and adds the two halves' sums.
+    Splitting the same way down to leaves of at most ``BLOCK`` values, and
+    letting numpy sum each leaf, rebuilds that tree. Returns a numpy scalar
+    of the array's dtype, so leaves are added in that precision.
+    """
+    n = flat.size
+    if n <= BLOCK:
+        sq = scratch[:n]
+        np.multiply(flat, flat, out=sq)
+        return sq.sum()
+    half = n // 2
+    half -= half % 8
+    return _sum_of_squares(flat[:half], scratch) + _sum_of_squares(flat[half:], scratch)
 
 
 def clip_grad_norm(params: ParamStore, max_norm: float, scratch: np.ndarray) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
-    Each gradient is squared into ``scratch``, a flat buffer at least as large
-    as the largest gradient (``AdamState.scratch[0]``). Returns the pre-clip
-    norm.
+    Each gradient is squared ``BLOCK`` values at a time into ``scratch``
+    (``AdamState.scratch[0]``: a block, or the largest gradient's size when
+    that is smaller), and the block sums are added in numpy's own pairwise
+    tree (``_sum_of_squares``), so the norm is bit-identical to one taken
+    from fresh squares ``(g * g).sum()``. Returns the pre-clip norm.
     """
     total = 0.0
     for _, t in params.items():
         if t.grad is not None:
-            sq = _view(scratch, t.grad)
-            np.multiply(t.grad, t.grad, out=sq)
-            total += float(sq.sum())
+            total += float(_sum_of_squares(t.grad.reshape(-1), scratch))
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         factor = max_norm / norm

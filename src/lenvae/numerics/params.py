@@ -9,7 +9,7 @@ class ParamStore:
     """Ordered map from unique name to a leaf Tensor (value + gradient slot).
 
     Iteration order is insertion order and is preserved by checkpoint
-    round trips.
+    round trips. Values are stored as C-contiguous copies.
     """
 
     def __init__(self):
@@ -18,7 +18,7 @@ class ParamStore:
     def add(self, name: str, value: np.ndarray) -> Tensor:
         if name in self._entries:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.array(value))
+        t = Tensor(np.array(value, order="C"))
         self._entries[name] = t
         return t
 
@@ -38,8 +38,9 @@ class ParamStore:
         return self._entries.items()
 
     def zero_grads(self):
+        """Drop every gradient, and the zeroed arrays ``adam_step`` kept."""
         for t in self._entries.values():
-            t.grad = None
+            t.zero_grad()
 
     def num_values(self) -> int:
         return sum(t.data.size for t in self._entries.values())

@@ -26,7 +26,7 @@ __all__ = [
 class Tensor:
     """Value plus gradient slot plus a record of where the value came from."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward", "_constant")
+    __slots__ = ("data", "grad", "_parents", "_backward", "_constant", "_zeroed_grad")
 
     def __init__(self, data, _parents=(), _backward=None, constant=False):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
@@ -34,6 +34,7 @@ class Tensor:
         self._parents = _parents
         self._backward = _backward
         self._constant = constant  # skip gradient accumulation into this leaf
+        self._zeroed_grad = None  # all-zero array the next backward accumulates into
 
     @property
     def shape(self):
@@ -43,7 +44,14 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, leaf={self._backward is None})"
 
     def zero_grad(self):
-        self.grad = None
+        self.grad = self._zeroed_grad = None
+
+    def keep_zeroed_grad(self):
+        """Set ``grad`` to None, keeping its array for the next backward to
+        accumulate into. The caller has zeroed ``grad`` and checked that it
+        has the value's shape and dtype; only a C-contiguous array is kept."""
+        g = self.grad
+        self.grad, self._zeroed_grad = None, g if g.flags.c_contiguous else None
 
     def backward(self):
         """Accumulate d(self)/d(leaf) into every contributing leaf's ``grad``.
@@ -79,12 +87,20 @@ def _toposort(root):
     return order
 
 
+def _grad_buffer(t):
+    """``t.grad``, made on first use from the zeroed array kept on the leaf,
+    or from fresh zeros when there is none."""
+    if t.grad is None:
+        kept, t._zeroed_grad = t._zeroed_grad, None
+        t.grad = kept if kept is not None else np.zeros_like(t.data)
+    return t.grad
+
+
 def _accum(t, g):
     if t._constant:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    grad = _grad_buffer(t)
+    grad += g
 
 
 def _unbroadcast(g, shape):
@@ -249,11 +265,8 @@ def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
     out_data = table.data[idx]
 
     def bw(g):
-        if table._constant:
-            return
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx, g)
+        if not table._constant:
+            np.add.at(_grad_buffer(table), idx, g)
 
     return Tensor(out_data, (table,), bw)
 
@@ -348,13 +361,9 @@ def sampled_logits(h: Tensor, w: Tensor, b: Tensor, ids: np.ndarray) -> Tensor:
     def bw(g):
         _accum(h, g @ wc.T)
         if not w._constant:
-            if w.grad is None:
-                w.grad = np.zeros_like(w.data)
-            w.grad[:, ids] += h.data.T @ g
+            _grad_buffer(w)[:, ids] += h.data.T @ g
         if not b._constant:
-            if b.grad is None:
-                b.grad = np.zeros_like(b.data)
-            b.grad[ids] += g.sum(axis=0)
+            _grad_buffer(b)[ids] += g.sum(axis=0)
 
     return Tensor(out_data, (h, w, b), bw)
 

@@ -82,20 +82,24 @@ def word_dropout(decoder_input_ids: np.ndarray, p: float, rng) -> np.ndarray:
 
 @dataclass
 class MetricsLog:
-    """Per-step loss components; rendered as CSV with a header line."""
+    """Per-step loss components, the pre-clip gradient norm and whether it
+    was clipped; rendered as CSV with a header line."""
 
-    HEADER = "step,kl_weight,kl_value,reconstruction,bow,total"
+    HEADER = "step,kl_weight,kl_value,reconstruction,bow,total,grad_norm,clipped"
     records: list = field(default_factory=list)
 
-    def append(self, step, kl_weight, kl_value, reconstruction, bow, total):
+    def append(self, step, kl_weight, kl_value, reconstruction, bow, total,
+               grad_norm, clipped):
         if self.records and step <= self.records[-1][0]:
             raise ValueError("metrics steps must be strictly increasing")
-        self.records.append((step, kl_weight, kl_value, reconstruction, bow, total))
+        self.records.append((step, kl_weight, kl_value, reconstruction, bow, total,
+                             grad_norm, clipped))
 
     def to_csv(self) -> str:
         lines = [self.HEADER]
-        for step, kl_w, kl_v, rec, bow, tot in self.records:
-            lines.append(f"{step},{kl_w!r},{kl_v!r},{rec!r},{bow!r},{tot!r}")
+        for step, kl_w, kl_v, rec, bow, tot, norm, clipped in self.records:
+            lines.append(f"{step},{kl_w!r},{kl_v!r},{rec!r},{bow!r},{tot!r},"
+                         f"{norm!r},{int(clipped)}")
         return "\n".join(lines) + "\n"
 
     def save(self, path):
@@ -155,11 +159,12 @@ def train(sentences, vocab: Vocabulary, hp: HyperParams, config: TrainConfig,
                 raise TrainingDivergedError(
                     f"non-finite {name} component at step {step}: {value}")
         loss.backward()
-        clip_grad_norm(params, config.grad_clip, adam.scratch[0])
+        grad_norm = clip_grad_norm(params, config.grad_clip, adam.scratch[0])
         adam_step(params, adam)
 
         metrics.append(step, kl_w, comps["kl"], comps["reconstruction"],
-                       comps["bow"], comps["total"])
+                       comps["bow"], comps["total"], grad_norm,
+                       grad_norm > config.grad_clip)
         step += 1
         if out_dir is not None and step % config.checkpoint_interval == 0 \
                 and step < config.total_steps:
@@ -167,6 +172,7 @@ def train(sentences, vocab: Vocabulary, hp: HyperParams, config: TrainConfig,
             ckpt.checkpoint_save(path, params, hp, vocab, step)
             checkpoint_paths.append(path)
 
+    params.zero_grads()  # the result keeps no gradient arrays
     if out_dir is not None:
         path = os.path.join(out_dir, "final.lvae")
         ckpt.checkpoint_save(path, params, hp, vocab, step)

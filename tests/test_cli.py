@@ -164,6 +164,22 @@ def test_bad_config_key_is_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags, config_line", [
+    (["--length", "abc"], ""),
+    (["--length", "-2"], ""),
+    ([], "desired_length = abc\n"),
+], ids=["flag-word", "flag-negative", "config-word"])
+def test_bad_length_is_exit_2_before_any_file_is_read(tmp_path, capsys, flags, config_line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_line)
+    code = run("--config", str(cfg), "summarize",
+               "--checkpoint", str(tmp_path / "absent.lvae"),
+               "--input", str(tmp_path / "absent.txt"),
+               "--output", str(tmp_path / "o.txt"), *flags)
+    assert code == EXIT_USAGE
+    assert "desired_length must be a word count >= 0 or 'natural'" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A tiny end-to-end train run shared by the decode/eval/probe tests."""
@@ -196,7 +212,7 @@ def test_train_outputs(trained):
     assert (out_with / "metrics.csv").exists()
     assert (out_with / "effective_config.txt").exists()
     header = (out_with / "metrics.csv").read_text().splitlines()[0]
-    assert header == "step,kl_weight,kl_value,reconstruction,bow,total"
+    assert header == "step,kl_weight,kl_value,reconstruction,bow,total,grad_norm,clipped"
     _, hp_with, _, step = checkpoint_load(out_with / "final.lvae")
     assert hp_with.lenemb and step == 40
     _, hp_without, _, _ = checkpoint_load(out_without / "final.lvae")

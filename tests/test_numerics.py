@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from lenvae.numerics import (
     AdamState, MissingGradientError, NonFiniteLossError, ParamStore, Tensor,
-    adam_step, clip_grad_norm, grad_check, init_lstm_weights,
-    lstm_cell_forward, mul, softmax, sum_all,
+    adam_step, clip_grad_norm, cross_entropy_rows, gather_rows, grad_check,
+    init_lstm_weights, lstm_cell_forward, matmul, mul, sampled_logits, softmax,
+    sum_all, tanh_,
 )
+from lenvae.numerics.optim import BLOCK, _sum_of_squares
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +180,17 @@ def test_adam_two_steps_descend_quadratic():
     assert second < first and third < second
 
 
+# one block less, exactly one, one more and a ragged last block, a 2-D
+# parameter of several blocks and two small ones
+_SHAPES = {"short": (BLOCK - 1,), "one": (BLOCK,), "over": (BLOCK + 1,),
+           "ragged": (3 * BLOCK + 5,), "w": (1000, 300), "b": (300,), "s": (1,)}
+
+
 def _random_store(rng):
     store = ParamStore()
-    for name, shape in (("w", (1000, 300)), ("b", (300,)), ("s", (1,))):
+    for name, shape in _SHAPES.items():
         store.add(name, rng.standard_normal(shape))
+    store.add("wT", rng.standard_normal((300, 1000)).T)  # a Fortran-ordered value
     return store
 
 
@@ -229,6 +238,85 @@ def test_adam_missing_gradient_errors():
     state = AdamState.for_params(store)
     with pytest.raises(MissingGradientError, match="p"):
         adam_step(store, state)
+
+
+@pytest.mark.parametrize("bad_grad", [np.ones(1), np.ones(2, dtype=np.float32)],
+                         ids=["shape", "dtype"])
+def test_adam_bad_gradient_raises_before_any_change(bad_grad):
+    store = ParamStore()
+    first = store.add("first", np.array([1.0, -2.0]))
+    second = store.add("second", np.array([0.5, 0.25]))
+    state = AdamState.for_params(store)
+    first.grad, second.grad = np.array([0.3, -0.7]), np.array([0.1, 0.2])
+    adam_step(store, state)
+    first.grad, second.grad = np.array([0.3, -0.7]), bad_grad
+    arrays = [first.data, second.data, first.grad, *state.m.values(), *state.v.values()]
+    before = [a.tobytes() for a in arrays]
+    with pytest.raises(ValueError, match="second"):
+        adam_step(store, state)
+    assert state.step == 1
+    assert [a.tobytes() for a in arrays] == before
+
+
+@pytest.mark.parametrize("max_norm", [1e6, 1.0])
+def test_clip_grad_norm_at_paper_output_shape(max_norm):
+    rng = np.random.default_rng(25)
+    store = ParamStore()
+    t = store.add("out.W", np.zeros((243, 40000)))
+    grad = rng.standard_normal(t.data.shape)
+    expected = float(np.sqrt(float((grad * grad).sum())))
+    t.grad = grad.copy()
+    assert clip_grad_norm(store, max_norm, np.empty(BLOCK)) == expected
+    np.multiply(grad, min(1.0, max_norm / expected), out=grad)
+    assert np.array_equal(t.grad.view(np.uint64), grad.view(np.uint64))
+
+
+def test_sum_of_squares_rebuilds_numpys_pairwise_sum():
+    # clip_grad_norm relies on numpy splitting a pairwise sum at n // 2
+    # rounded down to a multiple of 8; a numpy that splits otherwise fails
+    # here instead of silently moving the clip norm
+    rng = np.random.default_rng(24)
+    sizes = [1, 7, 8, 9, 128, 129, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 8, 2 * BLOCK,
+             3 * BLOCK + 5, *rng.integers(BLOCK, 2_000_000, 30)]
+    for dtype in (np.float64, np.float32):
+        scratch = np.empty(BLOCK, dtype=dtype)
+        for n in sizes:
+            g = rng.standard_normal(int(n)).astype(dtype)
+            got = _sum_of_squares(g, scratch)
+            assert got.dtype == dtype and got.tobytes() == (g * g).sum().tobytes(), n
+
+
+def _reuse_loss(store):
+    # a row gather, plain matmuls and a sampled output layer: each way a
+    # backward makes a leaf's gradient
+    h = tanh_(matmul(gather_rows(store["embed"], np.array([0, 2, 2, 4])), store["proj"]))
+    logits = sampled_logits(h, store["out"], store["bias"], np.array([1, 3, 4]))
+    return cross_entropy_rows(logits, np.array([0, 2, 1, 0]), np.ones(4))
+
+
+def test_backward_accumulates_into_the_gradients_adam_zeroed():
+    rng = np.random.default_rng(23)
+    store = ParamStore()
+    for name, shape in (("embed", (5, 3)), ("proj", (3, 4)), ("out", (4, 6)), ("bias", (6,))):
+        store.add(name, rng.standard_normal(shape))
+    state = AdamState.for_params(store)
+    _reuse_loss(store).backward()
+    arrays = {name: t.grad for name, t in store.items()}
+    adam_step(store, state)
+    assert all(t.grad is None for _, t in store.items())
+    assert not any(g.any() for g in arrays.values())
+
+    _reuse_loss(store).backward()
+    fresh = store.copy()
+    _reuse_loss(fresh).backward()
+    for name, t in store.items():
+        assert t.grad is arrays[name]
+        assert t.grad.tobytes() == fresh[name].grad.tobytes()
+
+    adam_step(store, state)
+    store.zero_grads()
+    _reuse_loss(store).backward()
+    assert all(t.grad is not arrays[name] for name, t in store.items())
 
 
 # ---------------------------------------------------------------------------

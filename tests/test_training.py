@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from lenvae.model import HyperParams, total_loss
+from lenvae.model import HyperParams, decoder_targets, init_params, total_loss
 from lenvae.textpipe import (
-    BOS_ID, PAD_ID, UNK_ID, build_vocab, default_toy_grammar,
+    BOS_ID, PAD_ID, UNK_ID, build_vocab, default_toy_grammar, encode_batch,
     encode_sentences, generate_toy_corpus, make_batch, normalize,
 )
 from lenvae.training import (
@@ -94,10 +94,10 @@ def test_word_dropout_leaves_input_array_untouched():
 
 def test_metrics_log_requires_increasing_steps():
     log = MetricsLog()
-    log.append(0, 0.0, 0.1, 2.0, 1.0, 3.0)
-    log.append(1, 0.1, 0.1, 2.0, 1.0, 3.0)
+    log.append(0, 0.0, 0.1, 2.0, 1.0, 3.0, 6.0, True)
+    log.append(1, 0.1, 0.1, 2.0, 1.0, 3.0, 4.0, False)
     with pytest.raises(ValueError):
-        log.append(1, 0.2, 0.1, 2.0, 1.0, 3.0)
+        log.append(1, 0.2, 0.1, 2.0, 1.0, 3.0, 4.0, False)
     text = log.to_csv()
     assert text.splitlines()[0] == MetricsLog.HEADER
     assert len(text.splitlines()) == 3
@@ -144,6 +144,56 @@ def test_train_is_bit_deterministic():
     assert a.metrics.to_csv() == b.metrics.to_csv()
     for name, t in a.params.items():
         np.testing.assert_array_equal(t.data, b.params[name].data)
+
+
+def _textbook_train(sentences, vocab, hp, config):
+    """train() as a plain loop over fresh gradient arrays, with the clip norm
+    from fresh squares and Adam as the textbook formula; returns the
+    parameters and each step's pre-clip gradient norm."""
+    rng = np.random.default_rng(config.seed)
+    params = init_params(hp, rng)
+    m = {name: np.zeros_like(t.data) for name, t in params.items()}
+    v = {name: np.zeros_like(t.data) for name, t in params.items()}
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    norms, batches = [], []
+    for step in range(config.total_steps):
+        if not batches:
+            batches = encode_batch(sentences, vocab, config.batch_size, rng)
+        batch = batches.pop(0)
+        dec_in = word_dropout(decoder_targets(batch)[0], config.word_drop_p, rng)
+        loss, _ = total_loss(batch, params, hp, kl_anneal_weight(step, config), "train",
+                             rng, dropout_keep=config.dropout_keep, decoder_inputs=dec_in)
+        params.zero_grads()
+        loss.backward()
+        grads = {name: t.grad for name, t in params.items()}
+        norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+        if norm > config.grad_clip:
+            grads = {name: g * (config.grad_clip / norm) for name, g in grads.items()}
+        norms.append(norm)
+        for name, t in params.items():
+            g = grads[name]
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
+            m_hat = m[name] / (1.0 - b1 ** (step + 1))
+            v_hat = v[name] / (1.0 - b2 ** (step + 1))
+            t.data[...] = t.data - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    return params, norms
+
+
+def test_train_equals_textbook_clip_and_adam_on_fresh_arrays():
+    sentences, vocab, _ = _toy_setup(200, seed=4)
+    hp = HyperParams(vocab_size=vocab.size)  # the desk shape
+    cfg = TrainConfig(batch_size=32, total_steps=8, anneal_horizon=4, seed=13,
+                      grad_clip=1.75)  # clips some steps, not all
+    result = train(sentences, vocab, hp, cfg)
+    params, norms = _textbook_train(sentences, vocab, hp, cfg)
+    for name, t in result.params.items():
+        assert t.data.tobytes() == params[name].data.tobytes(), name
+        assert t.grad is None and t._zeroed_grad is None, name
+    assert [rec[6] for rec in result.metrics.records] == norms
+    clipped = [rec[7] for rec in result.metrics.records]
+    assert clipped == [norm > cfg.grad_clip for norm in norms]
+    assert any(clipped) and not all(clipped)
 
 
 def test_train_kl_value_rises_after_annealing_engages():
