@@ -27,7 +27,7 @@ from .model import (
 )
 from .numerics import (
     AdamState, ParamStore, ReplayRng, Tensor, adam_step, grad_check,
-    lstm_cell_forward, softmax,
+    lstm_sequence, softmax,
 )
 from .probe import fit_linear_regression, probe_experiment, r_squared
 from .textpipe import (

@@ -141,7 +141,12 @@ def load_run_config(config_path=None, preset: str = "desk", overrides=None) -> R
     def owned_by(cls):
         return {f.name: merged[f.name] for f in fields(cls) if f.name in merged}
 
-    return RunConfig(architecture=_architecture(**owned_by(HyperParams)),
-                     train=TrainConfig(**owned_by(TrainConfig)),
-                     decode=DecodeRequest(**owned_by(DecodeRequest)),
-                     **owned_by(RunConfig))
+    try:
+        return RunConfig(architecture=_architecture(**owned_by(HyperParams)),
+                         train=TrainConfig(**owned_by(TrainConfig)),
+                         decode=DecodeRequest(**owned_by(DecodeRequest)),
+                         **owned_by(RunConfig))
+    except ConfigError:
+        raise
+    except ValueError as e:  # an owning dataclass rejected a value's range
+        raise ConfigError(str(e)) from e

@@ -22,7 +22,7 @@ from .model import (
     HyperParams, decode_step, encode, init_decoder_state, length_input,
     reparameterize,
 )
-from .numerics import ParamStore, Tensor, gather_rows, log_softmax_rows
+from .numerics import ParamStore, log_softmax_rows
 from .textpipe import BOS_ID, EOS_ID, PAD_ID, TokenizedSentence, Vocabulary, make_batch, normalize
 
 NATURAL = "natural"
@@ -123,7 +123,11 @@ def beam_search(z: np.ndarray, request: DecodeRequest, params: ParamStore,
         raise ValueError(f"initial_length must be >= 0, got {initial_length}")
     width = request.beam_width
     z = np.asarray(z, dtype=np.float64)
-    state = [(h.data, c.data) for h, c in init_decoder_state(Tensor(z[None, :]), params, hp)]
+    state = init_decoder_state(z[None, :], params, hp)
+    # every row shares the countdown, so one row per step serves the beam
+    len_rows = length_input(np.array([initial_length]), np.arange(request.max_tokens)[:, None],
+                            params, hp).data
+    embed = params["embed.W"].data
     ids = np.zeros((1, 0), dtype=np.intp)
     log_prob = np.zeros(1)
     prev_ids = np.array([BOS_ID], dtype=np.intp)
@@ -133,12 +137,10 @@ def beam_search(z: np.ndarray, request: DecodeRequest, params: ParamStore,
 
     for steps in range(1, request.max_tokens + 1):
         n = log_prob.size
-        prev_emb = gather_rows(params["embed.W"], prev_ids)
-        len_emb = length_input(np.full(n, initial_length), steps - 1, params, hp)
-        z_rows = Tensor(np.repeat(z[None, :], n, axis=0))
-        logits, new_state = decode_step(z_rows, prev_emb, len_emb,
-                                        [(Tensor(h), Tensor(c)) for h, c in state], params, hp)
-        scores = log_softmax_rows(logits.data)
+        len_emb = np.repeat(len_rows[steps - 1:steps], n, axis=0)
+        z_rows = np.repeat(z[None, :], n, axis=0)
+        logits, new_state = decode_step(z_rows, embed[prev_ids], len_emb, state, params, hp)
+        scores = log_softmax_rows(logits)
         if forbidden:
             scores[:, forbidden] = -np.inf
         scores += log_prob[:, None]
@@ -159,7 +161,7 @@ def beam_search(z: np.ndarray, request: DecodeRequest, params: ParamStore,
         parents, prev_ids = parents[live], tokens[live]
         ids = np.concatenate([ids[parents], prev_ids[:, None]], axis=1)
         log_prob = picked_scores[live]
-        state = [(h.data[parents], c.data[parents]) for h, c in new_state]
+        state = [(h[parents], c[parents]) for h, c in new_state]
         if done is not None and done[1] >= log_prob[0]:
             stop_reason = "bound"
             break

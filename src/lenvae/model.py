@@ -18,17 +18,29 @@ distinct targets plus ``softmax_samples`` uniform non-target draws. Other
 rows' targets serve as negatives, so each step is one GEMM against the
 candidate columns of the output layer; once the set covers the vocabulary the
 loss is exactly the full softmax.
+
+Training runs each LSTM layer over the whole sequence as one autograd node
+(``numerics.lstm_sequence``: one input GEMM against w[:I], h @ w[I:] per
+step, a hand-written backward through time). Its inputs and states are
+time-major rows, step t of batch row r at row t*B + r. Under teacher forcing
+every decoder input is known up front, so the decoder's layers run that way
+too (``decoder_states``); the per-step loop after them keeps only the
+hidden-state dropout, the candidate draw and the cross-entropy, in the same
+random-draw order as a step-by-step decoder. Inference steps the decoder on
+plain arrays with no graph (``decode_step``), through the packed
+[x, h] @ W + b GEMM and the same cell nonlinearity.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .numerics import (
     ParamStore, Tensor, add, add_scalar, affine, concat_cols,
-    cross_entropy_rows, exp_, gather_rows, init_lstm_weights, leaf,
-    lstm_cell_forward, mul, mul_const, sampled_logits, scale, sub, sum_all,
-    sum_cols, tanh_, weighted_cross_entropy_rows, zeros,
+    cross_entropy_rows, exp_, gather_rows, init_lstm_weights, lstm_cell,
+    lstm_sequence, mul, mul_const, sampled_logits, scale, slice_rows, sub,
+    sum_all, sum_cols, tanh_, weighted_cross_entropy_rows, weighted_step_sum,
+    zeros,
 )
 from .textpipe import BOS_ID, EOS_ID, PAD_ID, Batch
 
@@ -130,24 +142,25 @@ def _reverse_within_length(ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def encoder_mean(batch: Batch, params: ParamStore, hp: HyperParams) -> Tensor:
-    """(B, 2*cell) mean over true steps of the concatenated bi-LSTM states."""
+    """(B, 2*cell) mean over true steps of the concatenated bi-LSTM states.
+
+    Each direction is one ``lstm_sequence`` node over the time-major
+    embeddings, and one ``weighted_step_sum`` takes the masked mean of its
+    (T*B, cell) states.
+    """
     ids, lengths = batch.ids, batch.lengths
     n, width = ids.shape
     step_mask = (np.arange(width)[None, :] < lengths[:, None]).astype(np.float64)
-    inv_len = (1.0 / np.maximum(lengths, 1)).astype(np.float64)[:, None]
+    inv_len = (1.0 / np.maximum(lengths, 1)).astype(np.float64)
+    step_weights = (step_mask * inv_len[:, None]).T   # (T, B)
 
-    sums = []
+    means = []
     for direction, dir_ids in (("enc_fwd", ids), ("enc_bwd", _reverse_within_length(ids, lengths))):
-        h = zeros((n, hp.cell_size))
-        c = zeros((n, hp.cell_size))
-        total = None
-        for t in range(width):
-            emb = gather_rows(params["embed.W"], dir_ids[:, t])
-            h, c = lstm_cell_forward(emb, h, c, params[f"{direction}.W"], params[f"{direction}.b"])
-            masked = mul_const(h, step_mask[:, t:t + 1])
-            total = masked if total is None else add(total, masked)
-        sums.append(mul_const(total, inv_len))
-    return concat_cols(sums)
+        emb = gather_rows(params["embed.W"], dir_ids.T.ravel())
+        states = lstm_sequence(emb, zeros((n, hp.cell_size)), zeros((n, hp.cell_size)),
+                               params[f"{direction}.W"], params[f"{direction}.b"], width)
+        means.append(weighted_step_sum(states, step_weights))
+    return concat_cols(means)
 
 
 def encode(batch: Batch, params: ParamStore, hp: HyperParams) -> LatentParams:
@@ -176,54 +189,86 @@ def kl_divergence(latent: LatentParams) -> Tensor:
 # length countdown
 # ---------------------------------------------------------------------------
 
-def length_input(start: np.ndarray, t: int, params: ParamStore, hp: HyperParams) -> Tensor:
-    """(B, len_embed_size) length input at decoder step ``t`` for countdowns
-    that start at the (B,) ints ``start`` and fall by one per step.
+def length_input(start: np.ndarray, t, params: ParamStore, hp: HyperParams) -> Tensor:
+    """Length input for countdowns that start at the (B,) ints ``start`` and
+    fall by one per decoder step: (B, len_embed_size) at step ``t`` (an int),
+    or, for a (T, 1) array of steps, the T blocks stacked time-major into
+    (T*B, len_embed_size).
 
     With ``lenemb``: the ``len_table`` row at min(max(start - t, 0),
     max_len_index) for each row, so the countdown floors at 0 and values
     beyond the table clamp to its last row. Without it: constant zeros.
     """
+    index = np.minimum(np.maximum(start - t, 0), hp.max_len_index).ravel()
     if not hp.lenemb:
-        return zeros((len(start), hp.len_embed_size))
-    return gather_rows(params["len_table.W"], np.minimum(np.maximum(start - t, 0), hp.max_len_index))
+        return zeros((index.size, hp.len_embed_size))
+    return gather_rows(params["len_table.W"], index)
 
 
 # ---------------------------------------------------------------------------
 # decoder
 # ---------------------------------------------------------------------------
 
-def init_decoder_state(z: Tensor, params: ParamStore, hp: HyperParams) -> list:
-    """Per-layer (h, c); layer 0's cell state is an affine map of z."""
-    n = z.data.shape[0]
-    state = [(zeros((n, hp.cell_size)), affine(z, params["dec_init.W"], params["dec_init.b"]))]
+def init_decoder_state(z: np.ndarray, params: ParamStore, hp: HyperParams) -> list:
+    """Per-layer (h, c) arrays for the (B, latent) ``z``; layer 0's cell
+    state is an affine map of z, everything else zeros."""
+    n = z.shape[0]
+    c0 = z @ params["dec_init.W"].data + params["dec_init.b"].data
+    state = [(np.zeros((n, hp.cell_size)), c0)]
     for _ in range(1, hp.decoder_layers):
-        state.append((zeros((n, hp.cell_size)), zeros((n, hp.cell_size))))
+        state.append((np.zeros((n, hp.cell_size)), np.zeros((n, hp.cell_size))))
     return state
 
 
-def decoder_stack_step(z: Tensor, prev_emb: Tensor, len_emb: Tensor, state: list,
+def decoder_stack_step(z: np.ndarray, prev_emb: np.ndarray, len_emb: np.ndarray, state: list,
                        params: ParamStore, hp: HyperParams):
-    """One step through all layers; returns (top hidden, new state)."""
-    step_input = concat_cols([prev_emb, z, len_emb])
+    """One step through all layers on arrays; returns (top hidden, new state)."""
+    step_input = np.concatenate([prev_emb, z, len_emb], axis=1)
     new_state = []
     below = None
     for layer in range(hp.decoder_layers):
-        layer_in = step_input if layer == 0 else concat_cols([below, step_input])
+        layer_in = step_input if layer == 0 else np.concatenate([below, step_input], axis=1)
         h_prev, c_prev = state[layer]
-        h, c = lstm_cell_forward(layer_in, h_prev, c_prev,
-                                 params[f"dec_l{layer}.W"], params[f"dec_l{layer}.b"])
+        h, c = lstm_cell(layer_in, h_prev, c_prev,
+                         params[f"dec_l{layer}.W"].data, params[f"dec_l{layer}.b"].data)
         new_state.append((h, c))
         below = h
     return below, new_state
 
 
-def decode_step(z: Tensor, prev_emb: Tensor, len_emb: Tensor, state: list,
+def decode_step(z: np.ndarray, prev_emb: np.ndarray, len_emb: np.ndarray, state: list,
                 params: ParamStore, hp: HyperParams):
-    """Returns (vocabulary logits (B, V), new state)."""
+    """One inference step on arrays, no graph: returns (vocabulary logits
+    (B, V), new state). ``z`` is (B, latent), one row per decoded row."""
     hidden, new_state = decoder_stack_step(z, prev_emb, len_emb, state, params, hp)
-    logits = affine(hidden, params["out.W"], params["out.b"])
+    logits = hidden @ params["out.W"].data + params["out.b"].data
     return logits, new_state
+
+
+def decoder_states(z: Tensor, dec_in: np.ndarray, start: np.ndarray,
+                   params: ParamStore, hp: HyperParams) -> Tensor:
+    """Teacher-forced top-layer states, (T*B, cell) time-major, for the
+    (B, T) decoder input ids ``dec_in`` and countdowns starting at ``start``.
+
+    Every step's input [previous-token embedding, z, length embedding] is
+    known up front, so each layer is one ``lstm_sequence`` node: layer 0
+    reads the step inputs, each higher layer [its lower layer's states, step
+    inputs]. Layer 0's cell state starts at an affine map of z.
+    """
+    n, steps = dec_in.shape
+    step_input = concat_cols([
+        gather_rows(params["embed.W"], dec_in.T.ravel()),
+        gather_rows(z, np.tile(np.arange(n), steps)),
+        length_input(start, np.arange(steps)[:, None], params, hp),
+    ])
+    c0 = affine(z, params["dec_init.W"], params["dec_init.b"])
+    below = None
+    for layer in range(hp.decoder_layers):
+        layer_in = step_input if layer == 0 else concat_cols([below, step_input])
+        below = lstm_sequence(layer_in, zeros((n, hp.cell_size)),
+                              c0 if layer == 0 else zeros((n, hp.cell_size)),
+                              params[f"dec_l{layer}.W"], params[f"dec_l{layer}.b"], steps)
+    return below
 
 
 # ---------------------------------------------------------------------------
@@ -273,23 +318,25 @@ def decoder_targets(batch: Batch):
     return dec_in, targets, mask
 
 
-def tiny_gradcheck_instance(index: int):
+def tiny_gradcheck_instance(index: int, **changes):
     """A small full-model loss for finite-difference checking.
 
     Returns (params, loss_fn) with frozen noise so ``loss_fn`` is a
     deterministic function of the parameters. V=7, cell 4, latent 3, two
-    decoder layers, weights uniform in +-1. The instances are pre-screened
-    (see GRADCHECK_SEEDS) so that every nonzero parameter gradient is large
-    enough (>= ~4e-6) to be resolved by a float64 central difference at step
-    1e-5; below that magnitude the relative-error quotient measures rounding
-    noise rather than correctness.
+    decoder layers, weights uniform in +-1; ``changes`` replaces HyperParams
+    fields (e.g. ``lenemb=False``). The default-shape instances are
+    pre-screened (see GRADCHECK_SEEDS) so that every nonzero parameter
+    gradient is large enough (>= ~4e-6) to be resolved by a float64 central
+    difference at step 1e-5; below that magnitude the relative-error quotient
+    measures rounding noise rather than correctness. A changed shape needs
+    its own screening check.
     """
     from .numerics import ReplayRng
 
     seed = GRADCHECK_SEEDS[index % len(GRADCHECK_SEEDS)]
-    hp = HyperParams(vocab_size=7, cell_size=4, embed_size=5, latent_dim=3,
-                     bow_width=6, len_embed_size=3, decoder_layers=2,
-                     max_len_index=8, softmax_samples=3)
+    hp = replace(HyperParams(vocab_size=7, cell_size=4, embed_size=5, latent_dim=3,
+                             bow_width=6, len_embed_size=3, decoder_layers=2,
+                             max_len_index=8, softmax_samples=3), **changes)
     rng = np.random.default_rng(1000 + seed)
     params = init_params(hp, rng)
     for _, t in params.items():
@@ -351,13 +398,11 @@ def total_loss(batch: Batch, params: ParamStore, hp: HyperParams, kl_weight: flo
     dec_in, targets, mask = decoder_targets(batch)
     if decoder_inputs is not None:
         dec_in = decoder_inputs
-    state = init_decoder_state(z, params, hp)
+    states = decoder_states(z, dec_in, batch.lengths, params, hp)
 
     recon_sum = None
     for t in range(dec_in.shape[1]):
-        prev_emb = gather_rows(params["embed.W"], dec_in[:, t])
-        len_emb = length_input(batch.lengths, t, params, hp)
-        hidden, state = decoder_stack_step(z, prev_emb, len_emb, state, params, hp)
+        hidden = slice_rows(states, t * n, (t + 1) * n)
         if training and dropout_keep < 1.0:
             keep_mask = (rng.random((n, hp.cell_size)) < dropout_keep) / dropout_keep
             hidden = mul_const(hidden, keep_mask)

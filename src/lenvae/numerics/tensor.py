@@ -16,8 +16,8 @@ __all__ = [
     "Tensor", "leaf", "zeros",
     "matmul", "add", "sub", "mul", "neg", "scale", "add_scalar",
     "mul_const", "sigmoid", "tanh_", "exp_",
-    "concat_cols", "slice_cols", "gather_rows",
-    "sum_all", "sum_cols", "affine",
+    "concat_cols", "slice_cols", "slice_rows", "gather_rows",
+    "sum_all", "sum_cols", "weighted_step_sum", "affine",
     "cross_entropy_rows", "weighted_cross_entropy_rows", "sampled_logits",
     "softmax", "log_softmax_rows",
 ]
@@ -26,7 +26,8 @@ __all__ = [
 class Tensor:
     """Value plus gradient slot plus a record of where the value came from."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward", "_constant", "_zeroed_grad")
+    __slots__ = ("data", "grad", "_parents", "_backward", "_constant", "_zeroed_grad",
+                 "__weakref__")
 
     def __init__(self, data, _parents=(), _backward=None, constant=False):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
@@ -259,6 +260,15 @@ def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
     return Tensor(out_data, (a,), bw)
 
 
+def slice_rows(a: Tensor, lo: int, hi: int) -> Tensor:
+    """Rows ``lo:hi``; backward adds into those rows of ``a``'s gradient."""
+    def bw(g):
+        if not a._constant:
+            _grad_buffer(a)[lo:hi] += g
+
+    return Tensor(a.data[lo:hi], (a,), bw)
+
+
 def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
     """Row lookup ``table[idx]``; scatter-adds gradients back into the table."""
     idx = np.asarray(idx, dtype=np.intp)
@@ -290,6 +300,21 @@ def sum_cols(a: Tensor) -> Tensor:
 
     def bw(g):
         _accum(a, np.repeat(g[:, None], a.data.shape[1], axis=1))
+
+    return Tensor(out_data, (a,), bw)
+
+
+def weighted_step_sum(a: Tensor, weights: np.ndarray) -> Tensor:
+    """(B, N) sum over steps of time-major rows: out[r] = sum_t weights[t, r] * a[t*B + r].
+
+    ``a`` (T*B, N), ``weights`` (T, B) constants.
+    """
+    weights = np.asarray(weights, dtype=a.data.dtype)[:, :, None]
+    steps, rows, _ = weights.shape
+    out_data = (a.data.reshape(steps, rows, -1) * weights).sum(axis=0)
+
+    def bw(g):
+        _accum(a, (weights * g).reshape(steps * rows, -1))
 
     return Tensor(out_data, (a,), bw)
 
@@ -383,8 +408,26 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+# values of exp scratch per log_softmax_rows block (512 KB of float64)
+LOG_SOFTMAX_BLOCK = 1 << 16
+
+
 def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log softmax of a rank-2 array."""
-    m = logits.max(axis=1, keepdims=True)
-    shifted = logits - m
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    """Row-wise log softmax of a rank-2 array.
+
+    Equal bit for bit to ``shifted - log(exp(shifted).sum(axis=1))`` with
+    ``shifted = logits - max``, but the result is the only (rows, V) array:
+    the exponentials go through a scratch of whole rows, as many as fit in
+    LOG_SOFTMAX_BLOCK values (at least one), and the log row sums are
+    subtracted in place.
+    """
+    out = logits - logits.max(axis=1, keepdims=True)
+    rows, cols = out.shape
+    block = max(1, LOG_SOFTMAX_BLOCK // max(cols, 1))
+    scratch = np.empty((min(block, rows), cols), dtype=out.dtype)
+    sums = np.empty((rows, 1), dtype=out.dtype)
+    for lo in range(0, rows, block):
+        exps = np.exp(out[lo:lo + block], out=scratch[:min(block, rows - lo)])
+        exps.sum(axis=1, keepdims=True, out=sums[lo:lo + block])
+    out -= np.log(sums)
+    return out

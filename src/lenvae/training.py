@@ -159,6 +159,7 @@ def train(sentences, vocab: Vocabulary, hp: HyperParams, config: TrainConfig,
                 raise TrainingDivergedError(
                     f"non-finite {name} component at step {step}: {value}")
         loss.backward()
+        del loss  # free this step's graph before the next one is built
         grad_norm = clip_grad_norm(params, config.grad_clip, adam.scratch[0])
         adam_step(params, adam)
 

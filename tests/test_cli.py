@@ -180,6 +180,23 @@ def test_bad_length_is_exit_2_before_any_file_is_read(tmp_path, capsys, flags, c
     assert "desired_length must be a word count >= 0 or 'natural'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, config_line, message", [
+    (["--steps", "5"], "", "anneal_horizon must be <= total_steps"),
+    ([], "word_drop_p = 1.5\n", "word_drop_p must be in [0, 1]"),
+], ids=["flag-steps", "config-word-drop"])
+def test_range_error_is_exit_2_before_any_file_is_read(tmp_path, capsys, flags,
+                                                      config_line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_line)
+    code = run("--config", str(cfg), "train",
+               "--corpus", str(tmp_path / "absent.txt"),
+               "--vocab", str(tmp_path / "absent.vocab"),
+               "--out-dir", str(tmp_path / "out"), *flags)
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A tiny end-to-end train run shared by the decode/eval/probe tests."""

@@ -12,10 +12,11 @@ from lenvae.model import (
     encoder_mean, init_decoder_state, init_params, kl_divergence,
     length_input, reparameterize, tiny_gradcheck_instance, total_loss,
 )
-from lenvae.numerics import (
-    Tensor, cross_entropy_rows, grad_check, lstm_cell_forward, sampled_logits, zeros,
-)
+from lenvae.numerics import Tensor, cross_entropy_rows, grad_check, sampled_logits, zeros
 from lenvae.textpipe import EOS_ID, PAD_ID, Batch, TokenizedSentence, make_batch
+
+import lstm_reference
+from lstm_reference import lstm_cell_forward
 
 TINY = HyperParams(vocab_size=7, cell_size=3, embed_size=4, latent_dim=2,
                    bow_width=5, len_embed_size=2, decoder_layers=2,
@@ -222,11 +223,11 @@ def test_length_embed_lookup_and_clamp():
 # decoder step
 # ---------------------------------------------------------------------------
 
-def _step_inputs(hp, params, seed):
+def _step_inputs(hp, params, seed, rows=1):
     rng = np.random.default_rng(seed)
-    z = Tensor(rng.standard_normal((1, hp.latent_dim)))
-    prev = Tensor(rng.standard_normal((1, hp.embed_size)))
-    len_emb = Tensor(rng.standard_normal((1, hp.len_embed_size)))
+    z = rng.standard_normal((rows, hp.latent_dim))
+    prev = rng.standard_normal((rows, hp.embed_size))
+    len_emb = rng.standard_normal((rows, hp.len_embed_size))
     state = init_decoder_state(z, params, hp)
     return z, prev, len_emb, state
 
@@ -236,7 +237,7 @@ def test_decode_step_deterministic():
     z, prev, len_emb, state = _step_inputs(hp, params, 0)
     logits_a, _ = decode_step(z, prev, len_emb, state, params, hp)
     logits_b, _ = decode_step(z, prev, len_emb, state, params, hp)
-    np.testing.assert_array_equal(logits_a.data, logits_b.data)
+    np.testing.assert_array_equal(logits_a, logits_b)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -245,10 +246,34 @@ def test_decode_step_sensitive_to_latent(seed):
     params = tiny_params(100 + seed)
     z, prev, len_emb, state = _step_inputs(hp, params, seed)
     logits_a, _ = decode_step(z, prev, len_emb, state, params, hp)
-    z_shift = Tensor(z.data + 0.5)
+    z_shift = z + 0.5
     logits_b, _ = decode_step(z_shift, prev, len_emb, init_decoder_state(z_shift, params, hp),
                               params, hp)
-    assert np.abs(logits_a.data - logits_b.data).max() > 1e-6
+    assert np.abs(logits_a - logits_b).max() > 1e-6
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_decode_step_byte_equal_to_tensor_step(seed, layers):
+    # the graph-free step keeps the packed [x, h] @ W + b GEMM and the
+    # Tensor ops' arithmetic, so beams match the Tensor decoder bit for bit
+    hp = replace(TINY, decoder_layers=layers)
+    params = tiny_params(300 + seed, hp)
+    z, prev, len_emb, _ = _step_inputs(hp, params, seed, rows=4)
+    rng = np.random.default_rng(400 + seed)
+    state = [(rng.standard_normal((4, hp.cell_size)), rng.standard_normal((4, hp.cell_size)))
+             for _ in range(layers)]
+    logits, new_state = decode_step(z, prev, len_emb, state, params, hp)
+    ref_logits, ref_state = lstm_reference.decode_step(
+        Tensor(z), Tensor(prev), Tensor(len_emb), lstm_reference.as_tensors(state), params, hp)
+    assert logits.tobytes() == ref_logits.data.tobytes()
+    for (h, c), (ref_h, ref_c) in zip(new_state, ref_state):
+        assert h.tobytes() == ref_h.data.tobytes()
+        assert c.tobytes() == ref_c.data.tobytes()
+    start = lstm_reference.init_decoder_state(Tensor(z), params, hp)
+    for (h, c), (ref_h, ref_c) in zip(init_decoder_state(z, params, hp), start):
+        assert h.tobytes() == ref_h.data.tobytes()
+        assert c.tobytes() == ref_c.data.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +516,20 @@ def test_gradcheck_instance_meets_screening_rule(index):
 def test_full_model_gradient_check_remaining_instances(index):
     # instance 0 is covered by test_full_model_gradient_check_single_instance
     params, loss_fn = tiny_gradcheck_instance(index)
+    assert grad_check(loss_fn, params, eps=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("changes, index", [
+    ({"lenemb": False}, 5),
+    ({"decoder_layers": 1}, 3),
+], ids=["no-lenemb", "one-layer"])
+def test_full_model_gradient_check_other_shapes(changes, index):
+    # the default instance has the length table and two decoder layers; the
+    # index is the first whose changed instance meets the screening rule
+    params, loss_fn = tiny_gradcheck_instance(index, **changes)
+    loss_fn(params).backward()
+    grads = np.concatenate([np.abs(t.grad).ravel() for _, t in params.items()])
+    assert grads[grads > 0].min() >= GRADCHECK_MIN_GRADIENT
     assert grad_check(loss_fn, params, eps=1e-5) < 1e-4
 
 

@@ -1,4 +1,4 @@
-"""Softmax, LSTM cell, Adam and gradient-checker behavior."""
+"""Softmax, LSTM kernel and cell, Adam and gradient-checker behavior."""
 
 import math
 
@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lenvae.numerics import (
-    AdamState, MissingGradientError, NonFiniteLossError, ParamStore, Tensor,
+    AdamState, MissingGradientError, NonFiniteLossError, ParamStore, Tensor, add,
     adam_step, clip_grad_norm, cross_entropy_rows, gather_rows, grad_check,
-    init_lstm_weights, lstm_cell_forward, matmul, mul, sampled_logits, softmax,
-    sum_all, tanh_,
+    init_lstm_weights, lstm_cell, lstm_sequence, matmul, mul, sampled_logits,
+    softmax, sum_all, tanh_, zeros,
 )
 from lenvae.numerics.optim import BLOCK, _sum_of_squares
+from lstm_reference import lstm_cell_forward, unrolled_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -58,18 +59,19 @@ def test_softmax_shift_invariance(logits, shift):
 
 
 # ---------------------------------------------------------------------------
-# LSTM cell
+# LSTM: the sequence kernel and the graph-free cell step
 # ---------------------------------------------------------------------------
 
 def test_lstm_zero_weights_zero_output():
-    x = Tensor(np.random.default_rng(0).standard_normal((3, 4)))
+    x = Tensor(np.random.default_rng(0).standard_normal((2 * 3, 4)))
     h0 = Tensor(np.zeros((3, 2)))
     c0 = Tensor(np.zeros((3, 2)))
     w = Tensor(np.zeros((6, 8)))
     b = Tensor(np.zeros(8))
-    h, c = lstm_cell_forward(x, h0, c0, w, b)
-    np.testing.assert_array_equal(h.data, np.zeros((3, 2)))
-    np.testing.assert_array_equal(c.data, np.zeros((3, 2)))
+    np.testing.assert_array_equal(lstm_sequence(x, h0, c0, w, b, 2).data, np.zeros((6, 2)))
+    h, c = lstm_cell(x.data[:3], h0.data, c0.data, w.data, b.data)
+    np.testing.assert_array_equal(h, np.zeros((3, 2)))
+    np.testing.assert_array_equal(c, np.zeros((3, 2)))
 
 
 def test_lstm_hand_evaluated_two_unit_cell():
@@ -90,10 +92,16 @@ def test_lstm_hand_evaluated_two_unit_cell():
     c_expected = f * c_val + i * g
     h_expected = o * np.tanh(c_expected)
 
-    h, c = lstm_cell_forward(Tensor(np.array([[x_val]])), Tensor(h_val[None, :]),
-                             Tensor(c_val[None, :]), Tensor(w), Tensor(b))
-    np.testing.assert_allclose(c.data[0], c_expected, rtol=1e-12)
-    np.testing.assert_allclose(h.data[0], h_expected, rtol=1e-12)
+    h, c = lstm_cell(np.array([[x_val]]), h_val[None, :], c_val[None, :], w, b)
+    np.testing.assert_allclose(c[0], c_expected, rtol=1e-12)
+    np.testing.assert_allclose(h[0], h_expected, rtol=1e-12)
+    h_seq = lstm_sequence(Tensor(np.array([[x_val]])), Tensor(h_val[None, :]),
+                          Tensor(c_val[None, :]), Tensor(w), Tensor(b), 1)
+    np.testing.assert_allclose(h_seq.data[0], h_expected, rtol=1e-12)
+    ref_h, ref_c = lstm_cell_forward(Tensor(np.array([[x_val]])), Tensor(h_val[None, :]),
+                                     Tensor(c_val[None, :]), Tensor(w), Tensor(b))
+    np.testing.assert_allclose(ref_c.data[0], c_expected, rtol=1e-12)
+    np.testing.assert_allclose(ref_h.data[0], h_expected, rtol=1e-12)
 
 
 def test_lstm_gradients_match_finite_differences():
@@ -102,12 +110,12 @@ def test_lstm_gradients_match_finite_differences():
     w_init, b_init = init_lstm_weights(rng, in_dim=3, hidden=2)
     store.add("w", rng.standard_normal(w_init.shape))
     store.add("b", rng.standard_normal(b_init.shape))
-    store.add("x", rng.standard_normal((2, 3)))
+    store.add("x", rng.standard_normal((3 * 2, 3)))
     store.add("h0", rng.standard_normal((2, 2)))
     store.add("c0", rng.standard_normal((2, 2)))
 
     def loss_fn(p):
-        h, c = lstm_cell_forward(p["x"], p["h0"], p["c0"], p["w"], p["b"])
+        h = lstm_sequence(p["x"], p["h0"], p["c0"], p["w"], p["b"], 3)
         return sum_all(mul(h, h))
 
     assert grad_check(loss_fn, store, eps=1e-5) < 1e-4
@@ -118,12 +126,14 @@ def test_lstm_shape_mismatch_names_offender():
     h = Tensor(np.zeros((1, 2)))
     c = Tensor(np.zeros((1, 2)))
     with pytest.raises(ValueError, match="lstm weight w"):
-        lstm_cell_forward(x, h, c, Tensor(np.zeros((4, 8))), Tensor(np.zeros(8)))
+        lstm_sequence(x, h, c, Tensor(np.zeros((4, 8))), Tensor(np.zeros(8)), 1)
     with pytest.raises(ValueError, match="lstm bias b"):
-        lstm_cell_forward(x, h, c, Tensor(np.zeros((5, 8))), Tensor(np.zeros(7)))
-    with pytest.raises(ValueError, match="c_prev"):
-        lstm_cell_forward(x, h, Tensor(np.zeros((1, 3))), Tensor(np.zeros((5, 8))),
-                          Tensor(np.zeros(8)))
+        lstm_sequence(x, h, c, Tensor(np.zeros((5, 8))), Tensor(np.zeros(7)), 1)
+    with pytest.raises(ValueError, match="c0"):
+        lstm_sequence(x, h, Tensor(np.zeros((1, 3))), Tensor(np.zeros((5, 8))),
+                      Tensor(np.zeros(8)), 1)
+    with pytest.raises(ValueError, match="lstm input x"):
+        lstm_sequence(x, h, c, Tensor(np.zeros((5, 8))), Tensor(np.zeros(8)), 2)
 
 
 def test_lstm_forget_bias_initialized_to_one():
@@ -132,6 +142,58 @@ def test_lstm_forget_bias_initialized_to_one():
     np.testing.assert_array_equal(b[:3], np.zeros(3))
     np.testing.assert_array_equal(b[6:], np.zeros(6))
     assert np.abs(w).max() <= 0.08
+
+
+# The kernel splits each step's packed GEMM into x @ w[:I] + b and h @ w[I:]
+# and runs its own backward, so it agrees with the chained cell to rounding:
+# rtol 1e-12 plus an atol of 1e-12 times the largest entry, for entries that
+# cancel to near zero.
+KERNEL_RTOL = 1e-12
+
+
+def assert_close_to(actual, expected):
+    np.testing.assert_allclose(actual, expected, rtol=KERNEL_RTOL,
+                               atol=KERNEL_RTOL * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7])
+@pytest.mark.parametrize("constant_start", [False, True], ids=["leaf-start", "constant-start"])
+def test_lstm_sequence_matches_unrolled_cell(steps, constant_start):
+    rows, in_dim, hidden = 3, 4, 5
+
+    def inputs():
+        r = np.random.default_rng(100 + steps)
+        x = r.standard_normal((steps * rows, in_dim))
+        if constant_start:
+            h0, c0 = zeros((rows, hidden)), zeros((rows, hidden))
+        else:
+            h0 = Tensor(r.standard_normal((rows, hidden)))
+            c0 = Tensor(r.standard_normal((rows, hidden)))
+        w = Tensor(0.5 * r.standard_normal((in_dim + hidden, 4 * hidden)))
+        b = Tensor(r.standard_normal(4 * hidden))
+        return x, h0, c0, w, b
+
+    upstream = np.random.default_rng(200 + steps).standard_normal((steps * rows, hidden))
+    x, *kernel_rest = inputs()
+    kernel_x = Tensor(x)
+    out = lstm_sequence(kernel_x, *kernel_rest, steps)
+    sum_all(mul(out, Tensor(upstream))).backward()
+
+    x, *ref_rest = inputs()
+    x_steps = [Tensor(x[t * rows:(t + 1) * rows].copy()) for t in range(steps)]
+    hs = unrolled_sequence(x_steps, *ref_rest)
+    loss = sum_all(mul(hs[0], Tensor(upstream[:rows])))
+    for t in range(1, steps):
+        loss = add(loss, sum_all(mul(hs[t], Tensor(upstream[t * rows:(t + 1) * rows]))))
+    loss.backward()
+
+    assert_close_to(out.data, np.concatenate([h.data for h in hs]))
+    assert_close_to(kernel_x.grad, np.concatenate([x_t.grad for x_t in x_steps]))
+    for name, k, r in zip(("h0", "c0", "w", "b"), kernel_rest, ref_rest):
+        if constant_start and name in ("h0", "c0"):
+            assert k.grad is None and r.grad is None
+        else:
+            assert_close_to(k.grad, r.grad)
 
 
 # ---------------------------------------------------------------------------

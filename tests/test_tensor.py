@@ -7,7 +7,8 @@ from lenvae.numerics import (
     ParamStore, Tensor, add, add_scalar, affine, concat_cols,
     cross_entropy_rows, exp_, gather_rows, grad_check, log_softmax_rows,
     matmul, mul, mul_const, neg, sampled_logits, scale, sigmoid, slice_cols,
-    softmax, sub, sum_all, sum_cols, tanh_, weighted_cross_entropy_rows,
+    slice_rows, softmax, sub, sum_all, sum_cols, tanh_, weighted_cross_entropy_rows,
+    weighted_step_sum,
 )
 
 
@@ -136,3 +137,25 @@ def test_log_softmax_rows_matches_softmax():
     for r in range(4):
         np.testing.assert_allclose(np.exp(lp[r]), softmax(logits[r]), atol=1e-12)
     np.testing.assert_allclose(np.exp(lp).sum(axis=1), np.ones(4), atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(100, 40000), (1, 1), (3, 7), (8, 49), (1400, 49)])
+def test_log_softmax_rows_byte_equal_to_three_temporary_formula(shape):
+    logits = 4.0 * np.random.default_rng(shape[0]).standard_normal(shape)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    expected = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    assert log_softmax_rows(logits).tobytes() == expected.tobytes()
+
+
+def test_slice_rows():
+    # overlapping row blocks of one tensor accumulate into its gradient
+    fd_check(lambda a: sum_all(mul(slice_rows(a, 1, 4), slice_rows(a, 0, 3))), 1, [(5, 3)])
+
+
+def test_weighted_step_sum():
+    weights = np.array([[1.0, 0.5], [0.0, 2.0], [3.0, -1.0]])   # (T=3, B=2)
+    fd_check(lambda a: sum_all(mul(weighted_step_sum(a, weights),
+                                   weighted_step_sum(a, weights))), 1, [(6, 4)])
+    a = np.arange(24.0).reshape(6, 4)
+    expected = [sum(weights[t, r] * a[t * 2 + r] for t in range(3)) for r in range(2)]
+    np.testing.assert_allclose(weighted_step_sum(Tensor(a), weights).data, expected)

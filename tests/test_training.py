@@ -1,8 +1,11 @@
 """Annealing, word dropout, the training loop and its determinism."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from lenvae import training
 from lenvae.model import HyperParams, decoder_targets, init_params, total_loss
 from lenvae.textpipe import (
     BOS_ID, PAD_ID, UNK_ID, build_vocab, default_toy_grammar, encode_batch,
@@ -194,6 +197,27 @@ def test_train_equals_textbook_clip_and_adam_on_fresh_arrays():
     clipped = [rec[7] for rec in result.metrics.records]
     assert clipped == [norm > cfg.grad_clip for norm in norms]
     assert any(clipped) and not all(clipped)
+
+
+def test_train_frees_each_step_graph_before_the_next_forward(monkeypatch):
+    sentences, vocab, hp = _toy_setup(120)
+    cfg = TrainConfig(batch_size=32, total_steps=4, anneal_horizon=2, seed=11)
+    losses, alive_at_entry = [], []
+
+    def watched(*args, **kwargs):
+        alive_at_entry.append([ref() is not None for ref in losses])
+        loss, comps = total_loss(*args, **kwargs)
+        losses.append(weakref.ref(loss))
+        return loss, comps
+
+    monkeypatch.setattr(training, "total_loss", watched)
+    watched_params = train(sentences, vocab, hp, cfg).params
+    assert alive_at_entry == [[], [False], [False, False], [False, False, False]]
+
+    monkeypatch.undo()
+    plain = train(sentences, vocab, hp, cfg)
+    for name, t in plain.params.items():
+        assert t.data.tobytes() == watched_params[name].data.tobytes(), name
 
 
 def test_train_kl_value_rises_after_annealing_engages():
