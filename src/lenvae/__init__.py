@@ -23,10 +23,10 @@ from .metrics import (
 )
 from .model import (
     HyperParams, LatentParams, bow_loss, decode_step, encode, init_params,
-    kl_divergence, length_input, reparameterize, total_loss,
+    kl_divergence, length_input, posterior_means, reparameterize, total_loss,
 )
 from .numerics import (
-    AdamState, ParamStore, ReplayRng, Tensor, adam_step, grad_check,
+    AdamState, ParamStore, Tensor, adam_step, grad_check,
     lstm_sequence, softmax,
 )
 from .probe import fit_linear_regression, probe_experiment, r_squared

@@ -6,9 +6,10 @@ token list), u64 tensor count, then per tensor: u32 name length + name,
 u32 rank, u64 dims, float64 little-endian row-major values. The file ends
 with a CRC32 of every preceding byte.
 
-A save writes a temporary file beside the target, syncs it to disk and
-renames it over the target, so a crash mid-save leaves the previous file
-whole.
+A save streams each part to a temporary file beside the target as it is
+made, folding it into the running CRC, so it holds no copy of the
+parameters. It then syncs the file to disk and renames it over the target,
+so a crash mid-save leaves the previous file whole.
 """
 
 import json
@@ -54,25 +55,27 @@ class IncompatibleCheckpointError(CheckpointError):
 def checkpoint_save(path, params: ParamStore, hp: HyperParams, vocab: Vocabulary, step: int) -> None:
     config = {"hyperparams": asdict(hp), "step": int(step), "vocab_tokens": vocab.tokens}
     config_bytes = json.dumps(config).encode("utf-8")
-
-    parts = [MAGIC, struct.pack("<I", FORMAT_VERSION),
-             struct.pack("<Q", len(config_bytes)), config_bytes,
-             struct.pack("<Q", len(params))]
-    for name, t in params.items():
-        name_bytes = name.encode("utf-8")
-        arr = np.ascontiguousarray(t.data, dtype="<f8")
-        parts.append(struct.pack("<I", len(name_bytes)))
-        parts.append(name_bytes)
-        parts.append(struct.pack("<I", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        parts.append(arr.tobytes())
-    body = b"".join(parts)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     f = open(tmp, "xb")
     try:
         with f:
-            f.write(body)
-            f.write(struct.pack("<I", zlib.crc32(body)))
+            crc = 0
+
+            def write(part):
+                nonlocal crc
+                f.write(part)
+                crc = zlib.crc32(part, crc)
+
+            write(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(config_bytes)))
+            write(config_bytes)
+            write(struct.pack("<Q", len(params)))
+            for name, t in params.items():
+                name_bytes = name.encode("utf-8")
+                arr = np.ascontiguousarray(t.data, dtype="<f8")
+                write(struct.pack("<I", len(name_bytes)) + name_bytes
+                      + struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
+                write(memoryview(arr.reshape(-1)).cast("B"))
+            f.write(struct.pack("<I", crc))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

@@ -2,9 +2,9 @@
 
 The countdown's starting value is the knob: the input's own word count for
 plain reconstruction, or any smaller number to ask the decoder to compress.
-Inference uses z = mu (zero noise), so decoding is deterministic. The
-countdown biases the decoder toward stopping but never forces termination;
-end-of-sentence stays an ordinary predicted token.
+Inference decodes from the posterior mean mu, so decoding is deterministic.
+The countdown biases the decoder toward stopping but never forces
+termination; end-of-sentence stays an ordinary predicted token.
 
 The beam lives in stacked arrays, one row per live hypothesis: emitted token
 ids (rows, t), cumulative log-probabilities (rows,) and each decoder layer's
@@ -19,11 +19,10 @@ import numpy as np
 
 from .checkpoint import IncompatibleCheckpointError
 from .model import (
-    HyperParams, decode_step, encode, init_decoder_state, length_input,
-    reparameterize,
+    HyperParams, decode_step, init_decoder_state, length_input, posterior_means,
 )
 from .numerics import ParamStore, log_softmax_rows
-from .textpipe import BOS_ID, EOS_ID, PAD_ID, TokenizedSentence, Vocabulary, make_batch, normalize
+from .textpipe import BOS_ID, EOS_ID, PAD_ID, TokenizedSentence, Vocabulary, normalize
 
 NATURAL = "natural"
 
@@ -174,13 +173,6 @@ def beam_search(z: np.ndarray, request: DecodeRequest, params: ParamStore,
                       steps=steps, stop_reason=stop_reason)
 
 
-def _encode_mu(sentence_ids: list, params: ParamStore, hp: HyperParams) -> np.ndarray:
-    batch = make_batch([TokenizedSentence(sentence_ids, "")], hp.vocab_size)
-    latent = encode(batch, params, hp)
-    z = reparameterize(latent, np.zeros((1, hp.latent_dim)))
-    return z.data[0]
-
-
 def detokenize(ids, vocab: Vocabulary) -> str:
     """Ids to surface text; the terminal EOS (if any) is stripped."""
     if ids and ids[-1] == EOS_ID:
@@ -210,7 +202,7 @@ def summarize(sentence: str, desired_length, params: ParamStore, hp: HyperParams
             raise IncompatibleCheckpointError(
                 "checkpoint was trained without length embeddings; use --length natural")
     request = DecodeRequest(beam_width=beam_width, max_tokens=max_tokens)
-    mu = _encode_mu(vocab.encode(tokens), params, hp)
+    mu = posterior_means([TokenizedSentence(vocab.encode(tokens), "")], params, hp)[0]
     result = beam_search(mu, request, params, hp, initial_length=length)
     return detokenize(result.ids, vocab)
 

@@ -42,9 +42,8 @@ from .numerics import (
     sum_all, sum_cols, tanh_, weighted_cross_entropy_rows, weighted_step_sum,
     zeros,
 )
-from .textpipe import BOS_ID, EOS_ID, PAD_ID, Batch
-
-WEIGHT_INIT_SCALE = 0.08
+from .numerics.lstm import INIT_SCALE
+from .textpipe import BOS_ID, EOS_ID, PAD_ID, Batch, make_batch
 
 
 @dataclass(frozen=True)
@@ -85,17 +84,16 @@ class HyperParams:
 
 @dataclass
 class LatentParams:
-    """Per-sentence posterior: mean, log-variance, and (once sampled) z."""
+    """Per-sentence posterior: mean and log-variance."""
 
     mu: Tensor
     logvar: Tensor
-    z: Tensor | None = None
 
 
 def init_params(hp: HyperParams, rng: np.random.Generator, dtype=np.float64) -> ParamStore:
     """Fresh parameters: weights uniform +-0.08, biases 0, forget-gate bias 1."""
     def uniform(*shape):
-        return rng.uniform(-WEIGHT_INIT_SCALE, WEIGHT_INIT_SCALE, size=shape).astype(dtype)
+        return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(dtype)
 
     p = ParamStore()
     p.add("embed.W", uniform(hp.vocab_size, hp.embed_size))
@@ -170,12 +168,26 @@ def encode(batch: Batch, params: ParamStore, hp: HyperParams) -> LatentParams:
     return LatentParams(mu=mu, logvar=logvar)
 
 
+def posterior_means(sentences, params: ParamStore, hp: HyperParams,
+                    batch_size: int = 256) -> np.ndarray:
+    """(N, latent_dim) posterior means mu for a list of TokenizedSentence,
+    encoded ``batch_size`` sentences at a time.
+
+    Decoding and the length probe read mu itself: noise enters only the
+    training objective's z = mu + sigma * eps, so a sigma that overflows
+    cannot reach them.
+    """
+    rows = []
+    for start in range(0, len(sentences), batch_size):
+        batch = make_batch(sentences[start:start + batch_size], hp.vocab_size)
+        rows.append(encode(batch, params, hp).mu.data)
+    return np.concatenate(rows, axis=0)
+
+
 def reparameterize(latent: LatentParams, eps: np.ndarray) -> Tensor:
     """z = mu + exp(logvar / 2) * eps, with ``eps`` treated as a constant."""
     sigma = exp_(scale(latent.logvar, 0.5))
-    z = add(latent.mu, mul_const(sigma, np.asarray(eps, dtype=np.float64)))
-    latent.z = z
-    return z
+    return add(latent.mu, mul_const(sigma, np.asarray(eps, dtype=np.float64)))
 
 
 def kl_divergence(latent: LatentParams) -> Tensor:
@@ -290,13 +302,14 @@ def draw_negatives(rng, vocab_size: int, sample_count: int, targets: np.ndarray)
     targets (ascending) followed by ``min(sample_count, V - U)`` distinct
     non-target ids, drawn uniformly without replacement and sorted;
     ``ids[target_pos[r]] == targets[r]``. The draw is a single
-    ``rng.random(V)`` call whose smallest non-target keys win, so a ReplayRng
-    can freeze it. Once ``sample_count >= V - U`` the set is all of V.
+    ``rng.random(V)`` call whose smallest non-target keys win, so the draws
+    depend on the batch's shape, never on parameter values. Once
+    ``sample_count >= V - U`` the set is all of V.
     """
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     distinct, target_pos = np.unique(targets, return_inverse=True)
-    keys = np.array(rng.random(vocab_size))  # a copy: ReplayRng returns its record
+    keys = rng.random(vocab_size)
     keys[distinct] = 2.0  # above every uniform key: targets are never drawn
     extra = min(sample_count, vocab_size - distinct.size)
     negatives = np.sort(np.argpartition(keys, extra - 1)[:extra])
@@ -321,18 +334,18 @@ def decoder_targets(batch: Batch):
 def tiny_gradcheck_instance(index: int, **changes):
     """A small full-model loss for finite-difference checking.
 
-    Returns (params, loss_fn) with frozen noise so ``loss_fn`` is a
-    deterministic function of the parameters. V=7, cell 4, latent 3, two
-    decoder layers, weights uniform in +-1; ``changes`` replaces HyperParams
-    fields (e.g. ``lenemb=False``). The default-shape instances are
-    pre-screened (see GRADCHECK_SEEDS) so that every nonzero parameter
-    gradient is large enough (>= ~4e-6) to be resolved by a float64 central
-    difference at step 1e-5; below that magnitude the relative-error quotient
-    measures rounding noise rather than correctness. A changed shape needs
-    its own screening check.
+    Returns (params, loss_fn). ``loss_fn`` seeds a fresh generator and fixes
+    eps on every call; the objective's draws (one dropout mask and one
+    ``rng.random(V)`` per decoder step) have shapes set by the batch alone,
+    so each call sees the same noise and the loss is a deterministic
+    function of the parameters. V=7, cell 4, latent 3, two decoder layers,
+    weights uniform in +-1; ``changes`` replaces HyperParams fields (e.g.
+    ``lenemb=False``). The default-shape instances are pre-screened (see
+    GRADCHECK_SEEDS) so that every nonzero parameter gradient is large enough
+    (>= ~4e-6) to be resolved by a float64 central difference at step 1e-5;
+    below that magnitude the relative-error quotient measures rounding noise
+    rather than correctness. A changed shape needs its own screening check.
     """
-    from .numerics import ReplayRng
-
     seed = GRADCHECK_SEEDS[index % len(GRADCHECK_SEEDS)]
     hp = replace(HyperParams(vocab_size=7, cell_size=4, embed_size=5, latent_dim=3,
                              bow_width=6, len_embed_size=3, decoder_layers=2,
@@ -346,11 +359,10 @@ def tiny_gradcheck_instance(index: int, **changes):
                   bow=np.array([[0, 0, 0, 0, 0, 2, 1],
                                 [0, 0, 0, 0, 0, 1, 1]], dtype=np.float64))
     eps_noise = np.random.default_rng(3000 + seed).standard_normal((2, hp.latent_dim))
-    replay = ReplayRng(np.random.default_rng(2000 + seed))
 
     def loss_fn(p):
-        replay.rewind()
-        loss, _ = total_loss(batch, p, hp, kl_weight=0.7, mode="train", rng=replay,
+        loss, _ = total_loss(batch, p, hp, kl_weight=0.7, mode="train",
+                             rng=np.random.default_rng(2000 + seed),
                              dropout_keep=0.87, eps=eps_noise)
         return loss
 

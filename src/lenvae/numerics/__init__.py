@@ -1,6 +1,6 @@
 """Minimal differentiable-computation core: tensors, layers, Adam, grad checking."""
 
-from .gradcheck import NonFiniteLossError, ReplayRng, grad_check
+from .gradcheck import NonFiniteLossError, grad_check
 from .lstm import init_lstm_weights, lstm_cell, lstm_sequence
 from .optim import AdamState, MissingGradientError, adam_step, clip_grad_norm
 from .params import ParamStore
@@ -13,7 +13,7 @@ from .tensor import (
 )
 
 __all__ = [
-    "Tensor", "ParamStore", "AdamState", "ReplayRng",
+    "Tensor", "ParamStore", "AdamState",
     "adam_step", "clip_grad_norm", "grad_check",
     "lstm_sequence", "lstm_cell", "init_lstm_weights",
     "MissingGradientError", "NonFiniteLossError",

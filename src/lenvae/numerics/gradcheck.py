@@ -1,4 +1,9 @@
-"""Finite-difference gradient checking and record/replay noise freezing."""
+"""Finite-difference gradient checking.
+
+A stochastic loss is checked by seeding a fresh generator per evaluation:
+when the shapes of its draws do not depend on the parameter values, every
+evaluation then sees the same noise.
+"""
 
 import numpy as np
 
@@ -9,51 +14,11 @@ class NonFiniteLossError(RuntimeError):
     pass
 
 
-class ReplayRng:
-    """Record draws from a base generator, replay them on later passes.
-
-    A loss function whose stochastic nodes draw through a ReplayRng becomes a
-    deterministic function of the parameters: the first evaluation records
-    every draw, and ``rewind()`` at the start of each subsequent evaluation
-    makes it replay the identical sequence. Mimics the two Generator methods
-    the model uses.
-    """
-
-    def __init__(self, base: np.random.Generator):
-        self._base = base
-        self._tape = []
-        self._pos = 0
-
-    def rewind(self):
-        self._pos = 0
-
-    def _next(self, kind, size, draw):
-        if self._pos < len(self._tape):
-            rec_kind, rec_size, value = self._tape[self._pos]
-            if rec_kind != kind or rec_size != size:
-                raise RuntimeError(
-                    f"replay mismatch at draw {self._pos}: recorded {rec_kind}{rec_size}, "
-                    f"requested {kind}{size}"
-                )
-            self._pos += 1
-            return value
-        value = draw()
-        self._tape.append((kind, size, value))
-        self._pos += 1
-        return value
-
-    def standard_normal(self, size):
-        return self._next("normal", tuple(np.atleast_1d(size)), lambda: self._base.standard_normal(size))
-
-    def random(self, size):
-        return self._next("uniform", tuple(np.atleast_1d(size)), lambda: self._base.random(size))
-
-
 def grad_check(loss_function, params: ParamStore, eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``loss_function(params)`` must return a scalar Tensor and be deterministic
-    given the parameter values (freeze stochastic draws with ReplayRng). The
+    given the parameter values (seed a fresh generator per evaluation). The
     error for each parameter entry is |analytic - numeric| divided by
     max(|analytic|, |numeric|, 1e-8); the maximum over all entries of all
     parameters is returned.

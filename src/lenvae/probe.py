@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HyperParams, encode
+from .model import HyperParams, posterior_means
 from .numerics import ParamStore
-from .textpipe import Vocabulary, make_batch
 
 # R-squared reported for large-corpus (DUC-2004 / Gigaword) runs; the
 # ordering (without > with) is what reproduces at desk scale, not the values.
@@ -70,16 +69,6 @@ def r_squared(predictions: np.ndarray, targets: np.ndarray) -> float:
     return 1.0 - ss_residual / ss_total
 
 
-def encode_latents(sentences, params: ParamStore, hp: HyperParams,
-                   batch_size: int = 256) -> np.ndarray:
-    """Posterior means (zero-noise latents) for a list of TokenizedSentence."""
-    rows = []
-    for start in range(0, len(sentences), batch_size):
-        batch = make_batch(sentences[start:start + batch_size], hp.vocab_size)
-        rows.append(encode(batch, params, hp).mu.data)
-    return np.concatenate(rows, axis=0)
-
-
 @dataclass
 class ProbeResult:
     r2_with: float
@@ -108,7 +97,7 @@ def probe_experiment(params_with: ParamStore, hp_with: HyperParams,
     ridged = False
     for key, params, hp in (("with", params_with, hp_with),
                             ("without", params_without, hp_without)):
-        latents = encode_latents(sentences, params, hp)
+        latents = posterior_means(sentences, params, hp)
         fit = fit_linear_regression(latents[train_idx], lengths[train_idx])
         ridged = ridged or fit.ridged
         results[key] = (r_squared(fit.predict(latents[test_idx]), lengths[test_idx]),

@@ -1,7 +1,11 @@
-"""Checkpoint round trips, typed corruption errors and atomic saves."""
+"""Checkpoint round trips, typed corruption errors and atomic, streamed saves."""
 
+import hashlib
+import json
 import os
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from lenvae.checkpoint import (
 from lenvae.inference import summarize
 from lenvae.model import HyperParams, init_params
 from lenvae.textpipe import build_vocab
+
+DESK_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
 @pytest.fixture
@@ -134,3 +140,29 @@ def test_failed_save_keeps_previous_checkpoint(saved, monkeypatch, failing):
     assert path.read_bytes() == before
     assert checkpoint_load(path)[3] == 123
     assert os.listdir(path.parent) == [path.name]  # no temporary file left behind
+
+
+def test_resave_reproduces_recorded_desk_checkpoint(tmp_path):
+    recorded = json.loads((DESK_DATA / "desk_1500.json").read_text())
+    params, hp, vocab, step = checkpoint_load(DESK_DATA / recorded["file"])
+    path = tmp_path / "resaved.lvae"
+    checkpoint_save(path, params, hp, vocab, step)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == recorded["sha256"]
+
+
+def test_save_streams_without_copying_parameters(tmp_path):
+    vocab = build_vocab([["cat", "dog", "runs", "the"]], top_k=10)
+    hp = HyperParams(vocab_size=vocab.size, cell_size=256, embed_size=64)
+    params = init_params(hp, np.random.default_rng(0))
+    param_bytes = 8 * params.num_values()
+    assert param_bytes > 4_000_000
+    tracemalloc.start()
+    try:
+        checkpoint_save(tmp_path / "big.lvae", params, hp, vocab, step=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < param_bytes / 2
+    loaded, *_ = checkpoint_load(tmp_path / "big.lvae")
+    for name, t in params.items():
+        np.testing.assert_array_equal(loaded[name].data, t.data)

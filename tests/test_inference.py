@@ -1,11 +1,13 @@
 """Beam search against brute-force enumeration, plus decode plumbing."""
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lenvae import inference
+from lenvae.checkpoint import checkpoint_load
 from lenvae.inference import (
     NATURAL, DecodeRequest, beam_search, best_entries, detokenize, reconstruct,
     summarize,
@@ -460,3 +462,15 @@ def test_beam_search_rejects_negative_length(lenemb):
     with pytest.raises(ValueError, match="initial_length"):
         beam_search(z, DecodeRequest(beam_width=2, max_tokens=4), params, hp,
                     initial_length=-3)
+
+
+def test_summarize_decodes_mu_when_sigma_overflows():
+    # decoding reads the posterior mean only: a log-variance whose sigma
+    # overflows to inf must not turn z into NaN
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "desk_1500.lvae"
+    params, hp, vocab, _ = checkpoint_load(path)
+    sentence = "a green old bird hunts quietly"
+    expected = summarize(sentence, NATURAL, params, hp, vocab)
+    assert expected
+    params["logvar.b"].data[:] = 1500.0
+    assert summarize(sentence, NATURAL, params, hp, vocab) == expected

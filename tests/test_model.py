@@ -503,6 +503,25 @@ def test_full_model_gradient_check_single_instance():
     assert grad_check(loss_fn, params, eps=1e-5) < 1e-4
 
 
+def test_gradcheck_loss_fn_draws_the_same_noise_every_call():
+    params, loss_fn = tiny_gradcheck_instance(0)
+    first = loss_fn(params)
+    first.backward()
+    grads = [t.grad.copy() for _, t in params.items()]
+    params.zero_grads()
+    second = loss_fn(params)
+    second.backward()
+    assert second.data.tobytes() == first.data.tobytes()
+    for (_, t), grad in zip(params.items(), grads):
+        assert t.grad.tobytes() == grad.tobytes()
+    w = params["out.W"].data
+    original = w[0, 0]
+    w[0, 0] = original + 1e-3
+    assert loss_fn(params).data != first.data
+    w[0, 0] = original
+    assert loss_fn(params).data.tobytes() == first.data.tobytes()
+
+
 @pytest.mark.parametrize("index", range(len(GRADCHECK_SEEDS)))
 def test_gradcheck_instance_meets_screening_rule(index):
     # every nonzero gradient must be resolvable by a central difference

@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from lenvae.model import HyperParams, init_params
-from lenvae.probe import (
-    encode_latents, fit_linear_regression, probe_experiment, r_squared,
-)
+from lenvae.model import HyperParams, init_params, posterior_means
+from lenvae.probe import fit_linear_regression, probe_experiment, r_squared
 from lenvae.textpipe import build_vocab, encode_sentences
 
 
@@ -117,7 +115,17 @@ def test_probe_experiment_deterministic_and_in_range():
     assert "with length input" in rendered and "without length input" in rendered
 
 
-def test_encode_latents_shape_consistency():
+def test_posterior_means_shape_consistency():
     params_with, hp_with, *_ , sentences = _tiny_pair()
-    latents = encode_latents(sentences, params_with, hp_with, batch_size=7)
+    latents = posterior_means(sentences, params_with, hp_with, batch_size=7)
     assert latents.shape == (len(sentences), hp_with.latent_dim)
+
+
+def test_posterior_means_independent_of_batch_size():
+    params_with, hp_with, *_ , sentences = _tiny_pair()
+    one, seven, whole = (posterior_means(sentences, params_with, hp_with, batch_size=b)
+                         for b in (1, 7, 256))
+    # rows differ only by the padded width and the GEMM row count they share
+    atol = 1e-12 * np.abs(whole).max()
+    np.testing.assert_allclose(one, whole, rtol=1e-12, atol=atol)
+    np.testing.assert_allclose(seven, whole, rtol=1e-12, atol=atol)
