@@ -27,7 +27,7 @@ from .model import (
 )
 from .numerics import (
     AdamState, ParamStore, Tensor, adam_step, grad_check,
-    lstm_sequence, softmax,
+    lstm_sequence,
 )
 from .probe import fit_linear_regression, probe_experiment, r_squared
 from .textpipe import (

@@ -10,9 +10,18 @@ A save streams each part to a temporary file beside the target as it is
 made, folding it into the running CRC, so it holds no copy of the
 parameters. It then syncs the file to disk and renames it over the target,
 so a crash mid-save leaves the previous file whole.
+
+A load reads the file twice: it checks the CRC over the body in CRC_CHUNK
+reads before parsing a byte, then parses from the start, checking each
+length against the bytes left before it reads or allocates, and reads each
+tensor straight into its own array. It holds one copy of the parameters plus
+ParamStore.add's copy of one tensor. A record that does not parse, config
+included, is a CheckpointFormatError.
 """
 
 import json
+import math
+import operator
 import os
 import struct
 import zlib
@@ -26,6 +35,7 @@ from .textpipe import Vocabulary
 
 MAGIC = b"LVAE"
 FORMAT_VERSION = 1
+CRC_CHUNK = 1 << 20  # bytes per read while a load checks the CRC
 
 
 class CheckpointError(Exception):
@@ -71,7 +81,7 @@ def checkpoint_save(path, params: ParamStore, hp: HyperParams, vocab: Vocabulary
             write(struct.pack("<Q", len(params)))
             for name, t in params.items():
                 name_bytes = name.encode("utf-8")
-                arr = np.ascontiguousarray(t.data, dtype="<f8")
+                arr = np.asarray(t.data, dtype="<f8", order="C")
                 write(struct.pack("<I", len(name_bytes)) + name_bytes
                       + struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
                 write(memoryview(arr.reshape(-1)).cast("B"))
@@ -84,58 +94,58 @@ def checkpoint_save(path, params: ParamStore, hp: HyperParams, vocab: Vocabulary
         raise
 
 
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise CheckpointTruncatedError(
-                f"checkpoint truncated: wanted {n} bytes at offset {self.pos}, "
-                f"file has {len(self.buf)}")
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-
 def checkpoint_load(path):
     """Returns (params, hyperparams, vocabulary, step); raises a distinct
-    CheckpointError subclass for version, truncation and checksum problems."""
+    CheckpointError subclass for each kind of damage."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < len(MAGIC) + 4 + 4:
-        raise CheckpointTruncatedError(f"checkpoint too short ({len(raw)} bytes)")
-    body, stored_crc = raw[:-4], struct.unpack("<I", raw[-4:])[0]
-    if zlib.crc32(body) != stored_crc:
-        raise CheckpointChecksumError("checkpoint checksum mismatch")
+        size = os.fstat(f.fileno()).st_size
+        if size < len(MAGIC) + 4 + 4:
+            raise CheckpointTruncatedError(f"checkpoint too short ({size} bytes)")
+        body_size = size - 4
+        crc = 0
+        for offset in range(0, body_size, CRC_CHUNK):
+            crc = zlib.crc32(f.read(min(CRC_CHUNK, body_size - offset)), crc)
+        if f.read(4) != struct.pack("<I", crc):
+            raise CheckpointChecksumError("checkpoint checksum mismatch")
+        f.seek(0)
+        pos = 0
 
-    r = _Reader(body)
-    if r.take(4) != MAGIC:
-        raise CheckpointFormatError(f"{path} is not a checkpoint file (bad magic)")
-    version = r.u32()
-    if version != FORMAT_VERSION:
-        raise CheckpointVersionError(
-            f"unsupported checkpoint format version {version} (expected {FORMAT_VERSION})")
-    config = json.loads(r.take(r.u64()).decode("utf-8"))
-    hp = HyperParams(**config["hyperparams"])
-    vocab = Vocabulary.from_tokens(config["vocab_tokens"])
-    step = config["step"]
+        def take(n):
+            """Counts n more body bytes as read, raising if the body ends first."""
+            nonlocal pos
+            if pos + n > body_size:
+                raise CheckpointTruncatedError(
+                    f"checkpoint truncated: wanted {n} bytes at offset {pos}, "
+                    f"body has {body_size}")
+            pos += n
+            return n
 
-    params = ParamStore()
-    for _ in range(r.u64()):
-        name = r.take(r.u32()).decode("utf-8")
-        rank = r.u32()
-        dims = struct.unpack(f"<{rank}Q", r.take(8 * rank))
-        count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        values = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(dims)
-        params.add(name, values.astype(np.float64))
-    if r.pos != len(body):
-        raise CheckpointFormatError(f"{len(body) - r.pos} trailing bytes in checkpoint")
+        def unpack(fmt):
+            return struct.unpack(fmt, f.read(take(struct.calcsize(fmt))))
+
+        if f.read(take(4)) != MAGIC:
+            raise CheckpointFormatError(f"{path} is not a checkpoint file (bad magic)")
+        version, = unpack("<I")
+        if version != FORMAT_VERSION:
+            raise CheckpointVersionError(
+                f"unsupported checkpoint format version {version} (expected {FORMAT_VERSION})")
+        config_bytes = f.read(take(unpack("<Q")[0]))
+        try:
+            config = json.loads(config_bytes.decode("utf-8"))
+            hp = HyperParams(**config["hyperparams"])
+            vocab = Vocabulary.from_tokens(config["vocab_tokens"])
+            step = operator.index(config["step"])
+            params = ParamStore()
+            for _ in range(unpack("<Q")[0]):
+                name = f.read(take(unpack("<I")[0])).decode("utf-8")
+                rank, = unpack("<I")
+                dims = unpack(f"<{rank}Q")
+                take(8 * math.prod(dims))
+                values = np.empty(dims, "<f8")
+                f.readinto(memoryview(values.reshape(-1)).cast("B"))
+                params.add(name, values)
+        except (ValueError, TypeError, KeyError) as e:
+            raise CheckpointFormatError(f"malformed checkpoint: {e!r}") from e
+        if pos != body_size:
+            raise CheckpointFormatError(f"{body_size - pos} trailing bytes in checkpoint")
     return params, hp, vocab, step

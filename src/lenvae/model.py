@@ -93,7 +93,7 @@ class LatentParams:
 def init_params(hp: HyperParams, rng: np.random.Generator, dtype=np.float64) -> ParamStore:
     """Fresh parameters: weights uniform +-0.08, biases 0, forget-gate bias 1."""
     def uniform(*shape):
-        return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(dtype)
+        return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(dtype, copy=False)
 
     p = ParamStore()
     p.add("embed.W", uniform(hp.vocab_size, hp.embed_size))

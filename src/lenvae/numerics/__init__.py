@@ -7,7 +7,7 @@ from .params import ParamStore
 from .tensor import (
     Tensor, add, add_scalar, affine, concat_cols, cross_entropy_rows, exp_,
     gather_rows, leaf, log_softmax_rows, matmul, mul, mul_const, neg,
-    sampled_logits, scale, sigmoid, slice_cols, slice_rows, softmax, sub,
+    sampled_logits, scale, sigmoid, slice_cols, slice_rows, sub,
     sum_all, sum_cols, tanh_, weighted_cross_entropy_rows, weighted_step_sum,
     zeros,
 )
@@ -22,5 +22,5 @@ __all__ = [
     "concat_cols", "slice_cols", "slice_rows", "gather_rows", "sum_all",
     "sum_cols", "weighted_step_sum",
     "affine", "cross_entropy_rows", "weighted_cross_entropy_rows",
-    "sampled_logits", "softmax", "log_softmax_rows",
+    "sampled_logits", "log_softmax_rows",
 ]

@@ -163,7 +163,8 @@ def lstm_sequence(x: Tensor, h0: Tensor, c0: Tensor, w: Tensor, b: Tensor, steps
 
 def init_lstm_weights(rng: np.random.Generator, in_dim: int, hidden: int, dtype=np.float64):
     """Freshly initialized (w, b) arrays for one cell."""
-    w = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(in_dim + hidden, 4 * hidden)).astype(dtype)
+    w = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(in_dim + hidden, 4 * hidden))
+    w = w.astype(dtype, copy=False)
     b = np.zeros(4 * hidden, dtype=dtype)
     b[hidden:2 * hidden] = 1.0  # forget gate
     return w, b

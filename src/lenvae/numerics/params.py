@@ -48,5 +48,5 @@ class ParamStore:
     def copy(self) -> "ParamStore":
         out = ParamStore()
         for name, t in self._entries.items():
-            out.add(name, t.data.copy())
+            out.add(name, t.data)
         return out

@@ -397,17 +397,6 @@ def sampled_logits(h: Tensor, w: Tensor, b: Tensor, ids: np.ndarray) -> Tensor:
 # plain-array helpers (no gradients)
 # ---------------------------------------------------------------------------
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax of a rank-1 array (max-subtraction before exp)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1:
-        raise ValueError(f"softmax expects a rank-1 array, got shape {logits.shape}")
-    if logits.size == 0:
-        raise ValueError("softmax of an empty array is undefined")
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
-
-
 # values of exp scratch per log_softmax_rows block (512 KB of float64)
 LOG_SOFTMAX_BLOCK = 1 << 16
 

@@ -1,5 +1,9 @@
 """End-to-end subcommand behavior and exit codes (all in-process)."""
 
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -303,6 +307,29 @@ def test_corrupt_checkpoint_is_exit_5(trained, tmp_path, capsys):
                "--output", str(tmp_path / "o.txt"))
     assert code == EXIT_CORRUPT
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda c: c["hyperparams"].update(colour="red"),
+    lambda c: c.pop("vocab_tokens"),
+    lambda c: c["hyperparams"].update(cell_size=0),
+], ids=["unknown hyperparams key", "missing vocab_tokens", "zero cell_size"])
+def test_malformed_config_block_is_exit_5(trained, tmp_path, capsys, edit):
+    root, corpus, vocab, cfg, out_with, _ = trained
+    raw = (out_with / "final.lvae").read_bytes()
+    n, = struct.unpack_from("<Q", raw, 8)
+    config = json.loads(raw[16:16 + n])
+    edit(config)
+    config_bytes = json.dumps(config).encode()
+    body = raw[:8] + struct.pack("<Q", len(config_bytes)) + config_bytes + raw[16 + n:-4]
+    bad = tmp_path / "bad.lvae"
+    bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))  # checksum-valid
+    inputs = tmp_path / "in.txt"
+    inputs.write_text("the dog sleeps\n")
+    code = run("summarize", "--checkpoint", str(bad), "--input", str(inputs),
+               "--output", str(tmp_path / "o.txt"))
+    assert code == EXIT_CORRUPT
+    assert capsys.readouterr().err.startswith("error: unreadable checkpoint: malformed checkpoint")
 
 
 def test_evaluate_identity_scores_one(tmp_path, capsys):

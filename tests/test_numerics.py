@@ -11,16 +11,20 @@ from hypothesis import strategies as st
 from lenvae.numerics import (
     AdamState, MissingGradientError, NonFiniteLossError, ParamStore, Tensor, add,
     adam_step, clip_grad_norm, cross_entropy_rows, gather_rows, grad_check,
-    init_lstm_weights, lstm_cell, lstm_sequence, matmul, mul, sampled_logits,
-    softmax, sum_all, tanh_, zeros,
+    init_lstm_weights, log_softmax_rows, lstm_cell, lstm_sequence, matmul, mul,
+    sampled_logits, sum_all, tanh_, zeros,
 )
 from lenvae.numerics.optim import BLOCK, _sum_of_squares
 from lstm_reference import lstm_cell_forward, unrolled_sequence
 
 
 # ---------------------------------------------------------------------------
-# softmax
+# softmax: one row of log_softmax_rows, the softmax the program uses
 # ---------------------------------------------------------------------------
+
+def softmax(logits):
+    return np.exp(log_softmax_rows(np.asarray(logits, dtype=np.float64)[None, :]))[0]
+
 
 def test_softmax_uniform():
     np.testing.assert_allclose(softmax(np.zeros(3)), np.full(3, 1 / 3), atol=1e-15)

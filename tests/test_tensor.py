@@ -7,7 +7,7 @@ from lenvae.numerics import (
     ParamStore, Tensor, add, add_scalar, affine, concat_cols,
     cross_entropy_rows, exp_, gather_rows, grad_check, log_softmax_rows,
     matmul, mul, mul_const, neg, sampled_logits, scale, sigmoid, slice_cols,
-    slice_rows, softmax, sub, sum_all, sum_cols, tanh_, weighted_cross_entropy_rows,
+    slice_rows, sub, sum_all, sum_cols, tanh_, weighted_cross_entropy_rows,
     weighted_step_sum,
 )
 
@@ -135,7 +135,8 @@ def test_log_softmax_rows_matches_softmax():
     logits = rng.standard_normal((4, 6))
     lp = log_softmax_rows(logits)
     for r in range(4):
-        np.testing.assert_allclose(np.exp(lp[r]), softmax(logits[r]), atol=1e-12)
+        expected = np.exp(logits[r]) / np.exp(logits[r]).sum()
+        np.testing.assert_allclose(np.exp(lp[r]), expected, atol=1e-12)
     np.testing.assert_allclose(np.exp(lp).sum(axis=1), np.ones(4), atol=1e-12)
 
 
