@@ -16,7 +16,8 @@ reads before parsing a byte, then parses from the start, checking each
 length against the bytes left before it reads or allocates, and reads each
 tensor straight into its own array. It holds one copy of the parameters plus
 ParamStore.add's copy of one tensor. A record that does not parse, config
-included, is a CheckpointFormatError.
+included, is a CheckpointFormatError, and so is a file whose tensors or
+vocabulary do not fit its hyperparameters.
 """
 
 import json
@@ -29,7 +30,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .model import HyperParams
+from .model import HyperParams, param_shapes
 from .numerics import ParamStore
 from .textpipe import Vocabulary
 
@@ -96,7 +97,31 @@ def checkpoint_save(path, params: ParamStore, hp: HyperParams, vocab: Vocabulary
 
 def checkpoint_load(path):
     """Returns (params, hyperparams, vocabulary, step); raises a distinct
-    CheckpointError subclass for each kind of damage."""
+    CheckpointError subclass for each kind of damage.
+
+    Beyond ``read_checkpoint``'s parse, the tensors must be exactly the
+    names and shapes ``model.param_shapes`` gives for the stored
+    hyperparameters, and the vocabulary must hold ``vocab_size`` tokens.
+    """
+    params, hp, vocab, step = read_checkpoint(path)
+    if vocab.size != hp.vocab_size:
+        raise CheckpointFormatError(
+            f"malformed checkpoint: vocabulary has {vocab.size} tokens, hyperparameters "
+            f"give vocab_size {hp.vocab_size}")
+    expected = param_shapes(hp)
+    for name in [*expected, *params.names()]:
+        got = params[name].shape if name in params else "absent"
+        if got != expected.get(name, "absent"):
+            raise CheckpointFormatError(
+                f"malformed checkpoint: tensor {name!r} is {got}, hyperparameters give "
+                f"{expected.get(name, 'absent')}")
+    return params, hp, vocab, step
+
+
+def read_checkpoint(path):
+    """The file's (params, hyperparams, vocabulary, step) as stored, whatever
+    tensors it holds; raises a distinct CheckpointError subclass for each
+    kind of damage."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         if size < len(MAGIC) + 4 + 4:

@@ -11,6 +11,12 @@ ids (rows, t), cumulative log-probabilities (rows,) and each decoder layer's
 (h, c) pair, (rows, cell_size) apiece. All rows advance in lockstep, so they
 share one countdown; after every step each array is re-gathered by the
 parent-row index of the selected expansions, in selection order.
+
+A search writes every step's scores into one (beam_width, V) buffer: the
+output GEMM and bias (``decode_step(out=)``), the log-softmax
+(``log_softmax_rows(out=)``), the forbidden columns and the cumulative
+scores all land in its first rows in place, so a step allocates no (rows, V)
+array of its own.
 """
 
 from dataclasses import dataclass
@@ -117,6 +123,9 @@ def beam_search(z: np.ndarray, request: DecodeRequest, params: ParamStore,
 
     ``forbidden_ids`` are never proposed (padding/control tokens); pass ()
     to rank the raw full vocabulary.
+
+    Every step's scores live in one (beam_width, V) buffer allocated per
+    search; the selection copies what it keeps out of it.
     """
     if initial_length < 0:
         raise ValueError(f"initial_length must be >= 0, got {initial_length}")
@@ -133,13 +142,15 @@ def beam_search(z: np.ndarray, request: DecodeRequest, params: ParamStore,
     done = None  # (ids, log_prob) of the first best completed hypothesis
     forbidden = [i for i in forbidden_ids if i < hp.vocab_size]
     stop_reason = "horizon"
+    buffer = np.empty((width, hp.vocab_size))
 
     for steps in range(1, request.max_tokens + 1):
         n = log_prob.size
         len_emb = np.repeat(len_rows[steps - 1:steps], n, axis=0)
         z_rows = np.repeat(z[None, :], n, axis=0)
-        logits, new_state = decode_step(z_rows, embed[prev_ids], len_emb, state, params, hp)
-        scores = log_softmax_rows(logits)
+        logits, new_state = decode_step(z_rows, embed[prev_ids], len_emb, state, params, hp,
+                                        out=buffer)
+        scores = log_softmax_rows(logits, out=logits)
         if forbidden:
             scores[:, forbidden] = -np.inf
         scores += log_prob[:, None]

@@ -37,13 +37,14 @@ import numpy as np
 
 from .numerics import (
     ParamStore, Tensor, add, add_scalar, affine, concat_cols,
-    cross_entropy_rows, exp_, gather_rows, init_lstm_weights, lstm_cell,
+    cross_entropy_rows, exp_, gather_rows, lstm_cell,
     lstm_sequence, mul, mul_const, sampled_logits, scale, slice_rows, sub,
     sum_all, sum_cols, tanh_, weighted_cross_entropy_rows, weighted_step_sum,
     zeros,
 )
-from .numerics.lstm import INIT_SCALE
 from .textpipe import BOS_ID, EOS_ID, PAD_ID, Batch, make_batch
+
+INIT_SCALE = 0.08  # fresh weights are uniform in +-INIT_SCALE
 
 
 @dataclass(frozen=True)
@@ -90,37 +91,47 @@ class LatentParams:
     logvar: Tensor
 
 
-def init_params(hp: HyperParams, rng: np.random.Generator, dtype=np.float64) -> ParamStore:
-    """Fresh parameters: weights uniform +-0.08, biases 0, forget-gate bias 1."""
-    def uniform(*shape):
-        return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(dtype, copy=False)
+def param_shapes(hp: HyperParams) -> dict:
+    """Name -> shape of every parameter, in creation (and checkpoint) order.
 
-    p = ParamStore()
-    p.add("embed.W", uniform(hp.vocab_size, hp.embed_size))
+    Weights end in ".W" and biases in ".b"; an LSTM layer's packed weight is
+    (in_dim + cell, 4 * cell) (see ``numerics.lstm``).
+    """
+    cell, latent = hp.cell_size, hp.latent_dim
+    step_in = hp.embed_size + latent + hp.len_embed_size
+
+    def dense(name, n_in, n_out):
+        return {f"{name}.W": (n_in, n_out), f"{name}.b": (n_out,)}
+
+    shapes = {"embed.W": (hp.vocab_size, hp.embed_size)}
     for name in ("enc_fwd", "enc_bwd"):
-        w, b = init_lstm_weights(rng, hp.embed_size, hp.cell_size, dtype)
-        p.add(f"{name}.W", w)
-        p.add(f"{name}.b", b)
-    p.add("mu.W", uniform(2 * hp.cell_size, hp.latent_dim))
-    p.add("mu.b", np.zeros(hp.latent_dim, dtype=dtype))
-    p.add("logvar.W", uniform(2 * hp.cell_size, hp.latent_dim))
-    p.add("logvar.b", np.zeros(hp.latent_dim, dtype=dtype))
-    p.add("dec_init.W", uniform(hp.latent_dim, hp.cell_size))
-    p.add("dec_init.b", np.zeros(hp.cell_size, dtype=dtype))
-    step_in = hp.embed_size + hp.latent_dim + hp.len_embed_size
+        shapes |= dense(name, hp.embed_size + cell, 4 * cell)
+    shapes |= dense("mu", 2 * cell, latent) | dense("logvar", 2 * cell, latent)
+    shapes |= dense("dec_init", latent, cell)
     for layer in range(hp.decoder_layers):
-        in_dim = step_in if layer == 0 else hp.cell_size + step_in
-        w, b = init_lstm_weights(rng, in_dim, hp.cell_size, dtype)
-        p.add(f"dec_l{layer}.W", w)
-        p.add(f"dec_l{layer}.b", b)
+        in_dim = step_in if layer == 0 else cell + step_in
+        shapes |= dense(f"dec_l{layer}", in_dim + cell, 4 * cell)
     if hp.lenemb:
-        p.add("len_table.W", uniform(hp.max_len_index + 1, hp.len_embed_size))
-    p.add("out.W", uniform(hp.cell_size, hp.vocab_size))
-    p.add("out.b", np.zeros(hp.vocab_size, dtype=dtype))
-    p.add("bow_h.W", uniform(hp.latent_dim, hp.bow_width))
-    p.add("bow_h.b", np.zeros(hp.bow_width, dtype=dtype))
-    p.add("bow_out.W", uniform(hp.bow_width, hp.vocab_size))
-    p.add("bow_out.b", np.zeros(hp.vocab_size, dtype=dtype))
+        shapes["len_table.W"] = (hp.max_len_index + 1, hp.len_embed_size)
+    shapes |= dense("out", cell, hp.vocab_size)
+    shapes |= dense("bow_h", latent, hp.bow_width) | dense("bow_out", hp.bow_width, hp.vocab_size)
+    return shapes
+
+
+def init_params(hp: HyperParams, rng: np.random.Generator, dtype=np.float64) -> ParamStore:
+    """Fresh parameters of ``param_shapes(hp)``, drawn in its order: weights
+    uniform +-INIT_SCALE, biases 0, except each LSTM layer's forget-gate
+    bias, 1.0 (a standard stabilizer; gate order i, f, g, o)."""
+    lstm_biases = {"enc_fwd.b", "enc_bwd.b", *(f"dec_l{i}.b" for i in range(hp.decoder_layers))}
+    p = ParamStore()
+    for name, shape in param_shapes(hp).items():
+        if name.endswith(".W"):
+            value = rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(dtype, copy=False)
+        else:
+            value = np.zeros(shape, dtype=dtype)
+            if name in lstm_biases:
+                value[hp.cell_size:2 * hp.cell_size] = 1.0
+        p.add(name, value)
     return p
 
 
@@ -249,11 +260,18 @@ def decoder_stack_step(z: np.ndarray, prev_emb: np.ndarray, len_emb: np.ndarray,
 
 
 def decode_step(z: np.ndarray, prev_emb: np.ndarray, len_emb: np.ndarray, state: list,
-                params: ParamStore, hp: HyperParams):
+                params: ParamStore, hp: HyperParams, out: np.ndarray | None = None):
     """One inference step on arrays, no graph: returns (vocabulary logits
-    (B, V), new state). ``z`` is (B, latent), one row per decoded row."""
+    (B, V), new state). ``z`` is (B, latent), one row per decoded row.
+
+    With ``out`` (a C-contiguous array of at least B rows of V values) the
+    logits are written into its first B rows and that view is returned; the
+    values are the same bit for bit either way.
+    """
     hidden, new_state = decoder_stack_step(z, prev_emb, len_emb, state, params, hp)
-    logits = hidden @ params["out.W"].data + params["out.b"].data
+    logits = np.matmul(hidden, params["out.W"].data,
+                       out=None if out is None else out[:hidden.shape[0]])
+    logits += params["out.b"].data
     return logits, new_state
 
 

@@ -1,7 +1,7 @@
 """Minimal differentiable-computation core: tensors, layers, Adam, grad checking."""
 
 from .gradcheck import NonFiniteLossError, grad_check
-from .lstm import init_lstm_weights, lstm_cell, lstm_sequence
+from .lstm import lstm_cell, lstm_sequence
 from .optim import AdamState, MissingGradientError, adam_step, clip_grad_norm
 from .params import ParamStore
 from .tensor import (
@@ -15,7 +15,7 @@ from .tensor import (
 __all__ = [
     "Tensor", "ParamStore", "AdamState",
     "adam_step", "clip_grad_norm", "grad_check",
-    "lstm_sequence", "lstm_cell", "init_lstm_weights",
+    "lstm_sequence", "lstm_cell",
     "MissingGradientError", "NonFiniteLossError",
     "leaf", "zeros", "matmul", "add", "sub", "mul", "neg", "scale",
     "add_scalar", "mul_const", "sigmoid", "tanh_", "exp_",

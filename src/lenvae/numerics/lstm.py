@@ -2,9 +2,8 @@
 
 Gates are packed into a single (in_dim + hidden, 4*hidden) weight matrix ``w``
 in the order input, forget, candidate, output; rows ``w[:I]`` read the input,
-rows ``w[I:]`` the previous hidden state. The forget-gate bias is initialized
-to 1.0 (standard stabilizer); all other biases to 0; weights uniform in
-+-0.08. Sigmoid is computed overflow-free as (1 + tanh(x/2)) / 2.
+rows ``w[I:]`` the previous hidden state. Sigmoid is computed overflow-free
+as (1 + tanh(x/2)) / 2.
 
 ``lstm_sequence`` runs T steps for a batch of B rows. Its input and output
 are time-major row blocks: row ``t*B + r`` holds step t of batch row r, so
@@ -38,8 +37,6 @@ sequence forward.
 import numpy as np
 
 from .tensor import Tensor, _accum, _grad_buffer
-
-INIT_SCALE = 0.08
 
 
 def _gate_scale(hidden: int, dtype) -> np.ndarray:
@@ -159,12 +156,3 @@ def lstm_sequence(x: Tensor, h0: Tensor, c0: Tensor, w: Tensor, b: Tensor, steps
             _grad_buffer(b)[:] += dgates.sum(axis=0)
 
     return Tensor(hs[1:].reshape(steps * rows, hidden), (x, h0, c0, w, b), bw)
-
-
-def init_lstm_weights(rng: np.random.Generator, in_dim: int, hidden: int, dtype=np.float64):
-    """Freshly initialized (w, b) arrays for one cell."""
-    w = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(in_dim + hidden, 4 * hidden))
-    w = w.astype(dtype, copy=False)
-    b = np.zeros(4 * hidden, dtype=dtype)
-    b[hidden:2 * hidden] = 1.0  # forget gate
-    return w, b

@@ -19,7 +19,7 @@ __all__ = [
     "concat_cols", "slice_cols", "slice_rows", "gather_rows",
     "sum_all", "sum_cols", "weighted_step_sum", "affine",
     "cross_entropy_rows", "weighted_cross_entropy_rows", "sampled_logits",
-    "softmax", "log_softmax_rows",
+    "log_softmax_rows",
 ]
 
 
@@ -401,22 +401,27 @@ def sampled_logits(h: Tensor, w: Tensor, b: Tensor, ids: np.ndarray) -> Tensor:
 LOG_SOFTMAX_BLOCK = 1 << 16
 
 
-def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log softmax of a rank-2 array.
+def log_softmax_rows(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise log softmax of a rank-2 array, written to ``out`` (a new
+    array when None; ``out=logits`` works in place).
 
     Equal bit for bit to ``shifted - log(exp(shifted).sum(axis=1))`` with
-    ``shifted = logits - max``, but the result is the only (rows, V) array:
-    the exponentials go through a scratch of whole rows, as many as fit in
-    LOG_SOFTMAX_BLOCK values (at least one), and the log row sums are
-    subtracted in place.
+    ``shifted = logits - max``: every element goes through the same
+    operations in the same order and each row sum runs over the same
+    contiguous row. The work goes in blocks of whole rows, as many as fit
+    in LOG_SOFTMAX_BLOCK values (at least one): row maxima, the shift into
+    ``out``, the exponentials into a block-sized scratch, the row sums and
+    the subtraction of their logs, so each block is finished while it is
+    still in cache and ``out`` is the only (rows, V) array.
     """
-    out = logits - logits.max(axis=1, keepdims=True)
-    rows, cols = out.shape
+    rows, cols = logits.shape
+    if out is None:
+        out = np.empty(logits.shape, dtype=logits.dtype)
     block = max(1, LOG_SOFTMAX_BLOCK // max(cols, 1))
     scratch = np.empty((min(block, rows), cols), dtype=out.dtype)
-    sums = np.empty((rows, 1), dtype=out.dtype)
     for lo in range(0, rows, block):
-        exps = np.exp(out[lo:lo + block], out=scratch[:min(block, rows - lo)])
-        exps.sum(axis=1, keepdims=True, out=sums[lo:lo + block])
-    out -= np.log(sums)
+        x, y = logits[lo:lo + block], out[lo:lo + block]
+        np.subtract(x, x.max(axis=1, keepdims=True), out=y)
+        exps = np.exp(y, out=scratch[:y.shape[0]])
+        y -= np.log(exps.sum(axis=1, keepdims=True))
     return out

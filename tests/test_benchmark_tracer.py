@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from lenvae import model
-from lenvae.inference import summarize
-from lenvae.model import HyperParams, init_params
+from lenvae.inference import DecodeRequest, beam_search, summarize
+from lenvae.model import HyperParams, init_params, posterior_means
 from lenvae.numerics import tensor
-from lenvae.textpipe import build_vocab
+from lenvae.textpipe import EOS_ID, TokenizedSentence, build_vocab
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -44,3 +44,26 @@ def test_decoding_encodes_through_the_traced_encoder(tracing):
     names = [span[0] for span in tracer.spans]
     assert names.count("model.encode") == 1
     assert "model.decode_step" in names
+
+
+def test_decode_spans_once_per_beam_step(tracing):
+    # the benchmark's per-step decode buckets count one decode_step and one
+    # log_softmax_rows span per step, and read the rows from args[0] (z)
+    vocab = build_vocab([["the", "cat", "runs", "a", "dog", "sleeps"]], top_k=10)
+    hp = HyperParams(vocab_size=vocab.size, cell_size=6, embed_size=5,
+                     latent_dim=4, bow_width=5, len_embed_size=3,
+                     decoder_layers=2, max_len_index=12, softmax_samples=4)
+    params = init_params(hp, np.random.default_rng(1))
+    params["out.b"].data[EOS_ID] = -1e9  # run to the horizon
+    tracer = tracing.Tracer()
+    with tracer.installed(graph=False):
+        summarize("the cat runs", 3, params, hp, vocab, beam_width=3, max_tokens=5)
+    mu = posterior_means([TokenizedSentence(vocab.encode(["the", "cat", "runs"]), "")],
+                         params, hp)[0]
+    result = beam_search(mu, DecodeRequest(beam_width=3, max_tokens=5), params, hp, 3)
+    names = [span[0] for span in tracer.spans]
+    assert result.steps == 5
+    assert names.count("model.decode_step") == result.steps
+    assert names.count("numerics.log_softmax_rows") == result.steps
+    assert tracer.counts["inference.decode_step.calls"] == result.steps
+    assert tracer.counts["inference.decode_step.rows"] == 1 + 3 * (result.steps - 1)

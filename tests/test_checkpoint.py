@@ -14,7 +14,7 @@ import pytest
 from lenvae.checkpoint import (
     CheckpointChecksumError, CheckpointFormatError, CheckpointTruncatedError,
     CheckpointVersionError, IncompatibleCheckpointError, checkpoint_load,
-    checkpoint_save,
+    checkpoint_save, read_checkpoint,
 )
 from lenvae.inference import summarize
 from lenvae.model import HyperParams, init_params
@@ -133,7 +133,7 @@ def test_every_rank_roundtrips_with_its_shape(tmp_path):
         params.add(name, value)
     path = tmp_path / "ranks.lvae"
     checkpoint_save(path, params, HyperParams(vocab_size=vocab.size), vocab, step=0)
-    loaded, *_ = checkpoint_load(path)
+    loaded, *_ = read_checkpoint(path)
     for name, t in params.items():
         assert loaded[name].data.shape == t.data.shape
         np.testing.assert_array_equal(loaded[name].data, t.data)
@@ -239,8 +239,13 @@ def edited(config, **changes):
     lambda c: edited(c, step="ten"),
     lambda c: edited(c, vocab_tokens=["cat"]),
     lambda c: edited(c, hyperparams={**c["hyperparams"], "latent_dim": None}),
+    # checksum-valid files whose tensors or vocabulary do not fit the hyperparameters
+    lambda c: edited(c, hyperparams={**c["hyperparams"], "latent_dim": 5}),
+    lambda c: edited(c, hyperparams={**c["hyperparams"], "cell_size": 7}),
+    lambda c: edited(c, vocab_tokens=c["vocab_tokens"][:-3]),
 ], ids=["not JSON", "not UTF-8", "not an object", "string step", "no reserved tokens",
-        "null latent_dim"])
+        "null latent_dim", "latent_dim off by one", "cell_size off by one",
+        "3 tokens dropped"])
 def test_malformed_config_is_format_error(saved, tmp_path, config_bytes):
     path, *_ = saved
     raw = path.read_bytes()
@@ -251,7 +256,8 @@ def test_malformed_config_is_format_error(saved, tmp_path, config_bytes):
         checkpoint_load(out)
 
 
-@pytest.mark.parametrize("names", [[b"W", b"W"], [b"\xff"]], ids=["duplicate", "not UTF-8"])
+@pytest.mark.parametrize("names", [[b"W", b"W"], [b"\xff"], [b"W"]],
+                         ids=["duplicate", "not UTF-8", "not the model's"])
 def test_bad_tensor_name_is_format_error(saved, tmp_path, names):
     path, *_ = saved
     records = struct.pack("<Q", len(names)) + b"".join(
@@ -260,3 +266,4 @@ def test_bad_tensor_name_is_format_error(saved, tmp_path, names):
     out.write_bytes(rebuilt(path.read_bytes(), records=records))
     with pytest.raises(CheckpointFormatError):
         checkpoint_load(out)
+

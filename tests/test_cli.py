@@ -313,7 +313,9 @@ def test_corrupt_checkpoint_is_exit_5(trained, tmp_path, capsys):
     lambda c: c["hyperparams"].update(colour="red"),
     lambda c: c.pop("vocab_tokens"),
     lambda c: c["hyperparams"].update(cell_size=0),
-], ids=["unknown hyperparams key", "missing vocab_tokens", "zero cell_size"])
+    lambda c: c["hyperparams"].update(latent_dim=c["hyperparams"]["latent_dim"] + 1),
+], ids=["unknown hyperparams key", "missing vocab_tokens", "zero cell_size",
+        "tensors built for another latent_dim"])
 def test_malformed_config_block_is_exit_5(trained, tmp_path, capsys, edit):
     root, corpus, vocab, cfg, out_with, _ = trained
     raw = (out_with / "final.lvae").read_bytes()

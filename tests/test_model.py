@@ -240,6 +240,19 @@ def test_decode_step_deterministic():
     np.testing.assert_array_equal(logits_a, logits_b)
 
 
+def test_decode_step_into_buffer_byte_equal():
+    hp, params = TINY, tiny_params(8)
+    z, prev, len_emb, state = _step_inputs(hp, params, 1, rows=3)
+    logits, new_state = decode_step(z, prev, len_emb, state, params, hp)
+    buffer = np.full((5, hp.vocab_size), np.nan)
+    into, into_state = decode_step(z, prev, len_emb, state, params, hp, out=buffer)
+    assert into.base is buffer and into.shape == (3, hp.vocab_size)
+    assert into.tobytes() == logits.tobytes()
+    assert np.isnan(buffer[3:]).all()
+    for (h, c), (h_into, c_into) in zip(new_state, into_state):
+        assert h.tobytes() == h_into.tobytes() and c.tobytes() == c_into.tobytes()
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_decode_step_sensitive_to_latent(seed):
     hp = TINY

@@ -1,5 +1,6 @@
 """Softmax, LSTM kernel and cell, Adam and gradient-checker behavior."""
 
+import importlib
 import math
 
 import mpmath
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 from lenvae.numerics import (
     AdamState, MissingGradientError, NonFiniteLossError, ParamStore, Tensor, add,
     adam_step, clip_grad_norm, cross_entropy_rows, gather_rows, grad_check,
-    init_lstm_weights, log_softmax_rows, lstm_cell, lstm_sequence, matmul, mul,
+    log_softmax_rows, lstm_cell, lstm_sequence, matmul, mul,
     sampled_logits, sum_all, tanh_, zeros,
 )
+from lenvae.model import HyperParams, init_params
 from lenvae.numerics.optim import BLOCK, _sum_of_squares
 from lstm_reference import lstm_cell_forward, unrolled_sequence
 
@@ -111,9 +113,8 @@ def test_lstm_hand_evaluated_two_unit_cell():
 def test_lstm_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
     store = ParamStore()
-    w_init, b_init = init_lstm_weights(rng, in_dim=3, hidden=2)
-    store.add("w", rng.standard_normal(w_init.shape))
-    store.add("b", rng.standard_normal(b_init.shape))
+    store.add("w", rng.standard_normal((3 + 2, 4 * 2)))
+    store.add("b", rng.standard_normal(4 * 2))
     store.add("x", rng.standard_normal((3 * 2, 3)))
     store.add("h0", rng.standard_normal((2, 2)))
     store.add("c0", rng.standard_normal((2, 2)))
@@ -141,11 +142,15 @@ def test_lstm_shape_mismatch_names_offender():
 
 
 def test_lstm_forget_bias_initialized_to_one():
-    w, b = init_lstm_weights(np.random.default_rng(0), in_dim=4, hidden=3)
-    np.testing.assert_array_equal(b[3:6], np.ones(3))
-    np.testing.assert_array_equal(b[:3], np.zeros(3))
-    np.testing.assert_array_equal(b[6:], np.zeros(6))
-    assert np.abs(w).max() <= 0.08
+    hp = HyperParams(vocab_size=9, cell_size=3, decoder_layers=2)
+    params = init_params(hp, np.random.default_rng(0))
+    for layer in ("enc_fwd", "enc_bwd", "dec_l0", "dec_l1"):
+        b = params[f"{layer}.b"].data
+        np.testing.assert_array_equal(b[3:6], np.ones(3))
+        np.testing.assert_array_equal(b[:3], np.zeros(3))
+        np.testing.assert_array_equal(b[6:], np.zeros(6))
+        assert 0 < np.abs(params[f"{layer}.W"].data).max() <= 0.08
+    np.testing.assert_array_equal(params["dec_init.b"].data, np.zeros(3))
 
 
 # The kernel splits each step's packed GEMM into x @ w[:I] + b and h @ w[I:]
@@ -433,3 +438,11 @@ def test_param_store_rejects_duplicates_and_tracks_order():
     with pytest.raises(ValueError):
         store.add("a", np.zeros(1))
     assert store.names() == ["b", "a"]
+
+
+@pytest.mark.parametrize("module", ["lenvae", "lenvae.numerics", "lenvae.numerics.tensor"])
+def test_every_exported_name_resolves(module):
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    for name in getattr(importlib.import_module(module), "__all__", ()):
+        assert name in namespace, f"{module}.{name}"

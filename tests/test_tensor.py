@@ -10,6 +10,7 @@ from lenvae.numerics import (
     slice_rows, sub, sum_all, sum_cols, tanh_, weighted_cross_entropy_rows,
     weighted_step_sum,
 )
+from lenvae.numerics.tensor import LOG_SOFTMAX_BLOCK
 
 
 def fd_check(build, n_params, shapes, seed=0, tol=1e-7):
@@ -140,12 +141,35 @@ def test_log_softmax_rows_matches_softmax():
     np.testing.assert_allclose(np.exp(lp).sum(axis=1), np.ones(4), atol=1e-12)
 
 
-@pytest.mark.parametrize("shape", [(100, 40000), (1, 1), (3, 7), (8, 49), (1400, 49)])
-def test_log_softmax_rows_byte_equal_to_three_temporary_formula(shape):
-    logits = 4.0 * np.random.default_rng(shape[0]).standard_normal(shape)
+def assert_log_softmax_rows_byte_equal(logits):
+    """A new array, a given one and ``out=logits`` all give the
+    three-temporary formula's bytes; without ``out`` the input is kept."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     expected = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    before = logits.copy()
     assert log_softmax_rows(logits).tobytes() == expected.tobytes()
+    assert logits.tobytes() == before.tobytes()
+    out = np.full_like(logits, 7.0)
+    assert log_softmax_rows(logits, out=out) is out
+    assert out.tobytes() == expected.tobytes()
+    assert log_softmax_rows(logits, out=logits) is logits
+    assert logits.tobytes() == expected.tobytes()
+
+
+# the last shape's rows are longer than one LOG_SOFTMAX_BLOCK
+@pytest.mark.parametrize("shape", [(100, 40000), (1, 1), (3, 7), (8, 49), (1400, 49),
+                                   (3, LOG_SOFTMAX_BLOCK + 5)])
+def test_log_softmax_rows_byte_equal_to_three_temporary_formula(shape):
+    assert_log_softmax_rows_byte_equal(4.0 * np.random.default_rng(shape[0]).standard_normal(shape))
+
+
+def test_log_softmax_rows_byte_equal_with_minus_inf_entries():
+    logits = 4.0 * np.random.default_rng(5).standard_normal((6, 300))
+    logits[:, :2] = -np.inf           # forbidden columns
+    logits[2, 50:250] = -np.inf       # most of one row
+    logits[4, :-1] = -np.inf          # all but one entry of a row
+    assert_log_softmax_rows_byte_equal(logits)
+    assert np.isneginf(log_softmax_rows(logits)[:, :2]).all()
 
 
 def test_slice_rows():
