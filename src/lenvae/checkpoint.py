@@ -12,10 +12,11 @@ parameters. It then syncs the file to disk and renames it over the target,
 so a crash mid-save leaves the previous file whole.
 
 A load reads the file twice: it checks the CRC over the body in CRC_CHUNK
-reads before parsing a byte, then parses from the start, checking each
-length against the bytes left before it reads or allocates, and reads each
-tensor straight into its own array. It holds one copy of the parameters plus
-ParamStore.add's copy of one tensor. A record that does not parse, config
+reads before parsing a byte, then parses from the start. Before it reads or
+allocates, it checks each length against the bytes left, and each tensor's
+name and dims against ``model.param_shapes`` of the stored hyperparameters.
+Each tensor is read straight into the array the ParamStore keeps, so a load
+holds one copy of the parameters. A record that does not parse, config
 included, is a CheckpointFormatError, and so is a file whose tensors or
 vocabulary do not fit its hyperparameters.
 """
@@ -99,29 +100,9 @@ def checkpoint_load(path):
     """Returns (params, hyperparams, vocabulary, step); raises a distinct
     CheckpointError subclass for each kind of damage.
 
-    Beyond ``read_checkpoint``'s parse, the tensors must be exactly the
-    names and shapes ``model.param_shapes`` gives for the stored
+    The tensors must be exactly ``model.param_shapes`` of the stored
     hyperparameters, and the vocabulary must hold ``vocab_size`` tokens.
     """
-    params, hp, vocab, step = read_checkpoint(path)
-    if vocab.size != hp.vocab_size:
-        raise CheckpointFormatError(
-            f"malformed checkpoint: vocabulary has {vocab.size} tokens, hyperparameters "
-            f"give vocab_size {hp.vocab_size}")
-    expected = param_shapes(hp)
-    for name in [*expected, *params.names()]:
-        got = params[name].shape if name in params else "absent"
-        if got != expected.get(name, "absent"):
-            raise CheckpointFormatError(
-                f"malformed checkpoint: tensor {name!r} is {got}, hyperparameters give "
-                f"{expected.get(name, 'absent')}")
-    return params, hp, vocab, step
-
-
-def read_checkpoint(path):
-    """The file's (params, hyperparams, vocabulary, step) as stored, whatever
-    tensors it holds; raises a distinct CheckpointError subclass for each
-    kind of damage."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         if size < len(MAGIC) + 4 + 4:
@@ -160,17 +141,28 @@ def read_checkpoint(path):
             hp = HyperParams(**config["hyperparams"])
             vocab = Vocabulary.from_tokens(config["vocab_tokens"])
             step = operator.index(config["step"])
+            if vocab.size != hp.vocab_size:
+                raise CheckpointFormatError(
+                    f"malformed checkpoint: vocabulary has {vocab.size} tokens, "
+                    f"hyperparameters give vocab_size {hp.vocab_size}")
+            unread = param_shapes(hp)
             params = ParamStore()
             for _ in range(unpack("<Q")[0]):
                 name = f.read(take(unpack("<I")[0])).decode("utf-8")
                 rank, = unpack("<I")
                 dims = unpack(f"<{rank}Q")
                 take(8 * math.prod(dims))
+                expected = unread.pop(name, "no tensor of that name left")
+                if dims != expected:
+                    raise CheckpointFormatError(f"malformed checkpoint: tensor {name!r} is "
+                                                f"{dims}, hyperparameters give {expected}")
                 values = np.empty(dims, "<f8")
                 f.readinto(memoryview(values.reshape(-1)).cast("B"))
                 params.add(name, values)
         except (ValueError, TypeError, KeyError) as e:
             raise CheckpointFormatError(f"malformed checkpoint: {e!r}") from e
+        if unread:
+            raise CheckpointFormatError(f"malformed checkpoint: tensors {list(unread)} absent")
         if pos != body_size:
             raise CheckpointFormatError(f"{body_size - pos} trailing bytes in checkpoint")
     return params, hp, vocab, step

@@ -213,7 +213,7 @@ def summarize(sentence: str, desired_length, params: ParamStore, hp: HyperParams
             raise IncompatibleCheckpointError(
                 "checkpoint was trained without length embeddings; use --length natural")
     request = DecodeRequest(beam_width=beam_width, max_tokens=max_tokens)
-    mu = posterior_means([TokenizedSentence(vocab.encode(tokens), "")], params, hp)[0]
+    mu = posterior_means([TokenizedSentence(vocab.encode(tokens))], params, hp)[0]
     result = beam_search(mu, request, params, hp, initial_length=length)
     return detokenize(result.ids, vocab)
 

@@ -9,7 +9,8 @@ class ParamStore:
     """Ordered map from unique name to a leaf Tensor (value + gradient slot).
 
     Iteration order is insertion order and is preserved by checkpoint
-    round trips. Values are stored as C-contiguous copies.
+    round trips. ``add`` keeps the array it is handed; it copies only a
+    value that is not C-contiguous.
     """
 
     def __init__(self):
@@ -18,7 +19,7 @@ class ParamStore:
     def add(self, name: str, value: np.ndarray) -> Tensor:
         if name in self._entries:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.array(value, order="C"))
+        t = Tensor(np.asarray(value, order="C"))
         self._entries[name] = t
         return t
 
@@ -44,9 +45,3 @@ class ParamStore:
 
     def num_values(self) -> int:
         return sum(t.data.size for t in self._entries.values())
-
-    def copy(self) -> "ParamStore":
-        out = ParamStore()
-        for name, t in self._entries.items():
-            out.add(name, t.data)
-        return out

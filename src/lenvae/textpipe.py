@@ -115,19 +115,14 @@ class TokenizedSentence:
     """Integer-encoded sentence; ids contain no PAD/BOS/EOS."""
 
     ids: list[int]
-    surface: str
 
     @property
     def word_count(self) -> int:
         return len(self.ids)
 
 
-def encode_sentences(token_corpus, vocab: Vocabulary, surfaces=None) -> list[TokenizedSentence]:
-    out = []
-    for i, toks in enumerate(token_corpus):
-        surface = surfaces[i] if surfaces is not None else " ".join(toks)
-        out.append(TokenizedSentence(vocab.encode(toks), surface))
-    return out
+def encode_sentences(token_corpus, vocab: Vocabulary) -> list[TokenizedSentence]:
+    return [TokenizedSentence(vocab.encode(toks)) for toks in token_corpus]
 
 
 @dataclass

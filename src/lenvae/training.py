@@ -33,14 +33,21 @@ class TrainConfig:
     checkpoint_interval: int = 1000
 
     def __post_init__(self):
+        for name in ("batch_size", "checkpoint_interval", "anneal_horizon"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("learning_rate", "grad_clip", "adam_eps"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
         if not 0.0 <= self.word_drop_p <= 1.0:
             raise ValueError("word_drop_p must be in [0, 1]")
-        if not 0.0 <= self.dropout_keep <= 1.0:
-            raise ValueError("dropout_keep must be in [0, 1]")
+        if not 0.0 < self.dropout_keep <= 1.0:  # the kept units are scaled by 1 / keep
+            raise ValueError("dropout_keep must be in (0, 1]")
         if self.anneal_horizon > self.total_steps:
             raise ValueError("anneal_horizon must be <= total_steps")
-        if self.anneal_horizon < 1:
-            raise ValueError("anneal_horizon must be >= 1")
         if self.anneal_kind not in ("linear", "logistic"):
             raise ValueError(f"unknown anneal_kind {self.anneal_kind!r}")
 

@@ -58,7 +58,7 @@ def test_decode_spans_once_per_beam_step(tracing):
     tracer = tracing.Tracer()
     with tracer.installed(graph=False):
         summarize("the cat runs", 3, params, hp, vocab, beam_width=3, max_tokens=5)
-    mu = posterior_means([TokenizedSentence(vocab.encode(["the", "cat", "runs"]), "")],
+    mu = posterior_means([TokenizedSentence(vocab.encode(["the", "cat", "runs"]))],
                          params, hp)[0]
     result = beam_search(mu, DecodeRequest(beam_width=3, max_tokens=5), params, hp, 3)
     names = [span[0] for span in tracer.spans]

@@ -14,11 +14,10 @@ import pytest
 from lenvae.checkpoint import (
     CheckpointChecksumError, CheckpointFormatError, CheckpointTruncatedError,
     CheckpointVersionError, IncompatibleCheckpointError, checkpoint_load,
-    checkpoint_save, read_checkpoint,
+    checkpoint_save,
 )
 from lenvae.inference import summarize
 from lenvae.model import HyperParams, init_params
-from lenvae.numerics import ParamStore
 from lenvae.textpipe import build_vocab
 
 DESK_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
@@ -125,20 +124,6 @@ def test_float32_params_roundtrip_through_float64_file(tmp_path):
         np.testing.assert_array_equal(loaded[name].data.astype(np.float32), t.data)
 
 
-def test_every_rank_roundtrips_with_its_shape(tmp_path):
-    vocab = build_vocab([["a", "b"]], top_k=5)
-    params = ParamStore()
-    for name, value in [("scalar", np.array(2.5)), ("empty", np.zeros((0, 3))),
-                        ("cube", np.arange(24.0).reshape(2, 3, 4))]:
-        params.add(name, value)
-    path = tmp_path / "ranks.lvae"
-    checkpoint_save(path, params, HyperParams(vocab_size=vocab.size), vocab, step=0)
-    loaded, *_ = read_checkpoint(path)
-    for name, t in params.items():
-        assert loaded[name].data.shape == t.data.shape
-        np.testing.assert_array_equal(loaded[name].data, t.data)
-
-
 @pytest.mark.parametrize("failing", ["fsync", "replace"])
 def test_failed_save_keeps_previous_checkpoint(saved, monkeypatch, failing):
     path, params, hp, vocab = saved
@@ -212,7 +197,7 @@ def test_load_holds_one_copy_of_parameters(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * param_bytes
+    assert peak < 1.1 * param_bytes
     for name, t in params.items():
         np.testing.assert_array_equal(loaded[name].data, t.data)
 
@@ -267,3 +252,30 @@ def test_bad_tensor_name_is_format_error(saved, tmp_path, names):
     with pytest.raises(CheckpointFormatError):
         checkpoint_load(out)
 
+
+def tensor_records(raw):
+    """The raw tensor records of a checkpoint file, in file order."""
+    n, = struct.unpack_from("<Q", raw, 8)
+    pos = 16 + n + 8
+    records = []
+    while pos < len(raw) - 4:
+        name_len, = struct.unpack_from("<I", raw, pos)
+        rank, = struct.unpack_from("<I", raw, pos + 4 + name_len)
+        dims = struct.unpack_from(f"<{rank}Q", raw, pos + 8 + name_len)
+        end = pos + 8 + name_len + 8 * rank + 8 * int(np.prod(dims))
+        records.append(raw[pos:end])
+        pos = end
+    return records
+
+
+@pytest.mark.parametrize("keep", [lambda r: r[1:], lambda r: r[:-1], lambda r: r + r[:1]],
+                         ids=["first record dropped", "last record dropped",
+                              "first record repeated"])
+def test_dropped_or_repeated_tensor_record_is_format_error(saved, tmp_path, keep):
+    path, *_ = saved
+    raw = path.read_bytes()
+    records = keep(tensor_records(raw))
+    out = tmp_path / "records.lvae"
+    out.write_bytes(rebuilt(raw, records=struct.pack("<Q", len(records)) + b"".join(records)))
+    with pytest.raises(CheckpointFormatError):
+        checkpoint_load(out)

@@ -1,8 +1,13 @@
-"""End-to-end subcommand behavior and exit codes (all in-process)."""
+"""End-to-end subcommand behavior and exit codes (in-process, but for the
+``python -m lenvae.cli`` runs)."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +245,27 @@ def test_train_outputs(trained):
     assert not hp_without.lenemb
 
 
+@pytest.mark.parametrize("config_line, message", [
+    ("checkpoint_interval = 0", "checkpoint_interval must be >= 1"),
+    ("batch_size = 0", "batch_size must be >= 1"),
+    ("batch_size = -4", "batch_size must be >= 1"),
+    ("grad_clip = -1", "grad_clip must be > 0"),
+    ("learning_rate = -0.1", "learning_rate must be > 0"),
+    ("adam_beta2 = 1.5", "adam_beta2 must be in [0, 1)"),
+    ("dropout_keep = 0", "dropout_keep must be in (0, 1]"),
+])
+def test_out_of_range_training_setting_is_exit_2(trained, tmp_path, capsys, config_line,
+                                                 message):
+    root, corpus, vocab, cfg, *_ = trained
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(cfg.read_text() + f"total_steps = 4\nanneal_horizon = 2\n{config_line}\n")
+    code = run("--config", str(bad), "train", "--corpus", str(corpus),
+               "--vocab", str(vocab), "--out-dir", str(tmp_path / "out"))
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_summarize_roundtrip(trained, tmp_path):
     root, corpus, vocab, cfg, out_with, _ = trained
     inputs = tmp_path / "in.txt"
@@ -395,3 +421,24 @@ def test_train_determinism_through_cli(trained, tmp_path):
     assert run("--config", str(cfg), "train", "--corpus", str(corpus),
                "--vocab", str(vocab), "--out-dir", str(rerun)) == EXIT_OK
     assert (rerun / "metrics.csv").read_bytes() == (out_with / "metrics.csv").read_bytes()
+
+
+def run_module(cwd, *argv):
+    """``python -m lenvae.cli *argv`` in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run([sys.executable, "-m", "lenvae.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    done = run_module(tmp_path, "toy-corpus", "--size", "5", "--output", "toy.txt")
+    assert done.returncode == EXIT_OK, done.stderr
+    assert len((tmp_path / "toy.txt").read_text().splitlines()) == 5
+
+
+def test_python_m_missing_checkpoint_is_exit_3(tmp_path):
+    (tmp_path / "in.txt").write_text("the dog sleeps\n")
+    done = run_module(tmp_path, "summarize", "--checkpoint", "absent.lvae",
+                      "--input", "in.txt", "--output", "o.txt")
+    assert done.returncode == EXIT_MISSING_FILE
+    assert "missing file" in done.stderr

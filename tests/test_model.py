@@ -28,7 +28,7 @@ def tiny_params(seed=0, hp=TINY):
 
 
 def one_sentence_batch(ids, hp=TINY):
-    return make_batch([TokenizedSentence(list(ids), "")], hp.vocab_size)
+    return make_batch([TokenizedSentence(list(ids))], hp.vocab_size)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +445,7 @@ def test_sampled_softmax_expectation_close_to_full_loss():
 # ---------------------------------------------------------------------------
 
 def _two_sentence_batch(hp=TINY):
-    return make_batch([TokenizedSentence([5, 6, 5], ""), TokenizedSentence([6, 5], "")],
+    return make_batch([TokenizedSentence([5, 6, 5]), TokenizedSentence([6, 5])],
                       hp.vocab_size)
 
 

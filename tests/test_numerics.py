@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -151,6 +152,20 @@ def test_lstm_forget_bias_initialized_to_one():
         np.testing.assert_array_equal(b[6:], np.zeros(6))
         assert 0 < np.abs(params[f"{layer}.W"].data).max() <= 0.08
     np.testing.assert_array_equal(params["dec_init.b"].data, np.zeros(3))
+
+
+def test_init_holds_one_copy_of_parameters():
+    # the shape of test_checkpoint's one-copy load test
+    hp = HyperParams(vocab_size=9, cell_size=256, embed_size=64)
+    tracemalloc.start()
+    try:
+        params = init_params(hp, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    param_bytes = 8 * params.num_values()
+    assert param_bytes > 4_000_000
+    assert peak < 1.1 * param_bytes
 
 
 # The kernel splits each step's packed GEMM into x @ w[:I] + b and h @ w[I:]
@@ -378,7 +393,9 @@ def test_backward_accumulates_into_the_gradients_adam_zeroed():
     assert not any(g.any() for g in arrays.values())
 
     _reuse_loss(store).backward()
-    fresh = store.copy()
+    fresh = ParamStore()
+    for name, t in store.items():
+        fresh.add(name, t.data.copy())
     _reuse_loss(fresh).backward()
     for name, t in store.items():
         assert t.grad is arrays[name]

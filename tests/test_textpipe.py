@@ -143,14 +143,12 @@ def test_batch_padding_and_lengths():
 
 def test_encode_batch_partition():
     vocab = build_vocab([["a"]], top_k=1)
-    sents = [TokenizedSentence([5], f"s{i}") for i in range(10)]
-    for i, s in enumerate(sents):
-        s.ids = [5]
-        s.surface = f"s{i}"
+    sents = [TokenizedSentence([5] * (i + 1)) for i in range(10)]  # distinct lengths
     batches = encode_batch(sents, vocab, batch_size=3,
                            rng=np.random.default_rng(0))
     sizes = [b.ids.shape[0] for b in batches]
     assert sum(sizes) == 10 and sizes == [3, 3, 3, 1]
+    assert sorted(n for b in batches for n in b.lengths) == list(range(1, 11))
     batches_again = encode_batch(sents, vocab, batch_size=3,
                                  rng=np.random.default_rng(0))
     for b1, b2 in zip(batches, batches_again):
