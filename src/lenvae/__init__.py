@@ -14,8 +14,7 @@ from .checkpoint import (
     IncompatibleCheckpointError, checkpoint_load, checkpoint_save,
 )
 from .inference import (
-    NATURAL, BeamResult, DecodeRequest, beam_search, detokenize,
-    reconstruct, summarize,
+    NATURAL, BeamResult, DecodeRequest, beam_search, detokenize, summarize,
 )
 from .metrics import (
     RougeScore, byte_cap, extractive_pct, length_histogram, prefix_baseline,
@@ -31,7 +30,7 @@ from .numerics import (
 )
 from .probe import fit_linear_regression, probe_experiment, r_squared
 from .textpipe import (
-    Batch, GrammarSpec, TokenizedSentence, Vocabulary, build_vocab,
+    Batch, GrammarSpec, Vocabulary, build_vocab,
     default_toy_grammar, encode_batch, encode_sentences, filter_by_length,
     generate_toy_corpus, make_batch, normalize,
 )

@@ -11,8 +11,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import checkpoint as ckpt
 from . import metrics as rouge
 from .config import ConfigError, load_run_config
@@ -113,13 +111,20 @@ def _cmd_summarize(args, cfg):
 
 
 def _cmd_evaluate(args, cfg):
-    sources = _read_lines(args.source)
-    reference_files = [_read_lines(p) for p in args.references]
-    n = len(sources)
-    for lines in reference_files:
-        if len(lines) != n:
-            raise ValueError("reference files must align with the source line count")
-    reference_lists = [[ref[i] for ref in reference_files] for i in range(n)]
+    source_lines = _read_lines(args.source)
+    # a blank source line (summarize writes a blank output for it) is not scored
+    scored = [i for i, line in enumerate(source_lines) if line.strip()]
+    if not scored:
+        raise ValueError(f"source file {args.source} has no non-blank line to score")
+
+    def scored_lines(path):
+        lines = _read_lines(path)
+        if len(lines) != len(source_lines):
+            raise ValueError(f"{path} does not align with the source line count")
+        return [lines[i] for i in scored]
+
+    sources = [source_lines[i] for i in scored]
+    reference_lists = [list(refs) for refs in zip(*map(scored_lines, args.references))]
     cap = cfg.byte_cap if cfg.byte_cap > 0 else None
 
     systems = [rouge.score_system(
@@ -128,9 +133,7 @@ def _cmd_evaluate(args, cfg):
     os.makedirs(args.out_dir, exist_ok=True)
     for path in args.candidates:
         name = os.path.splitext(os.path.basename(path))[0]
-        candidates = _read_lines(path)
-        if len(candidates) != n:
-            raise ValueError(f"candidate file {path} does not align with the source")
+        candidates = scored_lines(path)
         systems.append(rouge.score_system(name, candidates, reference_lists,
                                           sources, cap=cap))
         buckets = rouge.length_histogram(candidates, cfg.bucket_width)
@@ -167,6 +170,10 @@ def _cmd_probe(args, cfg):
 
 
 def _cmd_gradcheck(args, cfg):
+    for flag, value in (("--seeds", args.seeds), ("--eps", args.eps),
+                        ("--threshold", args.threshold)):
+        if not value > 0:
+            raise ConfigError(f"{flag} must be > 0, got {value}")
     threshold = args.threshold
     worst = 0.0
     for index in range(args.seeds):

@@ -45,7 +45,7 @@ class RunConfig:
     # decoding
     desired_length: str = "20"      # a word count or "natural"
     # evaluation
-    byte_cap: int = 75
+    byte_cap: int = 75              # UTF-8 bytes per candidate; <= 0 means no cap
     bucket_width: int = 5
     # HyperParams keyword arguments but vocab_size
     architecture: dict = field(default_factory=_architecture)
@@ -53,6 +53,9 @@ class RunConfig:
     decode: DecodeRequest = field(default_factory=DecodeRequest)
 
     def __post_init__(self):
+        for name in ("top_k", "max_words", "bucket_width"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.desired_length == NATURAL:
             return
         try:

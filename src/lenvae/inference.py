@@ -28,7 +28,7 @@ from .model import (
     HyperParams, decode_step, init_decoder_state, length_input, posterior_means,
 )
 from .numerics import ParamStore, log_softmax_rows
-from .textpipe import BOS_ID, EOS_ID, PAD_ID, TokenizedSentence, Vocabulary, normalize
+from .textpipe import BOS_ID, EOS_ID, PAD_ID, Vocabulary, normalize
 
 NATURAL = "natural"
 
@@ -188,7 +188,7 @@ def detokenize(ids, vocab: Vocabulary) -> str:
     """Ids to surface text; the terminal EOS (if any) is stripped."""
     if ids and ids[-1] == EOS_ID:
         ids = ids[:-1]
-    return " ".join(vocab.token_of(i) for i in ids)
+    return " ".join(vocab.decode(ids))
 
 
 def summarize(sentence: str, desired_length, params: ParamStore, hp: HyperParams,
@@ -213,14 +213,7 @@ def summarize(sentence: str, desired_length, params: ParamStore, hp: HyperParams
             raise IncompatibleCheckpointError(
                 "checkpoint was trained without length embeddings; use --length natural")
     request = DecodeRequest(beam_width=beam_width, max_tokens=max_tokens)
-    mu = posterior_means([TokenizedSentence(vocab.encode(tokens))], params, hp)[0]
+    mu = posterior_means([vocab.encode(tokens)], params, hp)[0]
     result = beam_search(mu, request, params, hp, initial_length=length)
     return detokenize(result.ids, vocab)
 
-
-def reconstruct(sentence: str, params: ParamStore, hp: HyperParams,
-                vocab: Vocabulary, beam_width: int = DecodeRequest.beam_width,
-                max_tokens: int = DecodeRequest.max_tokens) -> str:
-    """Decode at the input's natural length (no shortening)."""
-    return summarize(sentence, NATURAL, params, hp, vocab,
-                     beam_width=beam_width, max_tokens=max_tokens)

@@ -111,11 +111,11 @@ def byte_cap(text: str, limit: int) -> str:
     return " ".join(out)
 
 
-def prefix_baseline(text: str, n_chars: int = PREFIX_CHARS) -> str:
-    """The first ``n_chars`` characters of the raw input sentence."""
+def prefix_baseline(text: str) -> str:
+    """The first ``PREFIX_CHARS`` characters of the raw input sentence."""
     if not text:
         raise ValueError("prefix baseline needs a non-empty input")
-    return text[:n_chars]
+    return text[:PREFIX_CHARS]
 
 
 def extractive_pct(output_tokens, input_tokens):

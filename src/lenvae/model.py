@@ -181,8 +181,8 @@ def encode(batch: Batch, params: ParamStore, hp: HyperParams) -> LatentParams:
 
 def posterior_means(sentences, params: ParamStore, hp: HyperParams,
                     batch_size: int = 256) -> np.ndarray:
-    """(N, latent_dim) posterior means mu for a list of TokenizedSentence,
-    encoded ``batch_size`` sentences at a time.
+    """(N, latent_dim) posterior means mu for a list of id lists
+    (``encode_sentences``), encoded ``batch_size`` sentences at a time.
 
     Decoding and the length probe read mu itself: noise enters only the
     training objective's z = mu + sigma * eps, so a sigma that overflows

@@ -17,30 +17,32 @@ class MissingGradientError(RuntimeError):
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators keyed like the ParamStore, plus two
-    flat scratch blocks of ``BLOCK`` values each (as many as the largest
-    parameter has, when that is fewer)."""
+    """The settings (``TrainConfig`` holds their defaults) and the first and
+    second moment accumulators, keyed like the ParamStore."""
 
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    learning_rate: float
+    beta1: float
+    beta2: float
+    eps: float
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
-    scratch: tuple = field(default=(), repr=False)
 
     @classmethod
-    def for_params(cls, params: ParamStore, learning_rate: float = 0.001,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def for_params(cls, params: ParamStore, learning_rate: float, beta1: float,
+                   beta2: float, eps: float) -> "AdamState":
         state = cls(learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps)
         for name, t in params.items():
             state.m[name] = np.zeros_like(t.data)
             state.v[name] = np.zeros_like(t.data)
-        largest = max((t.data for _, t in params.items()), key=np.size, default=np.empty(0))
-        size = min(BLOCK, largest.size)
-        state.scratch = tuple(np.empty(size, dtype=largest.dtype) for _ in range(2))
         return state
+
+
+def _block_scratch(params: ParamStore) -> np.ndarray:
+    """An uninitialized block of ``BLOCK`` values in the largest parameter's
+    dtype, or of that parameter's size when it is smaller."""
+    largest = max((t.data for _, t in params.items()), key=np.size, default=np.empty(0))
+    return np.empty(min(BLOCK, largest.size), dtype=largest.dtype)
 
 
 def adam_step(params: ParamStore, state: AdamState) -> None:
@@ -49,12 +51,13 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
     Every gradient is checked first (present, and of its parameter's shape
     and dtype), so a bad one raises before any state changes. Each
     parameter's flat (gradient, m, v, value) is then walked in blocks of
-    ``BLOCK`` values through the state's two scratch blocks, so memory is
-    read once per step (``ParamStore`` keeps values C-contiguous, so the
-    flat views write through). Each block makes the textbook expression's
-    operations in the textbook order, so the result is bit-identical to
-    evaluating ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)`` and
-    ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` with fresh arrays.
+    ``BLOCK`` values through two scratch blocks (``_block_scratch``), so
+    memory is read once per step (``ParamStore`` keeps values C-contiguous,
+    so the flat views write through). Each block makes the textbook
+    expression's operations in the textbook order, so the result is
+    bit-identical to evaluating ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + (1-b2)*(g*g)`` and ``p -= lr * m_hat / (sqrt(v_hat) + eps)``
+    with fresh arrays.
 
     The walk zeroes each gradient block while it is in cache, so the
     caller's C-contiguous gradient arrays are all zeros afterwards. Each
@@ -72,13 +75,14 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
     t_step = state.step
     b1, b2 = state.beta1, state.beta2
     m_corr, v_corr = 1.0 - b1 ** t_step, 1.0 - b2 ** t_step
+    scratch1, scratch2 = _block_scratch(params), _block_scratch(params)
     for name, t in params.items():
         g, p = t.grad.reshape(-1), t.data.reshape(-1)
         m, v = state.m[name].reshape(-1), state.v[name].reshape(-1)
         for lo in range(0, g.size, BLOCK):
             gb, pb = g[lo:lo + BLOCK], p[lo:lo + BLOCK]
             mb, vb = m[lo:lo + BLOCK], v[lo:lo + BLOCK]
-            s1, s2 = state.scratch[0][:gb.size], state.scratch[1][:gb.size]
+            s1, s2 = scratch1[:gb.size], scratch2[:gb.size]
             np.multiply(mb, b1, out=mb)
             np.multiply(gb, 1.0 - b1, out=s1)
             np.add(mb, s1, out=mb)
@@ -117,15 +121,15 @@ def _sum_of_squares(flat: np.ndarray, scratch: np.ndarray):
     return _sum_of_squares(flat[:half], scratch) + _sum_of_squares(flat[half:], scratch)
 
 
-def clip_grad_norm(params: ParamStore, max_norm: float, scratch: np.ndarray) -> float:
+def clip_grad_norm(params: ParamStore, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
-    Each gradient is squared ``BLOCK`` values at a time into ``scratch``
-    (``AdamState.scratch[0]``: a block, or the largest gradient's size when
-    that is smaller), and the block sums are added in numpy's own pairwise
-    tree (``_sum_of_squares``), so the norm is bit-identical to one taken
-    from fresh squares ``(g * g).sum()``. Returns the pre-clip norm.
+    Each gradient is squared ``BLOCK`` values at a time into one scratch
+    block (``_block_scratch``), and the block sums are added in numpy's own
+    pairwise tree (``_sum_of_squares``), so the norm is bit-identical to one
+    taken from fresh squares ``(g * g).sum()``. Returns the pre-clip norm.
     """
+    scratch = _block_scratch(params)
     total = 0.0
     for _, t in params.items():
         if t.grad is not None:

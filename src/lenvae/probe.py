@@ -21,37 +21,30 @@ LARGE_SCALE_PROBE_R2 = {
     "without_length_input": {"duc2004": 0.59, "gigaword": 0.72},
 }
 
-SINGULAR_TOL = 1e-10
-RIDGE = 1e-8
+# share of the sentences held out to score the fit
+TEST_FRACTION = 0.2
 
 
 @dataclass
 class LinearFit:
     weights: np.ndarray
     intercept: float
-    ridged: bool
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return x @ self.weights + self.intercept
 
 
 def fit_linear_regression(x: np.ndarray, y: np.ndarray) -> LinearFit:
-    """OLS with intercept via normal equations; ridge 1e-8 fallback when the
-    normal matrix is singular within tolerance."""
+    """Least squares with intercept; a rank-deficient design gets the
+    minimum-norm solution."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, dim = x.shape
     if n < dim + 1:
         raise ValueError(f"need at least {dim + 1} examples for {dim} dimensions, got {n}")
     design = np.concatenate([x, np.ones((n, 1))], axis=1)
-    normal = design.T @ design
-    rhs = design.T @ y
-    singular_values = np.linalg.svd(normal, compute_uv=False)
-    ridged = singular_values[-1] <= SINGULAR_TOL * max(singular_values[0], 1.0)
-    if ridged:
-        normal = normal + RIDGE * np.eye(dim + 1)
-    solution = np.linalg.solve(normal, rhs)
-    return LinearFit(weights=solution[:-1], intercept=float(solution[-1]), ridged=ridged)
+    solution = np.linalg.lstsq(design, y, rcond=None)[0]
+    return LinearFit(weights=solution[:-1], intercept=float(solution[-1]))
 
 
 def r_squared(predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -73,9 +66,6 @@ def r_squared(predictions: np.ndarray, targets: np.ndarray) -> float:
 class ProbeResult:
     r2_with: float
     r2_without: float
-    r2_with_train: float
-    r2_without_train: float
-    ridged: bool
 
     def render(self) -> str:
         lines = ["{:<24} {:>8}".format("R^2 (length probe)", "test"),
@@ -86,22 +76,17 @@ class ProbeResult:
 
 def probe_experiment(params_with: ParamStore, hp_with: HyperParams,
                      params_without: ParamStore, hp_without: HyperParams,
-                     sentences, seed: int = 0, test_fraction: float = 0.2) -> ProbeResult:
-    """Fit length regressions on both models' latents over the same split."""
-    lengths = np.array([s.word_count for s in sentences], dtype=np.float64)
+                     sentences, seed: int = 0) -> ProbeResult:
+    """Fit length regressions on both models' latents over the same split
+    of ``sentences`` (id lists) and score each on the held-out part."""
+    lengths = np.array([len(s) for s in sentences], dtype=np.float64)
     order = np.random.default_rng(seed).permutation(len(sentences))
-    n_test = max(1, int(round(test_fraction * len(sentences))))
+    n_test = max(1, int(round(TEST_FRACTION * len(sentences))))
     test_idx, train_idx = order[:n_test], order[n_test:]
 
-    results = {}
-    ridged = False
-    for key, params, hp in (("with", params_with, hp_with),
-                            ("without", params_without, hp_without)):
+    r2 = []
+    for params, hp in ((params_with, hp_with), (params_without, hp_without)):
         latents = posterior_means(sentences, params, hp)
         fit = fit_linear_regression(latents[train_idx], lengths[train_idx])
-        ridged = ridged or fit.ridged
-        results[key] = (r_squared(fit.predict(latents[test_idx]), lengths[test_idx]),
-                        r_squared(fit.predict(latents[train_idx]), lengths[train_idx]))
-    return ProbeResult(r2_with=results["with"][0], r2_without=results["without"][0],
-                       r2_with_train=results["with"][1],
-                       r2_without_train=results["without"][1], ridged=ridged)
+        r2.append(r_squared(fit.predict(latents[test_idx]), lengths[test_idx]))
+    return ProbeResult(r2_with=r2[0], r2_without=r2[1])

@@ -46,12 +46,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.tokens)
 
-    def id_of(self, token: str) -> int:
-        return self._ids.get(token, UNK_ID)
-
-    def token_of(self, idx: int) -> str:
-        return self.tokens[idx]
-
     def encode(self, tokens) -> list[int]:
         return [self._ids.get(t, UNK_ID) for t in tokens]
 
@@ -110,19 +104,9 @@ def filter_by_length(corpus, max_words: int):
     return [sent for sent in corpus if len(sent) <= max_words]
 
 
-@dataclass
-class TokenizedSentence:
-    """Integer-encoded sentence; ids contain no PAD/BOS/EOS."""
-
-    ids: list[int]
-
-    @property
-    def word_count(self) -> int:
-        return len(self.ids)
-
-
-def encode_sentences(token_corpus, vocab: Vocabulary) -> list[TokenizedSentence]:
-    return [TokenizedSentence(vocab.encode(toks)) for toks in token_corpus]
+def encode_sentences(token_corpus, vocab: Vocabulary) -> list[list[int]]:
+    """One id list per token sequence; ids contain no PAD/BOS/EOS."""
+    return [vocab.encode(toks) for toks in token_corpus]
 
 
 @dataclass
@@ -138,29 +122,25 @@ class Batch:
     bow: np.ndarray
 
 
-def make_batch(sentences: list[TokenizedSentence], vocab_size: int) -> Batch:
+def make_batch(sentences: list[list[int]], vocab_size: int) -> Batch:
     n = len(sentences)
-    lengths = np.array([s.word_count for s in sentences], dtype=np.intp)
+    lengths = np.array([len(s) for s in sentences], dtype=np.intp)
     width = int(lengths.max()) if n else 0
     ids = np.full((n, width), PAD_ID, dtype=np.intp)
     bow = np.zeros((n, vocab_size), dtype=np.float64)
     for r, s in enumerate(sentences):
-        ids[r, :len(s.ids)] = s.ids
-        for i in s.ids:
+        ids[r, :len(s)] = s
+        for i in s:
             bow[r, i] += 1.0
     return Batch(ids=ids, lengths=lengths, bow=bow)
 
 
 def encode_batch(sentences, vocab: Vocabulary, batch_size: int,
-                 rng: np.random.Generator | None = None) -> list[Batch]:
-    """Partition sentences into batches; each sentence appears exactly once.
-
-    Shuffles deterministically when ``rng`` is given, keeps input order
-    otherwise.
-    """
+                 rng: np.random.Generator) -> list[Batch]:
+    """Partition sentences, shuffled by ``rng``, into batches; each sentence
+    appears exactly once."""
     order = np.arange(len(sentences))
-    if rng is not None:
-        rng.shuffle(order)
+    rng.shuffle(order)
     batches = []
     for start in range(0, len(sentences), batch_size):
         chunk = [sentences[i] for i in order[start:start + batch_size]]
@@ -191,13 +171,6 @@ class GrammarSpec:
     adverbs: tuple
     min_words: int = 4
     max_words: int = 12
-
-    def vocabulary(self) -> set:
-        return set(self.determiners) | set(self.adjectives) | set(self.nouns) \
-            | set(self.verbs) | set(self.adverbs)
-
-    def length_range(self) -> range:
-        return range(self.min_words, self.max_words + 1)
 
 
 def default_toy_grammar() -> GrammarSpec:

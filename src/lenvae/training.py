@@ -124,7 +124,8 @@ class TrainResult:
 
 def train(sentences, vocab: Vocabulary, hp: HyperParams, config: TrainConfig,
           out_dir=None) -> TrainResult:
-    """Train on encoded sentences; deterministic given (sentences, config, seed).
+    """Train on id lists (``encode_sentences``); deterministic given
+    (sentences, config, seed).
 
     With ``hp.lenemb`` the length countdown starts at each example's true
     word count; without it the decoder sees no length input. Writes interval
@@ -133,7 +134,7 @@ def train(sentences, vocab: Vocabulary, hp: HyperParams, config: TrainConfig,
     """
     if hp.vocab_size != vocab.size:
         raise ValueError(f"hp.vocab_size {hp.vocab_size} != vocabulary size {vocab.size}")
-    max_words = max(s.word_count for s in sentences)
+    max_words = max(len(s) for s in sentences)
     if hp.lenemb and hp.max_len_index < max_words:
         raise ValueError(
             f"max_len_index {hp.max_len_index} < longest sentence {max_words}")
@@ -167,7 +168,7 @@ def train(sentences, vocab: Vocabulary, hp: HyperParams, config: TrainConfig,
                     f"non-finite {name} component at step {step}: {value}")
         loss.backward()
         del loss  # free this step's graph before the next one is built
-        grad_norm = clip_grad_norm(params, config.grad_clip, adam.scratch[0])
+        grad_norm = clip_grad_norm(params, config.grad_clip)
         adam_step(params, adam)
 
         metrics.append(step, kl_w, comps["kl"], comps["reconstruction"],

@@ -10,7 +10,7 @@ from lenvae import model
 from lenvae.inference import DecodeRequest, beam_search, summarize
 from lenvae.model import HyperParams, init_params, posterior_means
 from lenvae.numerics import tensor
-from lenvae.textpipe import EOS_ID, TokenizedSentence, build_vocab
+from lenvae.textpipe import EOS_ID, build_vocab
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -58,7 +58,7 @@ def test_decode_spans_once_per_beam_step(tracing):
     tracer = tracing.Tracer()
     with tracer.installed(graph=False):
         summarize("the cat runs", 3, params, hp, vocab, beam_width=3, max_tokens=5)
-    mu = posterior_means([TokenizedSentence(vocab.encode(["the", "cat", "runs"]))],
+    mu = posterior_means([vocab.encode(["the", "cat", "runs"])],
                          params, hp)[0]
     result = beam_search(mu, DecodeRequest(beam_width=3, max_tokens=5), params, hp, 3)
     names = [span[0] for span in tracer.spans]

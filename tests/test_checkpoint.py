@@ -41,7 +41,7 @@ def test_roundtrip_bit_exact(saved):
     assert step == 123
     assert loaded_hp == hp
     assert loaded_vocab.tokens == vocab.tokens
-    assert loaded_params.names() == params.names()  # iteration order preserved
+    assert [n for n, _ in loaded_params.items()] == [n for n, _ in params.items()]  # order
     for name, t in params.items():
         got = loaded_params[name].data
         assert got.dtype == np.float64

@@ -9,17 +9,15 @@ import sys
 import zlib
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from lenvae.checkpoint import checkpoint_load, checkpoint_save
+from lenvae.checkpoint import checkpoint_load
 from lenvae.cli import (
     EXIT_CORRUPT, EXIT_FAIL, EXIT_INCOMPATIBLE, EXIT_MISSING_FILE, EXIT_OK,
     EXIT_USAGE, main,
 )
 from lenvae.config import ConfigError, PAPER_PRESET, RunConfig, load_run_config, parse_config_text
-from lenvae.model import HyperParams, init_params
-from lenvae.textpipe import build_vocab
+from lenvae.model import HyperParams
 from lenvae.training import TrainConfig
 
 
@@ -206,6 +204,24 @@ def test_range_error_is_exit_2_before_any_file_is_read(tmp_path, capsys, flags,
     assert not (tmp_path / "out").exists()
 
 
+PREPROCESS_ABSENT = ["preprocess", "--input", "in.txt", "--output", "o.txt", "--vocab", "v.txt"]
+
+
+@pytest.mark.parametrize("argv, config_line, key", [
+    ([*PREPROCESS_ABSENT, "--top-k", "0"], "", "top_k"),
+    ([*PREPROCESS_ABSENT, "--max-words", "0"], "", "max_words"),
+    (["evaluate", "--source", "in.txt", "--references", "in.txt", "--out-dir", "out"],
+     "bucket_width = 0\n", "bucket_width"),
+], ids=["top_k", "max_words", "bucket_width"])
+def test_run_level_range_error_is_exit_2_before_any_file_is_read(tmp_path, monkeypatch, capsys,
+                                                                argv, config_line, key):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(config_line)
+    assert run("--config", "run.cfg", *argv) == EXIT_USAGE
+    assert f"{key} must be >= 1" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A tiny end-to-end train run shared by the decode/eval/probe tests."""
@@ -381,6 +397,36 @@ def test_evaluate_identity_scores_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_evaluate_scores_what_summarize_writes(trained, tmp_path, capsys):
+    # a blank source line passes through summarize as a blank output line;
+    # evaluate leaves it out of every system's scores
+    root, corpus, vocab, cfg, out_with, _ = trained
+    source = tmp_path / "src.txt"
+    source.write_text("the dog sleeps\n\na cat runs\n")
+    decoded = tmp_path / "model.txt"
+    assert run("summarize", "--checkpoint", str(out_with / "final.lvae"), "--input", str(source),
+               "--output", str(decoded), "--length", "2") == EXIT_OK
+    assert decoded.read_text().splitlines()[1] == ""
+    out_dir = tmp_path / "eval"
+    assert run("evaluate", "--source", str(source), "--references", str(source),
+               "--candidates", str(decoded), "--out-dir", str(out_dir)) == EXIT_OK
+    rows = (out_dir / "report.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["prefix", "model"]
+    assert all(row.split(",")[-1] == "2" for row in rows)  # n_examples
+    capsys.readouterr()
+
+
+def test_evaluate_without_a_scorable_line_is_exit_1(tmp_path, capsys):
+    for text in ("", "\n  \n"):
+        source = tmp_path / "src.txt"
+        source.write_text(text)
+        out_dir = tmp_path / "eval"
+        assert run("evaluate", "--source", str(source), "--references", str(source),
+                   "--out-dir", str(out_dir)) == EXIT_FAIL
+        assert "no non-blank line to score" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 def test_probe_cli(trained, tmp_path, capsys):
     root, corpus, vocab, cfg, out_with, out_without = trained
     out_dir = tmp_path / "probe"
@@ -413,6 +459,13 @@ def test_gradcheck_single_instance_passes(capsys):
 def test_gradcheck_fails_with_tight_threshold(capsys):
     assert run("gradcheck", "--seeds", "1", "--threshold", "1e-12") == EXIT_FAIL
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--seeds", "--eps", "--threshold"])
+def test_gradcheck_non_positive_setting_is_exit_2(capsys, flag):
+    assert run("gradcheck", flag, "0") == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"{flag} must be > 0" in captured.err and "instance" not in captured.out
 
 
 def test_train_determinism_through_cli(trained, tmp_path):

@@ -10,8 +10,7 @@ import pytest
 from lenvae import inference
 from lenvae.checkpoint import checkpoint_load
 from lenvae.inference import (
-    NATURAL, DecodeRequest, beam_search, best_entries, detokenize, reconstruct,
-    summarize,
+    NATURAL, DecodeRequest, beam_search, best_entries, detokenize, summarize,
 )
 from lenvae.model import HyperParams, init_params
 from lenvae.numerics import Tensor, gather_rows, log_softmax_rows, zeros
@@ -400,7 +399,7 @@ def test_beam_search_holds_one_score_buffer():
 
 
 # ---------------------------------------------------------------------------
-# summarize / reconstruct plumbing
+# summarize plumbing
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -426,9 +425,7 @@ def test_summarize_output_contains_no_control_tokens(toy_model):
         out = summarize("the dog sleeps", length, params, hp, vocab,
                         beam_width=4, max_tokens=8)
         toks = out.split()
-        assert vocab.token_of(PAD_ID) not in toks
-        assert vocab.token_of(BOS_ID) not in toks
-        assert vocab.token_of(EOS_ID) not in toks
+        assert not set(vocab.decode([PAD_ID, BOS_ID, EOS_ID])) & set(toks)
 
 
 def test_summarize_deterministic(toy_model):
@@ -444,16 +441,16 @@ def test_summarize_rejects_empty_input(toy_model):
         summarize("   ", 3, params, hp, vocab)
 
 
-def test_reconstruct_uses_natural_length(toy_model):
+def test_summarize_natural_uses_the_input_word_count(toy_model):
     params, hp, vocab = toy_model
-    a = reconstruct("the cat runs", params, hp, vocab, beam_width=3, max_tokens=8)
-    b = summarize("the cat runs", NATURAL, params, hp, vocab, beam_width=3, max_tokens=8)
+    a = summarize("the cat runs", NATURAL, params, hp, vocab, beam_width=3, max_tokens=8)
+    b = summarize("the cat runs", 3, params, hp, vocab, beam_width=3, max_tokens=8)
     assert a == b
 
 
 def test_detokenize_strips_single_trailing_eos(toy_model):
     _, _, vocab = toy_model
-    the, cat = vocab.id_of("the"), vocab.id_of("cat")
+    the, cat = vocab.encode(["the", "cat"])
     assert detokenize([the, cat, EOS_ID], vocab) == "the cat"
     assert detokenize([the, cat], vocab) == "the cat"
     assert detokenize([EOS_ID], vocab) == ""

@@ -13,7 +13,7 @@ from lenvae.model import (
     length_input, reparameterize, tiny_gradcheck_instance, total_loss,
 )
 from lenvae.numerics import Tensor, cross_entropy_rows, grad_check, sampled_logits, zeros
-from lenvae.textpipe import EOS_ID, PAD_ID, Batch, TokenizedSentence, make_batch
+from lenvae.textpipe import EOS_ID, PAD_ID, Batch, make_batch
 
 import lstm_reference
 from lstm_reference import lstm_cell_forward
@@ -28,7 +28,7 @@ def tiny_params(seed=0, hp=TINY):
 
 
 def one_sentence_batch(ids, hp=TINY):
-    return make_batch([TokenizedSentence(list(ids))], hp.vocab_size)
+    return make_batch([list(ids)], hp.vocab_size)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +445,7 @@ def test_sampled_softmax_expectation_close_to_full_loss():
 # ---------------------------------------------------------------------------
 
 def _two_sentence_batch(hp=TINY):
-    return make_batch([TokenizedSentence([5, 6, 5]), TokenizedSentence([6, 5])],
-                      hp.vocab_size)
+    return make_batch([[5, 6, 5], [6, 5]], hp.vocab_size)
 
 
 def test_total_loss_zero_kl_weight_excludes_kl():
@@ -568,7 +567,7 @@ def test_full_model_gradient_check_other_shapes(changes, index):
 def test_no_lenemb_model_has_no_length_table():
     hp = replace(TINY, lenemb=False)
     params = init_params(hp, np.random.default_rng(18))
-    assert "len_table.W" not in params
+    assert "len_table.W" not in dict(params.items())
     batch = _two_sentence_batch(hp)
     _, comps = total_loss(batch, params, hp, 0.5, "eval",
                           eps=np.zeros((2, hp.latent_dim)))

@@ -18,6 +18,7 @@ from lenvae.numerics import (
 )
 from lenvae.model import HyperParams, init_params
 from lenvae.numerics.optim import BLOCK, _sum_of_squares
+from lenvae.training import TrainConfig
 from lstm_reference import lstm_cell_forward, unrolled_sequence
 
 
@@ -224,10 +225,18 @@ def test_lstm_sequence_matches_unrolled_cell(steps, constant_start):
 # Adam
 # ---------------------------------------------------------------------------
 
+def adam_for(store, **settings):
+    """``AdamState`` with ``TrainConfig``'s Adam settings, some replaced by ``settings``."""
+    config = TrainConfig()
+    return AdamState.for_params(store, **{
+        "learning_rate": config.learning_rate, "beta1": config.adam_beta1,
+        "beta2": config.adam_beta2, "eps": config.adam_eps, **settings})
+
+
 def test_adam_zero_gradients_keep_parameters():
     store = ParamStore()
     t = store.add("p", np.array([1.0, -2.0]))
-    state = AdamState.for_params(store)
+    state = adam_for(store)
     t.grad = np.zeros(2)
     adam_step(store, state)
     np.testing.assert_array_equal(t.data, [1.0, -2.0])
@@ -240,7 +249,7 @@ def test_adam_first_step_hand_value():
     lr, eps = 0.01, 1e-8
     store = ParamStore()
     t = store.add("p", np.array([0.5]))
-    state = AdamState.for_params(store, learning_rate=lr, eps=eps)
+    state = adam_for(store, learning_rate=lr, eps=eps)
     t.grad = np.array([1.0])
     adam_step(store, state)
     np.testing.assert_allclose(t.data, [0.5 - lr / (1.0 + eps)], rtol=1e-15)
@@ -250,7 +259,7 @@ def test_adam_first_step_hand_value():
 def test_adam_two_steps_descend_quadratic():
     store = ParamStore()
     t = store.add("p", np.array([3.0]))
-    state = AdamState.for_params(store, learning_rate=0.1)
+    state = adam_for(store, learning_rate=0.1)
 
     def loss_and_grad():
         loss = sum_all(mul(t, t))
@@ -283,7 +292,7 @@ def _random_store(rng):
 def test_adam_in_place_bit_identical_to_textbook():
     rng = np.random.default_rng(21)
     store = _random_store(rng)
-    state = AdamState.for_params(store, learning_rate=0.002)
+    state = adam_for(store, learning_rate=0.002)
     ref = {name: t.data.copy() for name, t in store.items()}
     ref_m = {name: np.zeros_like(p) for name, p in ref.items()}
     ref_v = {name: np.zeros_like(p) for name, p in ref.items()}
@@ -312,7 +321,7 @@ def test_clip_grad_norm_in_scratch_matches_fresh_squares(max_norm):
     expected = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
     for name, t in store.items():
         t.grad = grads[name].copy()
-    assert clip_grad_norm(store, max_norm, AdamState.for_params(store).scratch[0]) == expected
+    assert clip_grad_norm(store, max_norm) == expected
     factor = min(1.0, max_norm / expected)
     for name, t in store.items():
         assert t.grad.tobytes() == (grads[name] * factor).tobytes()
@@ -321,7 +330,7 @@ def test_clip_grad_norm_in_scratch_matches_fresh_squares(max_norm):
 def test_adam_missing_gradient_errors():
     store = ParamStore()
     store.add("p", np.array([1.0]))
-    state = AdamState.for_params(store)
+    state = adam_for(store)
     with pytest.raises(MissingGradientError, match="p"):
         adam_step(store, state)
 
@@ -332,7 +341,7 @@ def test_adam_bad_gradient_raises_before_any_change(bad_grad):
     store = ParamStore()
     first = store.add("first", np.array([1.0, -2.0]))
     second = store.add("second", np.array([0.5, 0.25]))
-    state = AdamState.for_params(store)
+    state = adam_for(store)
     first.grad, second.grad = np.array([0.3, -0.7]), np.array([0.1, 0.2])
     adam_step(store, state)
     first.grad, second.grad = np.array([0.3, -0.7]), bad_grad
@@ -352,7 +361,7 @@ def test_clip_grad_norm_at_paper_output_shape(max_norm):
     grad = rng.standard_normal(t.data.shape)
     expected = float(np.sqrt(float((grad * grad).sum())))
     t.grad = grad.copy()
-    assert clip_grad_norm(store, max_norm, np.empty(BLOCK)) == expected
+    assert clip_grad_norm(store, max_norm) == expected
     np.multiply(grad, min(1.0, max_norm / expected), out=grad)
     assert np.array_equal(t.grad.view(np.uint64), grad.view(np.uint64))
 
@@ -385,7 +394,7 @@ def test_backward_accumulates_into_the_gradients_adam_zeroed():
     store = ParamStore()
     for name, shape in (("embed", (5, 3)), ("proj", (3, 4)), ("out", (4, 6)), ("bias", (6,))):
         store.add(name, rng.standard_normal(shape))
-    state = AdamState.for_params(store)
+    state = adam_for(store)
     _reuse_loss(store).backward()
     arrays = {name: t.grad for name, t in store.items()}
     adam_step(store, state)
@@ -454,7 +463,7 @@ def test_param_store_rejects_duplicates_and_tracks_order():
     store.add("a", np.zeros(1))
     with pytest.raises(ValueError):
         store.add("a", np.zeros(1))
-    assert store.names() == ["b", "a"]
+    assert [name for name, _ in store.items()] == ["b", "a"]
 
 
 @pytest.mark.parametrize("module", ["lenvae", "lenvae.numerics", "lenvae.numerics.tensor"])

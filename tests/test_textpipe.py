@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lenvae.textpipe import (
-    BOS_ID, EOS_ID, NUM, PAD_ID, RESERVED_TOKENS, UNK_ID, TokenizedSentence,
+    BOS_ID, EOS_ID, NUM, PAD_ID, RESERVED_TOKENS, UNK_ID,
     Vocabulary, build_vocab, default_toy_grammar, encode_batch,
     encode_sentences, filter_by_length, generate_toy_corpus, make_batch,
     normalize,
@@ -75,14 +75,14 @@ def test_build_vocab_empty_corpus_errors():
 def test_build_vocab_num_token_not_duplicated():
     vocab = build_vocab([["#", "#", "x"]], top_k=5)
     assert vocab.tokens.count("#") == 1
-    assert vocab.id_of("#") == 4
+    assert vocab.encode(["#"]) == [4]
 
 
 def test_vocab_roundtrip_ids():
     vocab = build_vocab([["cat", "sat", "cat"]], top_k=10)
-    for i, tok in enumerate(vocab.tokens):
-        assert vocab.id_of(tok) == i
-        assert vocab.token_of(i) == tok
+    ids = list(range(vocab.size))
+    assert vocab.encode(vocab.tokens) == ids
+    assert vocab.decode(ids) == vocab.tokens
 
 
 def test_vocab_file_roundtrip(tmp_path):
@@ -119,15 +119,14 @@ def test_bow_counts_single_occurrence():
     vocab = build_vocab([["a", "b"]], top_k=2)
     batch = make_batch(encode_sentences([["a", "b"]], vocab), vocab.size)
     expected = np.zeros(vocab.size)
-    expected[vocab.id_of("a")] = 1
-    expected[vocab.id_of("b")] = 1
+    expected[vocab.encode(["a", "b"])] = 1
     np.testing.assert_array_equal(batch.bow[0], expected)
 
 
 def test_bow_counts_duplicates():
     vocab = build_vocab([["a"]], top_k=1)
     batch = make_batch(encode_sentences([["a", "a"]], vocab), vocab.size)
-    assert batch.bow[0, vocab.id_of("a")] == 2
+    assert batch.bow[0, vocab.encode(["a"])[0]] == 2
     assert batch.bow[0].sum() == 2  # equals the content-token count
 
 
@@ -143,7 +142,7 @@ def test_batch_padding_and_lengths():
 
 def test_encode_batch_partition():
     vocab = build_vocab([["a"]], top_k=1)
-    sents = [TokenizedSentence([5] * (i + 1)) for i in range(10)]  # distinct lengths
+    sents = [[5] * (i + 1) for i in range(10)]  # distinct lengths
     batches = encode_batch(sents, vocab, batch_size=3,
                            rng=np.random.default_rng(0))
     sizes = [b.ids.shape[0] for b in batches]
@@ -169,12 +168,12 @@ def test_toy_corpus_covers_every_grammar_length():
     g = default_toy_grammar()
     lines = generate_toy_corpus(g, 5000, seed=3)
     lengths = {len(line.split()) for line in lines}
-    assert lengths == set(g.length_range())  # 4..12 all present
+    assert lengths == set(range(g.min_words, g.max_words + 1))  # 4..12 all present
 
 
 def test_toy_corpus_closure():
     g = default_toy_grammar()
-    vocab_tokens = g.vocabulary()
+    vocab_tokens = set(g.determiners + g.adjectives + g.nouns + g.verbs + g.adverbs)
     assert len(vocab_tokens) <= 100
     for line in generate_toy_corpus(g, 300, seed=5):
         assert set(line.split()) <= vocab_tokens
