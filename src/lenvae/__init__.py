@@ -23,6 +23,7 @@ from .metrics import (
 from .model import (
     HyperParams, LatentParams, bow_loss, decode_step, encode, init_params,
     kl_divergence, length_input, posterior_means, reparameterize, total_loss,
+    word_dropout,
 )
 from .numerics import (
     AdamState, ParamStore, Tensor, adam_step, grad_check,
@@ -36,7 +37,7 @@ from .textpipe import (
 )
 from .training import (
     MetricsLog, TrainConfig, TrainResult, TrainingDivergedError,
-    kl_anneal_weight, train, word_dropout,
+    kl_anneal_weight, train,
 )
 
 __version__ = "0.1.0"

@@ -9,7 +9,10 @@ with a CRC32 of every preceding byte.
 A save streams each part to a temporary file beside the target as it is
 made, folding it into the running CRC, so it holds no copy of the
 parameters. It then syncs the file to disk and renames it over the target,
-so a crash mid-save leaves the previous file whole.
+so a crash mid-save leaves the previous file whole. The temporary file gets
+a fresh name from ``tempfile.mkstemp`` (owner-only permissions, created
+exclusively), so a file that a crashed save left behind never blocks the
+next one.
 
 A load reads the file twice: it checks the CRC over the body in CRC_CHUNK
 reads before parsing a byte, then parses from the start. Before it reads or
@@ -26,6 +29,7 @@ import math
 import operator
 import os
 import struct
+import tempfile
 import zlib
 from dataclasses import asdict
 
@@ -67,10 +71,10 @@ class IncompatibleCheckpointError(CheckpointError):
 def checkpoint_save(path, params: ParamStore, hp: HyperParams, vocab: Vocabulary, step: int) -> None:
     config = {"hyperparams": asdict(hp), "step": int(step), "vocab_tokens": vocab.tokens}
     config_bytes = json.dumps(config).encode("utf-8")
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    f = open(tmp, "xb")
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=os.path.basename(path) + ".",
+                               dir=os.path.dirname(os.path.abspath(path)))
     try:
-        with f:
+        with os.fdopen(fd, "wb") as f:
             crc = 0
 
             def write(part):

@@ -13,7 +13,7 @@ import sys
 
 from . import checkpoint as ckpt
 from . import metrics as rouge
-from .config import ConfigError, load_run_config
+from .config import KEYS, PRESETS, ConfigError, load_run_config
 from .inference import NATURAL, summarize
 from .model import tiny_gradcheck_instance
 from .numerics import grad_check
@@ -125,15 +125,15 @@ def _cmd_evaluate(args, cfg):
 
     sources = [source_lines[i] for i in scored]
     reference_lists = [list(refs) for refs in zip(*map(scored_lines, args.references))]
+    candidate_lists = [scored_lines(path) for path in args.candidates]
     cap = cfg.byte_cap if cfg.byte_cap > 0 else None
 
     systems = [rouge.score_system(
         "prefix", [rouge.prefix_baseline(s) for s in sources],
         reference_lists, sources, cap=cap)]
     os.makedirs(args.out_dir, exist_ok=True)
-    for path in args.candidates:
+    for path, candidates in zip(args.candidates, candidate_lists):
         name = os.path.splitext(os.path.basename(path))[0]
-        candidates = scored_lines(path)
         systems.append(rouge.score_system(name, candidates, reference_lists,
                                           sources, cap=cap))
         buckets = rouge.length_histogram(candidates, cfg.bucket_width)
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Length-controllable sentence autoencoder: train on raw "
                     "sentences, then decode them at any requested word count.")
     parser.add_argument("--config", help="key = value configuration file")
-    parser.add_argument("--preset", default="desk", choices=["desk", "paper"],
+    parser.add_argument("--preset", default="desk", choices=list(PRESETS),
                         help="named hyperparameter preset (default desk)")
     parser.add_argument("--seed", type=int, help="override the config seed")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--steps", type=int, dest="total_steps")
     p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--no-lenemb", action="store_true",
+    p.add_argument("--no-lenemb", dest="lenemb", action="store_const", const=False,
                    help="train without the length-embedding input")
 
     p = sub.add_parser("summarize", help="decode sentences at a requested length")
@@ -260,20 +260,13 @@ _HANDLERS = {
     "gradcheck": _cmd_gradcheck,
 }
 
-_CONFIG_OVERRIDE_KEYS = ("seed", "top_k", "max_words", "total_steps", "batch_size",
-                         "desired_length", "beam_width", "byte_cap")
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        overrides = {key: getattr(args, key)
-                     for key in _CONFIG_OVERRIDE_KEYS if getattr(args, key, None) is not None}
-        if getattr(args, "no_lenemb", False):
-            overrides["lenemb"] = False
+        overrides = {key: value for key, value in vars(args).items() if key in KEYS}
         cfg = load_run_config(args.config, args.preset, overrides)
         return _HANDLERS[args.command](args, cfg)
     except FileNotFoundError as e:

@@ -19,6 +19,7 @@ rejected. Lines starting with `#` (and trailing ` #` comments) are ignored.
 from dataclasses import asdict, dataclass, field, fields
 
 from .inference import NATURAL, DecodeRequest
+from .metrics import DUC_BYTE_CAP
 from .model import HyperParams
 from .training import TrainConfig
 
@@ -45,7 +46,7 @@ class RunConfig:
     # decoding
     desired_length: str = "20"      # a word count or "natural"
     # evaluation
-    byte_cap: int = 75              # UTF-8 bytes per candidate; <= 0 means no cap
+    byte_cap: int = DUC_BYTE_CAP    # UTF-8 bytes per candidate; <= 0 means no cap
     bucket_width: int = 5
     # HyperParams keyword arguments but vocab_size
     architecture: dict = field(default_factory=_architecture)
@@ -79,9 +80,11 @@ class RunConfig:
 # RunConfig fields that hold the settings of another dataclass, and that dataclass
 _OWNED = {"architecture": HyperParams, "train": TrainConfig, "decode": DecodeRequest}
 
-_FIELD_TYPES = {f.name: (f.type if isinstance(f.type, str) else f.type.__name__)
-                for cls in (*_OWNED.values(), RunConfig) for f in fields(cls)
-                if f.name != "vocab_size" and f.name not in _OWNED}
+# every config key and the name of its type; the CLI's overrides are the
+# parsed arguments whose destination is one of these keys
+KEYS = {f.name: (f.type if isinstance(f.type, str) else f.type.__name__)
+        for cls in (*_OWNED.values(), RunConfig) for f in fields(cls)
+        if f.name != "vocab_size" and f.name not in _OWNED}
 
 # Published large-corpus settings, selectable with --preset paper: the
 # architecture of HyperParams.paper_scale and the settings around it.
@@ -91,7 +94,7 @@ PRESETS = {"desk": {}, "paper": {**_architecture(HyperParams.paper_scale), **PAP
 
 
 def _parse_value(key: str, text: str):
-    kind = _FIELD_TYPES[key]
+    kind = KEYS[key]
     text = text.strip()
     try:
         if kind == "bool":
@@ -120,7 +123,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _FIELD_TYPES:
+        if key not in KEYS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         overrides[key] = _parse_value(key, value)
     return overrides
@@ -137,7 +140,7 @@ def load_run_config(config_path=None, preset: str = "desk", overrides=None) -> R
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _FIELD_TYPES:
+        if key not in KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         merged[key] = value
 

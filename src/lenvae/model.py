@@ -42,7 +42,7 @@ from .numerics import (
     sum_all, sum_cols, tanh_, weighted_cross_entropy_rows, weighted_step_sum,
     zeros,
 )
-from .textpipe import BOS_ID, EOS_ID, PAD_ID, Batch, make_batch
+from .textpipe import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Batch, make_batch
 
 INIT_SCALE = 0.08  # fresh weights are uniform in +-INIT_SCALE
 
@@ -334,6 +334,23 @@ def draw_negatives(rng, vocab_size: int, sample_count: int, targets: np.ndarray)
     return np.concatenate([distinct, negatives]), target_pos
 
 
+def word_dropout(decoder_input_ids: np.ndarray, p: float, rng) -> np.ndarray:
+    """Independently replace previous-word inputs by UNK with probability p.
+
+    BOS and PAD positions are never replaced. The caller's targets are a
+    separate array and stay untouched.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("dropout probability must be in [0, 1]")
+    if p == 0.0:
+        return decoder_input_ids
+    drop = rng.random(decoder_input_ids.shape) < p
+    protected = (decoder_input_ids == BOS_ID) | (decoder_input_ids == PAD_ID)
+    out = decoder_input_ids.copy()
+    out[drop & ~protected] = UNK_ID
+    return out
+
+
 def decoder_targets(batch: Batch):
     """Teacher-forcing arrays: inputs (B, T+1) starting with BOS, targets
     (B, T+1) ending with EOS, and the (B, T+1) loss mask."""
@@ -372,10 +389,7 @@ def tiny_gradcheck_instance(index: int, **changes):
     params = init_params(hp, rng)
     for _, t in params.items():
         t.data[:] = rng.uniform(-1.0, 1.0, size=t.data.shape)
-    batch = Batch(ids=np.array([[5, 6, 5], [6, 5, PAD_ID]], dtype=np.intp),
-                  lengths=np.array([3, 2], dtype=np.intp),
-                  bow=np.array([[0, 0, 0, 0, 0, 2, 1],
-                                [0, 0, 0, 0, 0, 1, 1]], dtype=np.float64))
+    batch = make_batch([[5, 6, 5], [6, 5]], hp.vocab_size)
     eps_noise = np.random.default_rng(3000 + seed).standard_normal((2, hp.latent_dim))
 
     def loss_fn(p):
@@ -397,16 +411,14 @@ GRADCHECK_SEEDS = (0, 1, 3, 11, 23, 25, 28, 30, 34, 39)
 
 def total_loss(batch: Batch, params: ParamStore, hp: HyperParams, kl_weight: float,
                mode: str, rng=None, *, dropout_keep: float = 1.0,
-               decoder_inputs: np.ndarray | None = None,
-               eps: np.ndarray | None = None):
+               word_drop_p: float = 0.0, eps: np.ndarray | None = None):
     """Scalar objective and its components for one batch.
 
-    mode "train": sampled-softmax reconstruction, hidden-state dropout at
-    ``dropout_keep``, noise drawn from ``rng`` unless ``eps`` is supplied.
-    mode "eval": full-softmax reconstruction, no dropout, eps defaults to 0.
-
-    ``decoder_inputs`` overrides the teacher-forcing inputs (the training
-    loop passes the word-dropped version); targets are always the clean ones.
+    mode "train": word dropout at ``word_drop_p`` on the teacher-forcing
+    inputs (the targets stay clean), sampled-softmax reconstruction,
+    hidden-state dropout at ``dropout_keep``, noise drawn from ``rng`` unless
+    ``eps`` is supplied. mode "eval": full-softmax reconstruction, no
+    dropout of either kind, eps defaults to 0.
 
     Returns (loss Tensor, components dict with reconstruction / kl / bow /
     total floats; kl is the unweighted batch-mean KL value).
@@ -418,6 +430,9 @@ def total_loss(batch: Batch, params: ParamStore, hp: HyperParams, kl_weight: flo
     training = mode == "train"
     n = batch.ids.shape[0]
 
+    dec_in, targets, mask = decoder_targets(batch)
+    if training:
+        dec_in = word_dropout(dec_in, word_drop_p, rng)
     latent = encode(batch, params, hp)
     if eps is None:
         eps = rng.standard_normal((n, hp.latent_dim)) if training \
@@ -425,9 +440,6 @@ def total_loss(batch: Batch, params: ParamStore, hp: HyperParams, kl_weight: flo
     z = reparameterize(latent, eps)
     kl_mean = scale(sum_all(kl_divergence(latent)), 1.0 / n)
 
-    dec_in, targets, mask = decoder_targets(batch)
-    if decoder_inputs is not None:
-        dec_in = decoder_inputs
     states = decoder_states(z, dec_in, batch.lengths, params, hp)
 
     recon_sum = None

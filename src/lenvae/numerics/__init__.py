@@ -6,7 +6,7 @@ from .optim import AdamState, MissingGradientError, adam_step, clip_grad_norm
 from .params import ParamStore
 from .tensor import (
     Tensor, add, add_scalar, affine, concat_cols, cross_entropy_rows, exp_,
-    gather_rows, leaf, log_softmax_rows, matmul, mul, mul_const, neg,
+    gather_rows, log_softmax_rows, matmul, mul, mul_const, neg,
     sampled_logits, scale, sigmoid, slice_cols, slice_rows, sub,
     sum_all, sum_cols, tanh_, weighted_cross_entropy_rows, weighted_step_sum,
     zeros,
@@ -17,7 +17,7 @@ __all__ = [
     "adam_step", "clip_grad_norm", "grad_check",
     "lstm_sequence", "lstm_cell",
     "MissingGradientError", "NonFiniteLossError",
-    "leaf", "zeros", "matmul", "add", "sub", "mul", "neg", "scale",
+    "zeros", "matmul", "add", "sub", "mul", "neg", "scale",
     "add_scalar", "mul_const", "sigmoid", "tanh_", "exp_",
     "concat_cols", "slice_cols", "slice_rows", "gather_rows", "sum_all",
     "sum_cols", "weighted_step_sum",

@@ -13,7 +13,7 @@ receive gradients.
 import numpy as np
 
 __all__ = [
-    "Tensor", "leaf", "zeros",
+    "Tensor", "zeros",
     "matmul", "add", "sub", "mul", "neg", "scale", "add_scalar",
     "mul_const", "sigmoid", "tanh_", "exp_",
     "concat_cols", "slice_cols", "slice_rows", "gather_rows",
@@ -112,11 +112,6 @@ def _unbroadcast(g, shape):
         if n == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
     return g
-
-
-def leaf(data):
-    """Wrap an array as a gradient-receiving leaf."""
-    return Tensor(np.asarray(data, dtype=np.float64))
 
 
 def zeros(shape, dtype=np.float64):

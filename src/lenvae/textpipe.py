@@ -63,9 +63,7 @@ class Vocabulary:
             tokens = [line.rstrip("\n") for line in f]
         while tokens and tokens[-1] == "":
             tokens.pop()
-        if tokens[:5] != list(RESERVED_TOKENS):
-            raise ValueError(f"vocabulary file {path} does not start with the reserved tokens")
-        return cls(tokens[5:])
+        return cls.from_tokens(tokens)
 
     @classmethod
     def from_tokens(cls, tokens) -> "Vocabulary":

@@ -1,4 +1,4 @@
-"""Training loop: KL-weight annealing, word dropout, metrics log, checkpoints."""
+"""Training loop: KL-weight annealing, metrics log, checkpoints."""
 
 import math
 import os
@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import checkpoint as ckpt
-from .model import HyperParams, decoder_targets, init_params, total_loss
+from .model import HyperParams, init_params, total_loss
 from .numerics import AdamState, ParamStore, adam_step, clip_grad_norm
-from .textpipe import BOS_ID, PAD_ID, UNK_ID, Vocabulary, encode_batch
+from .textpipe import Vocabulary, encode_batch
 
 
 class TrainingDivergedError(RuntimeError):
@@ -70,23 +70,6 @@ def kl_anneal_weight(step: int, config: TrainConfig) -> float:
     return (sig(steep * (frac - 0.5)) - lo) / (hi - lo)
 
 
-def word_dropout(decoder_input_ids: np.ndarray, p: float, rng) -> np.ndarray:
-    """Independently replace previous-word inputs by UNK with probability p.
-
-    BOS and PAD positions are never replaced. The caller's targets are a
-    separate array and stay untouched.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("dropout probability must be in [0, 1]")
-    if p == 0.0:
-        return decoder_input_ids
-    drop = rng.random(decoder_input_ids.shape) < p
-    protected = (decoder_input_ids == BOS_ID) | (decoder_input_ids == PAD_ID)
-    out = decoder_input_ids.copy()
-    out[drop & ~protected] = UNK_ID
-    return out
-
-
 @dataclass
 class MetricsLog:
     """Per-step loss components, the pre-clip gradient norm and whether it
@@ -117,7 +100,6 @@ class MetricsLog:
 @dataclass
 class TrainResult:
     params: ParamStore
-    hyperparams: HyperParams
     metrics: MetricsLog
     checkpoint_paths: list
 
@@ -134,6 +116,8 @@ def train(sentences, vocab: Vocabulary, hp: HyperParams, config: TrainConfig,
     """
     if hp.vocab_size != vocab.size:
         raise ValueError(f"hp.vocab_size {hp.vocab_size} != vocabulary size {vocab.size}")
+    if not sentences:
+        raise ValueError("no sentences to train on")
     max_words = max(len(s) for s in sentences)
     if hp.lenemb and hp.max_len_index < max_words:
         raise ValueError(
@@ -157,11 +141,9 @@ def train(sentences, vocab: Vocabulary, hp: HyperParams, config: TrainConfig,
         batch = batches.pop(0)
 
         kl_w = kl_anneal_weight(step, config)
-        dec_in, _, _ = decoder_targets(batch)
-        dec_in = word_dropout(dec_in, config.word_drop_p, rng)
         loss, comps = total_loss(batch, params, hp, kl_w, "train", rng,
                                  dropout_keep=config.dropout_keep,
-                                 decoder_inputs=dec_in)
+                                 word_drop_p=config.word_drop_p)
         for name, value in comps.items():
             if not np.isfinite(value):
                 raise TrainingDivergedError(
@@ -187,5 +169,4 @@ def train(sentences, vocab: Vocabulary, hp: HyperParams, config: TrainConfig,
         ckpt.checkpoint_save(path, params, hp, vocab, step)
         checkpoint_paths.append(path)
         metrics.save(os.path.join(out_dir, "metrics.csv"))
-    return TrainResult(params=params, hyperparams=hp, metrics=metrics,
-                       checkpoint_paths=checkpoint_paths)
+    return TrainResult(params=params, metrics=metrics, checkpoint_paths=checkpoint_paths)

@@ -143,6 +143,17 @@ def test_failed_save_keeps_previous_checkpoint(saved, monkeypatch, failing):
     assert os.listdir(path.parent) == [path.name]  # no temporary file left behind
 
 
+def test_stale_temporary_file_does_not_block_a_save(saved):
+    # a crashed save of a process with this pid left its temporary file behind
+    path, params, hp, vocab = saved
+    stale = path.parent / f"{path.name}.{os.getpid()}.tmp"
+    stale.write_bytes(b"left by a crashed save")
+    checkpoint_save(path, params, hp, vocab, step=124)
+    assert checkpoint_load(path)[3] == 124
+    assert stale.read_bytes() == b"left by a crashed save"
+    assert sorted(os.listdir(path.parent)) == sorted([path.name, stale.name])
+
+
 def test_resave_reproduces_recorded_desk_checkpoint(tmp_path):
     recorded = json.loads((DESK_DATA / "desk_1500.json").read_text())
     params, hp, vocab, step = checkpoint_load(DESK_DATA / recorded["file"])

@@ -14,9 +14,11 @@ import pytest
 from lenvae.checkpoint import checkpoint_load
 from lenvae.cli import (
     EXIT_CORRUPT, EXIT_FAIL, EXIT_INCOMPATIBLE, EXIT_MISSING_FILE, EXIT_OK,
-    EXIT_USAGE, main,
+    EXIT_USAGE, build_parser, main,
 )
-from lenvae.config import ConfigError, PAPER_PRESET, RunConfig, load_run_config, parse_config_text
+from lenvae.config import (
+    KEYS, PAPER_PRESET, ConfigError, RunConfig, load_run_config, parse_config_text,
+)
 from lenvae.model import HyperParams
 from lenvae.training import TrainConfig
 
@@ -122,6 +124,21 @@ def test_paper_preset_records_published_values():
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
+
+def test_flags_that_override_config_keys():
+    # main() passes every parsed argument whose destination is a config key
+    # to load_run_config, so a flag that takes a key's name by accident
+    # fails here
+    parser = build_parser()
+    parsers, dests = [parser], set()
+    while parsers:
+        for action in parsers.pop()._actions:
+            dests.add(action.dest)
+            parsers.extend((action.choices or {}).values()
+                           if action.dest == "command" else ())
+    assert dests & KEYS.keys() == {"seed", "top_k", "max_words", "total_steps", "batch_size",
+                                   "lenemb", "desired_length", "beam_width", "byte_cap"}
+
 
 def test_toy_corpus_byte_identical_across_runs(tmp_path):
     out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -259,6 +276,17 @@ def test_train_outputs(trained):
     assert hp_with.lenemb and step == 40
     _, hp_without, _, _ = checkpoint_load(out_without / "final.lvae")
     assert not hp_without.lenemb
+
+
+def test_train_on_empty_corpus_is_exit_1_without_out_dir(trained, tmp_path, capsys):
+    _, _, vocab, _, _, _ = trained
+    corpus = tmp_path / "empty.txt"
+    corpus.write_text("")
+    out_dir = tmp_path / "run"
+    assert run("train", "--corpus", str(corpus), "--vocab", str(vocab),
+               "--out-dir", str(out_dir)) == EXIT_FAIL
+    assert capsys.readouterr().err == "error: no sentences to train on\n"
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("config_line, message", [
@@ -425,6 +453,18 @@ def test_evaluate_without_a_scorable_line_is_exit_1(tmp_path, capsys):
                    "--out-dir", str(out_dir)) == EXIT_FAIL
         assert "no non-blank line to score" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+def test_evaluate_misaligned_candidates_leave_no_out_dir(tmp_path, capsys):
+    source = tmp_path / "src.txt"
+    source.write_text("the cat runs\na dog sleeps now\n")
+    short = tmp_path / "short.txt"
+    short.write_text("the cat runs\n")
+    out_dir = tmp_path / "eval"
+    assert run("evaluate", "--source", str(source), "--references", str(source),
+               "--candidates", str(source), str(short), "--out-dir", str(out_dir)) == EXIT_FAIL
+    assert "does not align" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_probe_cli(trained, tmp_path, capsys):

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from lenvae import training
-from lenvae.model import HyperParams, decoder_targets, init_params, total_loss
+from lenvae.model import HyperParams, init_params, total_loss, word_dropout
 from lenvae.textpipe import (
     BOS_ID, PAD_ID, UNK_ID, build_vocab, default_toy_grammar, encode_batch,
     encode_sentences, generate_toy_corpus, make_batch, normalize,
 )
 from lenvae.training import (
     MetricsLog, TrainConfig, TrainingDivergedError, kl_anneal_weight, train,
-    word_dropout,
 )
 
 
@@ -151,8 +150,8 @@ def test_train_is_bit_deterministic():
 
 def _textbook_train(sentences, vocab, hp, config):
     """train() as a plain loop over fresh gradient arrays, with the clip norm
-    from fresh squares and Adam as the textbook formula; returns the
-    parameters and each step's pre-clip gradient norm."""
+    from a dot of each flat gradient with itself and Adam as the textbook
+    formula; returns the parameters and each step's pre-clip gradient norm."""
     rng = np.random.default_rng(config.seed)
     params = init_params(hp, rng)
     m = {name: np.zeros_like(t.data) for name, t in params.items()}
@@ -163,13 +162,14 @@ def _textbook_train(sentences, vocab, hp, config):
         if not batches:
             batches = encode_batch(sentences, vocab, config.batch_size, rng)
         batch = batches.pop(0)
-        dec_in = word_dropout(decoder_targets(batch)[0], config.word_drop_p, rng)
         loss, _ = total_loss(batch, params, hp, kl_anneal_weight(step, config), "train",
-                             rng, dropout_keep=config.dropout_keep, decoder_inputs=dec_in)
+                             rng, dropout_keep=config.dropout_keep,
+                             word_drop_p=config.word_drop_p)
         params.zero_grads()
         loss.backward()
         grads = {name: t.grad for name, t in params.items()}
-        norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+        norm = float(np.sqrt(sum(float(np.dot(g.reshape(-1), g.reshape(-1)))
+                                 for g in grads.values())))
         if norm > config.grad_clip:
             grads = {name: g * (config.grad_clip / norm) for name, g in grads.items()}
         norms.append(norm)
