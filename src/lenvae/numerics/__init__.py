@@ -3,7 +3,7 @@
 from .gradcheck import NonFiniteLossError, grad_check
 from .lstm import lstm_cell, lstm_sequence
 from .optim import AdamState, MissingGradientError, adam_step, clip_grad_norm
-from .params import ParamStore
+from .params import ParamStore, row_blocks
 from .tensor import (
     Tensor, add, add_scalar, affine, concat_cols, cross_entropy_rows, exp_,
     gather_rows, log_softmax_rows, matmul, mul, mul_const, neg,
@@ -13,7 +13,7 @@ from .tensor import (
 )
 
 __all__ = [
-    "Tensor", "ParamStore", "AdamState",
+    "Tensor", "ParamStore", "AdamState", "row_blocks",
     "adam_step", "clip_grad_norm", "grad_check",
     "lstm_sequence", "lstm_cell",
     "MissingGradientError", "NonFiniteLossError",

@@ -35,18 +35,19 @@ def grad_check(loss_function, params: ParamStore, eps: float = 1e-5) -> float:
 
     worst = 0.0
     for name, t in params.items():
-        flat = t.data.reshape(-1)
-        a_flat = analytic[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
+        # index the value itself, in any memory order, so each perturbation
+        # writes through and pairs with the analytic entry at the same index
+        for i in np.ndindex(t.data.shape):
+            orig = t.data[i]
+            t.data[i] = orig + eps
             lo_hi = float(loss_function(params).data)
-            flat[i] = orig - eps
+            t.data[i] = orig - eps
             lo_lo = float(loss_function(params).data)
-            flat[i] = orig
+            t.data[i] = orig
             if not (np.isfinite(lo_hi) and np.isfinite(lo_lo)):
-                raise NonFiniteLossError(f"loss not finite while perturbing {name}[{i}]")
+                raise NonFiniteLossError(f"loss not finite while perturbing {name}{list(i)}")
             numeric = (lo_hi - lo_lo) / (2.0 * eps)
-            denom = max(abs(a_flat[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(a_flat[i] - numeric) / denom)
+            a = analytic[name][i]
+            denom = max(abs(a), abs(numeric), 1e-8)
+            worst = max(worst, abs(a - numeric) / denom)
     return worst

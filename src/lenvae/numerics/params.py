@@ -1,16 +1,25 @@
 """Named parameter storage with per-tensor gradient slots."""
 
+import math
+
 import numpy as np
 
 from .tensor import Tensor
+
+# values per block of a walk over parameters: 512 KB of float64, so a block
+# of gradient, moments, parameter and scratch stays in a 4 MB L2 cache
+BLOCK = 1 << 16
 
 
 class ParamStore:
     """Ordered map from unique name to a leaf Tensor (value + gradient slot).
 
     Iteration order is insertion order and is preserved by checkpoint
-    round trips. ``add`` keeps the array it is handed; it copies only a
-    value that is not C-contiguous.
+    round trips. ``add`` keeps the array it is handed when it is C- or
+    Fortran-contiguous, so each value keeps its memory order (the model's
+    output layer is column-major, see ``model.param_order``); any other
+    value is copied into C order. Gradients and Adam's moments follow each
+    value's order.
     """
 
     def __init__(self):
@@ -19,7 +28,10 @@ class ParamStore:
     def add(self, name: str, value: np.ndarray) -> Tensor:
         if name in self._entries:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.asarray(value, order="C"))
+        value = np.asarray(value)
+        if not (value.flags.c_contiguous or value.flags.f_contiguous):
+            value = np.ascontiguousarray(value)
+        t = Tensor(value)
         self._entries[name] = t
         return t
 
@@ -39,3 +51,12 @@ class ParamStore:
 
     def num_values(self) -> int:
         return sum(t.data.size for t in self._entries.values())
+
+
+def row_blocks(a: np.ndarray, values: int = BLOCK):
+    """Views of ``a`` in consecutive slices along its first axis, each of
+    whole rows and at most ``values`` values (at least one row). Walking
+    them visits the values in row-major order whatever ``a``'s memory order,
+    and writes to a view go through to ``a``."""
+    rows = max(1, values // max(1, math.prod(a.shape[1:])))
+    return [a[lo:lo + rows] for lo in range(0, a.shape[0], rows)]

@@ -18,7 +18,7 @@ from lenvae.checkpoint import (
 )
 from lenvae.inference import summarize
 from lenvae.model import HyperParams, init_params
-from lenvae.textpipe import build_vocab
+from lenvae.textpipe import Vocabulary, build_vocab
 
 DESK_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
@@ -178,6 +178,40 @@ def test_save_streams_without_copying_parameters(tmp_path):
     loaded, *_ = checkpoint_load(tmp_path / "big.lvae")
     for name, t in params.items():
         np.testing.assert_array_equal(loaded[name].data, t.data)
+
+
+def test_large_vocabulary_round_trip_keeps_layout_and_streams(tmp_path):
+    # the output layer, column-major in memory, is the largest tensor: a save
+    # writes it row-major without a copy of it, and a load rebuilds the layout
+    # init_params gives without a second copy of the parameters
+    vocab = Vocabulary([f"w{i}" for i in range(7995)])
+    hp = HyperParams(vocab_size=vocab.size, cell_size=256, embed_size=8, latent_dim=4,
+                     bow_width=4, len_embed_size=3, decoder_layers=1)
+    params = init_params(hp, np.random.default_rng(0))
+    out_w = params["out.W"].data
+    assert out_w.flags.f_contiguous and not out_w.flags.c_contiguous
+    assert max(t.data.size for _, t in params.items()) == out_w.size
+    param_bytes = 8 * params.num_values()
+    path = tmp_path / "wide.lvae"
+    tracemalloc.start()
+    try:
+        checkpoint_save(path, params, hp, vocab, step=1)
+        _, save_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert save_peak < out_w.nbytes / 2
+    tracemalloc.start()
+    try:
+        loaded, *_ = checkpoint_load(path)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert load_peak < 1.1 * param_bytes
+    for name, t in params.items():
+        got = loaded[name].data
+        assert (got.flags.c_contiguous, got.flags.f_contiguous) == \
+            (t.data.flags.c_contiguous, t.data.flags.f_contiguous), name
+        assert got.tobytes() == t.data.tobytes(), name
 
 
 def rebuilt(raw, config_bytes=None, records=None):

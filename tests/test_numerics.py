@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import sys
 import tracemalloc
 
 import mpmath
@@ -313,6 +314,76 @@ def test_adam_in_place_bit_identical_to_textbook():
             assert state.v[name].tobytes() == ref_v[name].tobytes()
 
 
+def _textbook_adam(store, state, grads):
+    """Parameters and moments after one Adam step on fresh arrays."""
+    b1, b2, lr, eps, step = (state.beta1, state.beta2, state.learning_rate, state.eps,
+                             state.step + 1)
+    out = {}
+    for name, t in store.items():
+        g = grads[name]
+        m = b1 * state.m[name] + (1.0 - b1) * g
+        v = b2 * state.v[name] + (1.0 - b2) * (g * g)
+        p = t.data - lr * (m / (1.0 - b1 ** step)) / (np.sqrt(v / (1.0 - b2 ** step)) + eps)
+        out[name] = (p, m, v)
+    return out
+
+
+@pytest.mark.parametrize("cores", [None, {0}, {0, 1, 2, 3, 4}],
+                         ids=["usable cores", "one core", "five cores"])
+def test_adam_threaded_block_walk_bit_identical_to_textbook(monkeypatch, cores):
+    # an output-layer-shaped column-major weight of many blocks beside
+    # row-major ones: the walk is split across threads unless one core is
+    # usable, and five threads switching often still give the serial bytes
+    if cores is not None:
+        monkeypatch.setattr("lenvae.numerics.optim.os.sched_getaffinity", lambda pid: cores)
+    rng = np.random.default_rng(31)
+    store = ParamStore()
+    store.add("out.W", np.asfortranarray(rng.standard_normal((243, 4000))))
+    for name, shape in (("embed.W", (4000, 40)), ("out.b", (4000,)), ("ragged", (BLOCK + 7,))):
+        store.add(name, rng.standard_normal(shape))
+    assert store["out.W"].data.flags.f_contiguous
+    assert not store["out.W"].data.flags.c_contiguous
+    state = adam_for(store, learning_rate=0.002)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            grads = {}
+            for name, t in store.items():
+                t.grad = np.zeros_like(t.data)  # in the parameter's memory order
+                t.grad[...] = rng.standard_normal(t.data.shape)
+                grads[name] = t.grad.copy()
+            arrays = {name: t.grad for name, t in store.items()}
+            expected = _textbook_adam(store, state, grads)
+            adam_step(store, state)
+            for name, t in store.items():
+                p, m, v = expected[name]
+                assert t.data.tobytes() == p.tobytes(), name
+                assert state.m[name].tobytes() == m.tobytes(), name
+                assert state.v[name].tobytes() == v.tobytes(), name
+                assert t.grad is None and t._zeroed_grad is arrays[name], name
+                assert not arrays[name].any(), name
+    finally:
+        sys.setswitchinterval(interval)
+    assert store["out.W"].data.flags.f_contiguous
+
+
+def test_adam_copies_a_gradient_of_another_memory_order():
+    rng = np.random.default_rng(32)
+    store = ParamStore()
+    store.add("w", np.asfortranarray(rng.standard_normal((300, 400))))
+    state = adam_for(store)
+    given = rng.standard_normal((300, 400))  # C order, on a Fortran-ordered value
+    store["w"].grad = given
+    expected = _textbook_adam(store, state, {"w": given.copy()})
+    before = given.copy()
+    adam_step(store, state)
+    assert store["w"].data.tobytes() == expected["w"][0].tobytes()
+    np.testing.assert_array_equal(given, before)  # the caller's array is left as it was
+    kept = store["w"]._zeroed_grad
+    assert kept is not given and kept.flags.f_contiguous and not kept.any()
+
+
 @pytest.mark.parametrize("max_norm", [1e6, 1.0])
 def test_clip_grad_norm_in_scratch_matches_fresh_squares(max_norm):
     rng = np.random.default_rng(22)
@@ -380,9 +451,12 @@ def test_backward_accumulates_into_the_gradients_adam_zeroed():
     rng = np.random.default_rng(23)
     store = ParamStore()
     for name, shape in (("embed", (5, 3)), ("proj", (3, 4)), ("out", (4, 6)), ("bias", (6,))):
-        store.add(name, rng.standard_normal(shape))
+        value = rng.standard_normal(shape)
+        store.add(name, np.asfortranarray(value) if name == "out" else value)
+    assert store["out"].data.flags.f_contiguous and not store["out"].data.flags.c_contiguous
     state = adam_for(store)
     _reuse_loss(store).backward()
+    assert store["out"].grad.flags.f_contiguous
     arrays = {name: t.grad for name, t in store.items()}
     adam_step(store, state)
     assert all(t.grad is None for _, t in store.items())
@@ -412,6 +486,17 @@ def test_grad_check_quadratic_is_tiny():
     store.add("p", np.random.default_rng(0).standard_normal(5))
     err = grad_check(lambda s: sum_all(mul(s["p"], s["p"])), store, eps=1e-5)
     assert err < 1e-8
+
+
+def test_grad_check_quadratic_over_fortran_ordered_parameter_is_tiny():
+    # a perturbation must write through to the value, and pair with the
+    # analytic gradient at the same index, in any memory order
+    store = ParamStore()
+    store.add("w", np.asfortranarray(np.random.default_rng(1).standard_normal((3, 4))))
+    assert not store["w"].data.flags.c_contiguous
+    weights = Tensor(np.arange(12.0).reshape(3, 4) + 1.0, constant=True)
+    err = grad_check(lambda s: sum_all(mul(weights, mul(s["w"], s["w"]))), store, eps=1e-5)
+    assert err < 1e-6
 
 
 def test_grad_check_detects_corrupted_backward():

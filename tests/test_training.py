@@ -150,7 +150,8 @@ def test_train_is_bit_deterministic():
 
 def _textbook_train(sentences, vocab, hp, config):
     """train() as a plain loop over fresh gradient arrays, with the clip norm
-    from a dot of each flat gradient with itself and Adam as the textbook
+    from a dot of each gradient, flattened in memory order, with itself
+    (the order ``clip_grad_norm`` walks) and Adam as the textbook
     formula; returns the parameters and each step's pre-clip gradient norm."""
     rng = np.random.default_rng(config.seed)
     params = init_params(hp, rng)
@@ -168,7 +169,7 @@ def _textbook_train(sentences, vocab, hp, config):
         params.zero_grads()
         loss.backward()
         grads = {name: t.grad for name, t in params.items()}
-        norm = float(np.sqrt(sum(float(np.dot(g.reshape(-1), g.reshape(-1)))
+        norm = float(np.sqrt(sum(float(np.dot(g.ravel(order="K"), g.ravel(order="K")))
                                  for g in grads.values())))
         if norm > config.grad_clip:
             grads = {name: g * (config.grad_clip / norm) for name, g in grads.items()}
