@@ -66,8 +66,6 @@ def rouge_n(candidate, references, n: int) -> RougeScore:
 
 
 def _lcs_length(a, b) -> int:
-    if not a or not b:
-        return 0
     prev = [0] * (len(b) + 1)
     for i in range(1, len(a) + 1):
         cur = [0] * (len(b) + 1)

@@ -197,14 +197,14 @@ def encode(batch: Batch, params: ParamStore, hp: HyperParams) -> LatentParams:
 
 def posterior_means(sentences, params: ParamStore, hp: HyperParams,
                     batch_size: int = 256) -> np.ndarray:
-    """(N, latent_dim) posterior means mu for a list of id lists
+    """(N, latent_dim) posterior means mu (N may be 0) for a list of id lists
     (``encode_sentences``), encoded ``batch_size`` sentences at a time.
 
     Decoding and the length probe read mu itself: noise enters only the
     training objective's z = mu + sigma * eps, so a sigma that overflows
     cannot reach them.
     """
-    rows = []
+    rows = [np.empty((0, hp.latent_dim), params["mu.b"].data.dtype)]
     for start in range(0, len(sentences), batch_size):
         batch = make_batch(sentences[start:start + batch_size], hp.vocab_size)
         rows.append(encode(batch, params, hp).mu.data)

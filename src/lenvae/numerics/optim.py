@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import BLOCK, ParamStore
+from .params import ParamStore
+from .tensor import BLOCK
 
 
 class MissingGradientError(RuntimeError):

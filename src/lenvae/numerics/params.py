@@ -4,11 +4,7 @@ import math
 
 import numpy as np
 
-from .tensor import Tensor
-
-# values per block of a walk over parameters: 512 KB of float64, so a block
-# of gradient, moments, parameter and scratch stays in a 4 MB L2 cache
-BLOCK = 1 << 16
+from .tensor import BLOCK, Tensor
 
 
 class ParamStore:
@@ -55,8 +51,9 @@ class ParamStore:
 
 def row_blocks(a: np.ndarray, values: int = BLOCK):
     """Views of ``a`` in consecutive slices along its first axis, each of
-    whole rows and at most ``values`` values (at least one row). Walking
-    them visits the values in row-major order whatever ``a``'s memory order,
-    and writes to a view go through to ``a``."""
-    rows = max(1, values // max(1, math.prod(a.shape[1:])))
+    as many whole rows as fit in ``values`` values, but at least 8: eight
+    float64 rows of a column-major array fill one 64-byte cache line per
+    column. Walking them visits the values in row-major order whatever
+    ``a``'s memory order, and writes to a view go through to ``a``."""
+    rows = max(8, values // max(1, math.prod(a.shape[1:])))
     return [a[lo:lo + rows] for lo in range(0, a.shape[0], rows)]

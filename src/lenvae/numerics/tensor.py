@@ -1,16 +1,23 @@
 """Reverse-mode differentiable arrays for the layer set this model needs.
 
-A ``Tensor`` wraps a numpy array (float64 by default; float32 works behind the
-same interface) and remembers which operation produced it. ``Tensor.backward``
-walks the recorded operations in reverse and accumulates gradients into every
-leaf that contributed. The op set is deliberately small: the affine maps, gate
-nonlinearities, row gathers and cross-entropy reductions that the encoder,
-decoder and losses are built from. Constant inputs (masks, noise, index
-arrays) enter through ``*_const`` variants or plain numpy arguments and never
-receive gradients.
+A ``Tensor`` wraps a numpy array and remembers which operation produced it.
+``Tensor.backward`` walks the recorded operations in reverse and accumulates
+gradients into every leaf that contributed. The op set is deliberately small:
+the affine maps, gate nonlinearities, row gathers and cross-entropy reductions
+that the encoder, decoder and losses are built from. Constant inputs (masks,
+noise, index arrays) enter through ``*_const`` variants or plain numpy
+arguments and never receive gradients.
+
+float64 is the compute type. The model's noise and masks are float64, so
+float32 parameters are upcast in places: a float32 store still gives a
+float64 loss.
 """
 
 import numpy as np
+
+# values per block of a walk over an array: 512 KB of float64, so a block of
+# every array a walk touches stays in a 4 MB L2 cache
+BLOCK = 1 << 16
 
 __all__ = [
     "Tensor", "zeros",
@@ -36,10 +43,6 @@ class Tensor:
         self._backward = _backward
         self._constant = constant  # skip gradient accumulation into this leaf
         self._zeroed_grad = None  # all-zero array the next backward accumulates into
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, leaf={self._backward is None})"
@@ -317,30 +320,20 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return add(matmul(x, w), b)
 
 
-def _logsumexp_rows(x):
-    m = x.max(axis=1, keepdims=True)
-    return m[:, 0] + np.log(np.exp(x - m).sum(axis=1))
-
-
-def _softmax_rows(x):
-    m = x.max(axis=1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def cross_entropy_rows(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
-    """sum_b weights[b] * (logsumexp(logits[b]) - logits[b, targets[b]]).
+    """-sum_b weights[b] * log_softmax(logits[b])[targets[b]].
 
-    ``targets`` int (B,), ``weights`` float (B,) constants.
+    ``targets`` int (B,), ``weights`` float (B,) constants. The node keeps
+    the log-probabilities; its backward exponentiates them as the softmax.
     """
     targets = np.asarray(targets, dtype=np.intp)
     weights = np.asarray(weights, dtype=logits.data.dtype)
     rows = np.arange(logits.data.shape[0])
-    per_row = _logsumexp_rows(logits.data) - logits.data[rows, targets]
-    out_data = np.asarray((weights * per_row).sum())
+    log_probs = log_softmax_rows(logits.data)
+    out_data = np.asarray(-(weights * log_probs[rows, targets]).sum())
 
     def bw(g):
-        gl = _softmax_rows(logits.data) * weights[:, None]
+        gl = np.exp(log_probs) * weights[:, None]
         gl[rows, targets] -= weights
         _accum(logits, gl * float(g))
 
@@ -348,15 +341,17 @@ def cross_entropy_rows(logits: Tensor, targets: np.ndarray, weights: np.ndarray)
 
 
 def weighted_cross_entropy_rows(logits: Tensor, counts: np.ndarray) -> Tensor:
-    """sum_b [ n_b * logsumexp(logits[b]) - sum_w counts[b,w] * logits[b,w] ]
-    with n_b = counts[b].sum(); the bag-of-words loss kernel.
+    """-sum_b sum_w counts[b, w] * log_softmax(logits[b])[w]; the
+    bag-of-words loss kernel. Its backward, like ``cross_entropy_rows``',
+    exponentiates the kept log-probabilities.
     """
     counts = np.asarray(counts, dtype=logits.data.dtype)
     n = counts.sum(axis=1)
-    out_data = np.asarray((n * _logsumexp_rows(logits.data)).sum() - (counts * logits.data).sum())
+    log_probs = log_softmax_rows(logits.data)
+    out_data = np.asarray(-(counts * log_probs).sum())
 
     def bw(g):
-        gl = _softmax_rows(logits.data) * n[:, None] - counts
+        gl = np.exp(log_probs) * n[:, None] - counts
         _accum(logits, gl * float(g))
 
     return Tensor(out_data, (logits,), bw)
@@ -391,10 +386,6 @@ def sampled_logits(h: Tensor, w: Tensor, b: Tensor, ids: np.ndarray) -> Tensor:
 # plain-array helpers (no gradients)
 # ---------------------------------------------------------------------------
 
-# values of exp scratch per log_softmax_rows block (512 KB of float64)
-LOG_SOFTMAX_BLOCK = 1 << 16
-
-
 def log_softmax_rows(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise log softmax of a rank-2 array, written to ``out`` (a new
     array when None; ``out=logits`` works in place).
@@ -403,15 +394,16 @@ def log_softmax_rows(logits: np.ndarray, out: np.ndarray | None = None) -> np.nd
     ``shifted = logits - max``: every element goes through the same
     operations in the same order and each row sum runs over the same
     contiguous row. The work goes in blocks of whole rows, as many as fit
-    in LOG_SOFTMAX_BLOCK values (at least one): row maxima, the shift into
-    ``out``, the exponentials into a block-sized scratch, the row sums and
-    the subtraction of their logs, so each block is finished while it is
-    still in cache and ``out`` is the only (rows, V) array.
+    in BLOCK values (at least one): row maxima, the shift into ``out``, the
+    exponentials into a block-sized scratch, the row sums and the
+    subtraction of their logs, so each block is finished while it is still
+    in cache and ``out`` is the only (rows, V) array. Both cross-entropy ops
+    read it, so it is the one softmax of training and decoding.
     """
     rows, cols = logits.shape
     if out is None:
         out = np.empty(logits.shape, dtype=logits.dtype)
-    block = max(1, LOG_SOFTMAX_BLOCK // max(cols, 1))
+    block = max(1, BLOCK // max(cols, 1))
     scratch = np.empty((min(block, rows), cols), dtype=out.dtype)
     for lo in range(0, rows, block):
         x, y = logits[lo:lo + block], out[lo:lo + block]

@@ -33,7 +33,7 @@ class TrainConfig:
     checkpoint_interval: int = 1000
 
     def __post_init__(self):
-        for name in ("batch_size", "checkpoint_interval", "anneal_horizon"):
+        for name in ("batch_size", "total_steps", "checkpoint_interval", "anneal_horizon"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("learning_rate", "grad_clip", "adam_eps"):

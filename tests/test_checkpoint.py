@@ -60,6 +60,14 @@ def test_truncated_file_is_typed_error(saved):
         checkpoint_load(path)
 
 
+@pytest.mark.parametrize("size", [0, 4, 11])
+def test_file_shorter_than_magic_version_and_checksum_is_truncation(saved, size):
+    path, *_ = saved
+    path.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(CheckpointTruncatedError, match=rf"too short \({size} bytes\)"):
+        checkpoint_load(path)
+
+
 def test_flipped_byte_is_checksum_error(saved):
     path, *_ = saved
     raw = bytearray(path.read_bytes())
@@ -227,6 +235,16 @@ def rebuilt(raw, config_bytes=None, records=None):
 def tensor_record(name, dims, values=b""):
     return (struct.pack("<I", len(name)) + name
             + struct.pack(f"<I{len(dims)}Q", len(dims), *dims) + values)
+
+
+def test_trailing_bytes_with_a_matching_checksum_are_format_error(saved, tmp_path):
+    path, *_ = saved
+    raw = path.read_bytes()
+    n, = struct.unpack_from("<Q", raw, 8)
+    out = tmp_path / "trailing.lvae"
+    out.write_bytes(rebuilt(raw, records=raw[16 + n:-4] + b"\0" * 5))
+    with pytest.raises(CheckpointFormatError, match="5 trailing bytes"):
+        checkpoint_load(out)
 
 
 def test_load_holds_one_copy_of_parameters(tmp_path):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from lenvae.checkpoint import checkpoint_load
+from lenvae.checkpoint import checkpoint_load, checkpoint_save
 from lenvae.cli import (
     EXIT_CORRUPT, EXIT_FAIL, EXIT_INCOMPATIBLE, EXIT_MISSING_FILE, EXIT_OK,
     EXIT_USAGE, build_parser, main,
@@ -20,6 +20,7 @@ from lenvae.config import (
     KEYS, PAPER_PRESET, ConfigError, RunConfig, load_run_config, parse_config_text,
 )
 from lenvae.model import HyperParams
+from lenvae.textpipe import Vocabulary
 from lenvae.training import TrainConfig
 
 
@@ -94,6 +95,24 @@ def test_config_unknown_key_rejected(tmp_path):
     path.write_text("no_such_knob = 1\n")
     with pytest.raises(ConfigError):
         load_run_config(path)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("lenemb = maybe", "config key 'lenemb': cannot parse 'maybe' as bool"),
+    ("batch_size = many", "config key 'batch_size': cannot parse 'many' as int"),
+    ("batch_size 16", "config line 1: expected 'key = value', got 'batch_size 16'"),
+], ids=["bool", "int", "no equals sign"])
+def test_config_line_that_does_not_parse_is_rejected(line, message):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config_text(line + "\n")
+    assert str(excinfo.value) == message
+
+
+def test_unknown_preset_and_override_key_rejected():
+    with pytest.raises(ConfigError, match="unknown preset 'nope'"):
+        load_run_config(preset="nope")
+    with pytest.raises(ConfigError, match="unknown config key 'warp_speed'"):
+        load_run_config(overrides={"warp_speed": 9})
 
 
 def test_config_flag_overrides_file(tmp_path):
@@ -206,8 +225,9 @@ def test_bad_length_is_exit_2_before_any_file_is_read(tmp_path, capsys, flags, c
 
 @pytest.mark.parametrize("flags, config_line, message", [
     (["--steps", "5"], "", "anneal_horizon must be <= total_steps"),
+    (["--steps", "0"], "", "total_steps must be >= 1"),
     ([], "word_drop_p = 1.5\n", "word_drop_p must be in [0, 1]"),
-], ids=["flag-steps", "config-word-drop"])
+], ids=["flag-steps", "flag-steps-zero", "config-word-drop"])
 def test_range_error_is_exit_2_before_any_file_is_read(tmp_path, capsys, flags,
                                                       config_line, message):
     cfg = tmp_path / "run.cfg"
@@ -488,6 +508,32 @@ def test_probe_cli_swapped_checkpoints_is_exit_4(trained, tmp_path, capsys):
                "--corpus", str(corpus))
     assert code == EXIT_INCOMPATIBLE
     capsys.readouterr()
+
+
+def test_probe_cli_different_vocabularies_is_exit_4(trained, tmp_path, capsys):
+    # the same tensors under a vocabulary with its last token renamed
+    root, corpus, vocab, cfg, out_with, out_without = trained
+    params, hp, vocab_without, step = checkpoint_load(out_without / "final.lvae")
+    renamed = Vocabulary.from_tokens(vocab_without.tokens[:-1] + ["renamed"])
+    checkpoint_save(tmp_path / "renamed.lvae", params, hp, renamed, step)
+    code = run("probe",
+               "--checkpoint-lenemb", str(out_with / "final.lvae"),
+               "--checkpoint-no-lenemb", str(tmp_path / "renamed.lvae"),
+               "--corpus", str(corpus))
+    assert code == EXIT_INCOMPATIBLE
+    assert "different vocabularies" in capsys.readouterr().err
+
+
+def test_probe_cli_on_empty_corpus_is_exit_1(trained, tmp_path, capsys):
+    root, corpus, vocab, cfg, out_with, out_without = trained
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    code = run("--config", str(cfg), "probe",
+               "--checkpoint-lenemb", str(out_with / "final.lvae"),
+               "--checkpoint-no-lenemb", str(out_without / "final.lvae"),
+               "--corpus", str(empty))
+    assert code == EXIT_FAIL
+    assert capsys.readouterr().err == "error: need at least 7 examples for 6 dimensions, got 0\n"
 
 
 def test_gradcheck_single_instance_passes(capsys):

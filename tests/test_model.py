@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from lenvae.model import (
-    GRADCHECK_MIN_GRADIENT, GRADCHECK_SEEDS, HyperParams, LatentParams,
-    bow_loss, decode_step, decoder_targets, draw_negatives, encode,
+    GRADCHECK_MIN_GRADIENT, GRADCHECK_SEEDS, INIT_ROW_BLOCK, INIT_SCALE, HyperParams,
+    LatentParams, bow_loss, decode_step, decoder_targets, draw_negatives, encode,
     encoder_mean, init_decoder_state, init_params, kl_divergence,
-    length_input, reparameterize, tiny_gradcheck_instance, total_loss,
+    length_input, param_shapes, reparameterize, tiny_gradcheck_instance, total_loss,
 )
 from lenvae.numerics import Tensor, cross_entropy_rows, grad_check, sampled_logits, zeros
 from lenvae.textpipe import EOS_ID, PAD_ID, Batch, make_batch
@@ -29,6 +29,20 @@ def tiny_params(seed=0, hp=TINY):
 
 def one_sentence_batch(ids, hp=TINY):
     return make_batch([list(ids)], hp.vocab_size)
+
+
+def test_init_params_draws_each_weight_as_one_uniform_draw():
+    # the column-major output layer spans two INIT_ROW_BLOCKs, drawn in row
+    # blocks, and still holds the values of one row-major draw
+    hp = HyperParams(vocab_size=20000, cell_size=64, embed_size=8, latent_dim=4,
+                     bow_width=4, len_embed_size=3, decoder_layers=1)
+    params = init_params(hp, np.random.default_rng(3))
+    assert params["out.W"].data.size > INIT_ROW_BLOCK
+    rng = np.random.default_rng(3)
+    for name, shape in param_shapes(hp).items():
+        if name.endswith(".W"):
+            expected = rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
+            assert np.array_equal(params[name].data, expected), name
 
 
 # ---------------------------------------------------------------------------

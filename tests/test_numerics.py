@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from lenvae.numerics import (
     AdamState, MissingGradientError, NonFiniteLossError, ParamStore, Tensor, add,
+    row_blocks,
     adam_step, clip_grad_norm, cross_entropy_rows, gather_rows, grad_check,
     log_softmax_rows, lstm_cell, lstm_sequence, matmul, mul,
     sampled_logits, sum_all, tanh_, zeros,
@@ -220,6 +221,17 @@ def test_lstm_sequence_matches_unrolled_cell(steps, constant_start):
             assert k.grad is None and r.grad is None
         else:
             assert_close_to(k.grad, r.grad)
+
+
+def test_row_blocks_of_a_column_major_output_layer_are_at_least_8_rows():
+    # a 40,000-wide row fills most of a BLOCK; every view but the ragged
+    # last one still holds 8 rows, and the views cover the rows in order
+    a = np.empty((243, 40000), order="F")
+    a[...] = np.arange(243)[:, None]
+    blocks = row_blocks(a)
+    assert [b.shape[0] for b in blocks] == [8] * 30 + [3]
+    assert [row for b in blocks for row in b[:, 0]] == list(range(243))
+    assert all(np.shares_memory(b, a) for b in blocks)
 
 
 # ---------------------------------------------------------------------------

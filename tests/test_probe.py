@@ -120,6 +120,11 @@ def test_posterior_means_shape_consistency():
     assert latents.shape == (len(sentences), hp_with.latent_dim)
 
 
+def test_posterior_means_of_no_sentences_is_empty():
+    params_with, hp_with, *_ = _tiny_pair()
+    assert posterior_means([], params_with, hp_with).shape == (0, hp_with.latent_dim)
+
+
 def test_posterior_means_independent_of_batch_size():
     params_with, hp_with, *_ , sentences = _tiny_pair()
     one, seven, whole = (posterior_means(sentences, params_with, hp_with, batch_size=b)

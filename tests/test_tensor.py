@@ -10,7 +10,7 @@ from lenvae.numerics import (
     slice_rows, sub, sum_all, sum_cols, tanh_, weighted_cross_entropy_rows,
     weighted_step_sum,
 )
-from lenvae.numerics.tensor import LOG_SOFTMAX_BLOCK
+from lenvae.numerics.tensor import BLOCK
 
 
 def fd_check(build, n_params, shapes, seed=0, tol=1e-7):
@@ -156,9 +156,9 @@ def assert_log_softmax_rows_byte_equal(logits):
     assert logits.tobytes() == expected.tobytes()
 
 
-# the last shape's rows are longer than one LOG_SOFTMAX_BLOCK
+# the last shape's rows are longer than one BLOCK
 @pytest.mark.parametrize("shape", [(100, 40000), (1, 1), (3, 7), (8, 49), (1400, 49),
-                                   (3, LOG_SOFTMAX_BLOCK + 5)])
+                                   (3, BLOCK + 5)])
 def test_log_softmax_rows_byte_equal_to_three_temporary_formula(shape):
     assert_log_softmax_rows_byte_equal(4.0 * np.random.default_rng(shape[0]).standard_normal(shape))
 
@@ -170,6 +170,55 @@ def test_log_softmax_rows_byte_equal_with_minus_inf_entries():
     logits[4, :-1] = -np.inf          # all but one entry of a row
     assert_log_softmax_rows_byte_equal(logits)
     assert np.isneginf(log_softmax_rows(logits)[:, :2]).all()
+
+
+def _logsumexp_reference(x):
+    m = x.max(axis=1, keepdims=True)
+    return m[:, 0] + np.log(np.exp(x - m).sum(axis=1))
+
+
+def _softmax_reference(x):
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+# the last shape's rows are longer than one BLOCK; x50 logits make
+# near-one-hot rows
+@pytest.mark.parametrize("scale_by", [1.0, 50.0])
+@pytest.mark.parametrize("shape", [(1, 1), (16, 49), (16, 1016), (3, BLOCK + 5)])
+def test_cross_entropy_ops_are_log_softmax_rows(shape, scale_by):
+    # values: bit for bit the weighted sums of log_softmax_rows; values and
+    # gradients: within 1e-14 of the logsumexp and separate-softmax formulas
+    rng = np.random.default_rng(shape[1])
+    x = scale_by * rng.standard_normal(shape)
+    rows = np.arange(shape[0])
+    targets = rng.integers(0, shape[1], shape[0])
+    weights = rng.uniform(0.0, 2.0, shape[0])
+    counts = rng.integers(0, 3, shape) * (rng.random(shape) < 0.05)
+    counts[:, 0] += 1  # every row has a word
+    lp = log_softmax_rows(x)
+    n = counts.sum(axis=1)
+
+    logits = Tensor(x.copy())
+    ce = cross_entropy_rows(logits, targets, weights)
+    ce.backward()
+    assert ce.data.tobytes() == np.asarray(-(weights * lp[rows, targets]).sum()).tobytes()
+    old = (weights * (_logsumexp_reference(x) - x[rows, targets])).sum()
+    np.testing.assert_allclose(ce.data, old, rtol=1e-14)
+    old_grad = _softmax_reference(x) * weights[:, None]
+    old_grad[rows, targets] -= weights
+    np.testing.assert_allclose(logits.grad, old_grad, rtol=0,
+                               atol=1e-14 * np.abs(old_grad).max())
+
+    logits = Tensor(x.copy())
+    bow = weighted_cross_entropy_rows(logits, counts)
+    bow.backward()
+    assert bow.data.tobytes() == np.asarray(-(counts * lp).sum()).tobytes()
+    old = (n * _logsumexp_reference(x)).sum() - (counts * x).sum()
+    np.testing.assert_allclose(bow.data, old, rtol=1e-14)
+    old_grad = _softmax_reference(x) * n[:, None] - counts
+    np.testing.assert_allclose(logits.grad, old_grad, rtol=0,
+                               atol=1e-14 * np.abs(old_grad).max())
 
 
 def test_slice_rows():

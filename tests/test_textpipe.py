@@ -95,6 +95,19 @@ def test_vocab_file_roundtrip(tmp_path):
     assert text[:5] == list(RESERVED_TOKENS)  # line number == id
 
 
+def test_vocab_file_with_trailing_blank_lines_loads(tmp_path):
+    vocab = build_vocab([["z", "y", "z", "x"]], top_k=3)
+    path = tmp_path / "vocab.txt"
+    vocab.save(path)
+    path.write_text(path.read_text(encoding="utf-8") + "\n\n", encoding="utf-8")
+    assert Vocabulary.load(path).tokens == vocab.tokens
+
+
+def test_vocab_rejects_repeated_tokens():
+    with pytest.raises(ValueError, match="vocabulary tokens must be unique"):
+        Vocabulary(["a", "a"])
+
+
 def test_encode_decode_roundtrip_for_in_vocab_sentences():
     corpus = [normalize("the cat sat on the mat"), normalize("a dog ran")]
     vocab = build_vocab(corpus, top_k=50)

@@ -47,6 +47,9 @@ def test_anneal_rejects_negative_step_and_bad_config():
         TrainConfig(anneal_kind="cosine")
     with pytest.raises(ValueError):
         TrainConfig(word_drop_p=1.5)
+    # zero steps name total_steps, not the horizon that exceeds them
+    with pytest.raises(ValueError, match="total_steps must be >= 1"):
+        TrainConfig(total_steps=0)
 
 
 # ---------------------------------------------------------------------------
