@@ -74,6 +74,9 @@ def _cmd_preprocess(args, cfg):
 
 def _cmd_toy_corpus(args, cfg):
     seed = args.toy_seed if args.toy_seed is not None else cfg.train.seed
+    for flag, value, low in (("--size", args.size, 1), ("--seed", seed, 0)):
+        if value < low:
+            raise ConfigError(f"{flag} must be >= {low}, got {value}")
     lines = generate_toy_corpus(default_toy_grammar(), args.size, seed)
     _write_lines(args.output, lines)
     print(f"wrote {len(lines)} sentences to {args.output}")

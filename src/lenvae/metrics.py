@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 # Reference scores reported for large-corpus (DUC-2004 / Gigaword) runs of
 # the 75-character prefix baseline; documentation only, far beyond desk scale.
+# claims/run.py gates PREFIX >= short > natural at desk scale (BENCH_claims.json).
 LARGE_SCALE_PREFIX_ROUGE1 = {"duc2004": 22.43, "gigaword": 23.14}
 
 PREFIX_CHARS = 75

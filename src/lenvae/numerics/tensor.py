@@ -5,8 +5,8 @@ A ``Tensor`` wraps a numpy array and remembers which operation produced it.
 gradients into every leaf that contributed. The op set is deliberately small:
 the affine maps, gate nonlinearities, row gathers and cross-entropy reductions
 that the encoder, decoder and losses are built from. Constant inputs (masks,
-noise, index arrays) enter through ``*_const`` variants or plain numpy
-arguments and never receive gradients.
+noise, index arrays) enter through ``mul_const`` or plain numpy arguments
+and never receive gradients.
 
 float64 is the compute type. The model's noise and masks are float64, so
 float32 parameters are upcast in places: a float32 store still gives a

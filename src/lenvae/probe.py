@@ -16,6 +16,7 @@ from .numerics import ParamStore
 
 # R-squared reported for large-corpus (DUC-2004 / Gigaword) runs; the
 # ordering (without > with) is what reproduces at desk scale, not the values.
+# claims/run.py gates that ordering and records it in BENCH_claims.json.
 LARGE_SCALE_PROBE_R2 = {
     "with_length_input": {"duc2004": 0.41, "gigaword": 0.54},
     "without_length_input": {"duc2004": 0.59, "gigaword": 0.72},

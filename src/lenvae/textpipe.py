@@ -170,6 +170,10 @@ class GrammarSpec:
     min_words: int = 4
     max_words: int = 12
 
+    @property
+    def core_words(self) -> frozenset:  # a sentence without its ADJ* and ADV* chains
+        return frozenset(self.determiners + self.nouns + self.verbs)
+
 
 def default_toy_grammar() -> GrammarSpec:
     return GrammarSpec(

@@ -50,6 +50,8 @@ class TrainConfig:
             raise ValueError("anneal_horizon must be <= total_steps")
         if self.anneal_kind not in ("linear", "logistic"):
             raise ValueError(f"unknown anneal_kind {self.anneal_kind!r}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError("seed must be >= 0")
 
 
 def kl_anneal_weight(step: int, config: TrainConfig) -> float:

@@ -167,6 +167,18 @@ def test_toy_corpus_byte_identical_across_runs(tmp_path):
     assert len(out1.read_text().splitlines()) == 200
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--size", "-3"], "--size must be >= 1, got -3"),
+    (["--size", "0"], "--size must be >= 1, got 0"),
+    (["--seed", "-1"], "--seed must be >= 0, got -1"),
+], ids=["size-negative", "size-zero", "seed-negative"])
+def test_toy_corpus_bad_count_is_exit_2_before_writing(tmp_path, capsys, argv, message):
+    out = tmp_path / "toy.txt"
+    assert run("toy-corpus", "--output", str(out), *argv) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_preprocess_writes_corpus_and_vocab(tmp_path):
     raw = tmp_path / "raw.txt"
     raw.write_text("The cat Sat.\nSold 25 cars TODAY!\n\nA dog.\n")
@@ -227,7 +239,8 @@ def test_bad_length_is_exit_2_before_any_file_is_read(tmp_path, capsys, flags, c
     (["--steps", "5"], "", "anneal_horizon must be <= total_steps"),
     (["--steps", "0"], "", "total_steps must be >= 1"),
     ([], "word_drop_p = 1.5\n", "word_drop_p must be in [0, 1]"),
-], ids=["flag-steps", "flag-steps-zero", "config-word-drop"])
+    ([], "seed = -1\n", "seed must be >= 0"),
+], ids=["flag-steps", "flag-steps-zero", "config-word-drop", "config-seed-negative"])
 def test_range_error_is_exit_2_before_any_file_is_read(tmp_path, capsys, flags,
                                                       config_line, message):
     cfg = tmp_path / "run.cfg"

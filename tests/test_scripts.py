@@ -1,7 +1,8 @@
-"""The demos and the scratch script import only names the package has.
+"""The demos and the claims harness import only names the package has.
 
-No test runs them, so each file is parsed, not executed, and every
-``from lenvae... import name`` in it is looked up on the imported module.
+Each file is parsed, not executed (test_claims.py runs part of the
+harness), and every ``from lenvae... import name`` in it is looked up on the
+imported module.
 """
 
 import ast
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SCRIPTS = [*sorted(ROOT.glob("demos/*.py")), ROOT / "scratch_toy.py"]
+SCRIPTS = [*sorted(ROOT.glob("demos/*.py")), ROOT / "claims" / "run.py"]
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.relative_to(ROOT).as_posix())

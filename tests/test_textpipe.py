@@ -1,5 +1,7 @@
 """Normalization, vocabulary, batching and toy-corpus behavior."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,31 @@ def test_toy_corpus_closure():
     assert len(vocab_tokens) <= 100
     for line in generate_toy_corpus(g, 300, seed=5):
         assert set(line.split()) <= vocab_tokens
+
+
+def test_core_words_are_one_determiner_noun_and_verb_of_every_line():
+    g = default_toy_grammar()
+    for line in generate_toy_corpus(g, 5000, seed=101):
+        words = line.split()
+        core = [i for i, w in enumerate(words) if w in g.core_words]
+        assert len(core) == 3, line
+        det, noun, verb = core
+        assert (words[det] in g.determiners and words[noun] in g.nouns
+                and words[verb] in g.verbs), line
+        assert det == 0 and verb == noun + 1, line
+        assert all(w in g.adjectives for w in words[det + 1:noun]), line
+        assert all(w in g.adverbs for w in words[verb + 1:]), line
+
+
+# sha256 of the 5,000-line toy corpus at seed 101, one sentence per line
+CLAIMS_CORPUS_SHA256 = "5dd9be29e35f8a79476ed2f3ddde43a33b497169b03b82134baeae58315503b6"
+
+
+def test_claims_corpus_is_pinned():
+    # claims/run.py trains on this corpus, perfbench/data/desk_1500.lvae on its first 4,800 lines
+    text = "".join(line + "\n" for line in generate_toy_corpus(default_toy_grammar(), 5000,
+                                                                 seed=101))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CLAIMS_CORPUS_SHA256
 
 
 @settings(max_examples=25, deadline=None)

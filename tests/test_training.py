@@ -50,6 +50,8 @@ def test_anneal_rejects_negative_step_and_bad_config():
     # zero steps name total_steps, not the horizon that exceeds them
     with pytest.raises(ValueError, match="total_steps must be >= 1"):
         TrainConfig(total_steps=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
 
 
 # ---------------------------------------------------------------------------
