@@ -102,7 +102,7 @@ def run_seed(work, seed):
         checkpoint.checkpoint_load(work / d / "final.lvae") for d in ("lenemb", "no_lenemb"))
     corpus = read_lines(work / "corpus.txt")[:SETTINGS["probe_sentences"]]
     r2 = probe.probe_experiment(p_with, hp_with, p_without, hp_without,
-                                [vocab.encode(s.split()) for s in corpus], seed=0)
+                                [vocab.encode(s.split()) for s in corpus])
     m.update(probe_r2_with=r2.r2_with, probe_r2_without=r2.r2_without)
     shorts = [f1[f"length_{n}"] for n in SHORT]
     gates["probe R2 without > with"] = r2.r2_without > r2.r2_with

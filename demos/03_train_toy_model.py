@@ -21,9 +21,7 @@ vocab = build_vocab(tokens, top_k=100)
 sentences = encode_sentences(tokens, vocab)
 print(f"corpus: {len(sentences)} sentences, vocabulary {vocab.size}")
 
-hp = HyperParams(vocab_size=vocab.size, cell_size=32, embed_size=32,
-                 latent_dim=16, bow_width=32, len_embed_size=8,
-                 decoder_layers=2, max_len_index=30, softmax_samples=60)
+hp = HyperParams(vocab_size=vocab.size, softmax_samples=60)   # desk sizes
 config = TrainConfig(batch_size=64, total_steps=1000, anneal_horizon=500,
                      word_drop_p=0.5, learning_rate=0.005, seed=0,
                      checkpoint_interval=500)

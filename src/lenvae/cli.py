@@ -161,8 +161,7 @@ def _cmd_probe(args, cfg):
     if vocab.tokens != vocab2.tokens:
         raise ckpt.IncompatibleCheckpointError("probe checkpoints use different vocabularies")
     sentences = _load_corpus(args.corpus, vocab)
-    result = probe_experiment(params_with, hp_with, params_without, hp_without,
-                              sentences, seed=cfg.train.seed)
+    result = probe_experiment(params_with, hp_with, params_without, hp_without, sentences)
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
         with open(os.path.join(args.out_dir, "probe_report.txt"), "w", encoding="utf-8") as f:

@@ -195,12 +195,15 @@ def score_system(name: str, candidates, reference_lists, sources=None,
 
 
 def render_report(systems) -> str:
-    """Plain-text table: one row per system, recall scores scaled to 0..100."""
-    lines = [f"{'system':<16} {'ROUGE-1':>8} {'ROUGE-2':>8} {'ROUGE-L':>8} {'Ext. %':>7}"]
+    """Plain-text table: one row per system, each ROUGE recall (the headline)
+    followed by its F1, scaled to 0..100."""
+    lines = [f"{'system':<16} {'ROUGE-1':>8} {'R-1 F1':>8} {'ROUGE-2':>8} {'R-2 F1':>8} "
+             f"{'ROUGE-L':>8} {'R-L F1':>8} {'Ext. %':>7}"]
     for s in systems:
+        scores = " ".join(f"{100 * r.recall:8.2f} {100 * r.f1:8.2f}"
+                          for r in (s.rouge1, s.rouge2, s.rougel))
         ext = f"{s.extractive:7.1f}" if s.extractive is not None else "      -"
-        lines.append(f"{s.name:<16} {100 * s.rouge1.recall:8.2f} "
-                     f"{100 * s.rouge2.recall:8.2f} {100 * s.rougel.recall:8.2f} {ext}")
+        lines.append(f"{s.name:<16} {scores} {ext}")
     return "\n".join(lines) + "\n"
 
 

@@ -13,22 +13,21 @@ closed-form KL against a standard-normal prior, and a bag-of-words auxiliary
 loss predicting the input's token counts from z.
 
 The training-mode reconstruction is a sampled softmax with one candidate set
-per decoder step shared across the batch (Jean et al. 2015): the batch's
-distinct targets plus ``softmax_samples`` uniform non-target draws. Other
-rows' targets serve as negatives, so each step is one GEMM against the
-candidate columns of the output layer; once the set covers the vocabulary the
-loss is exactly the full softmax.
+per batch, shared by every decoder step and row (Jean et al. 2015): the
+batch's distinct targets plus ``softmax_samples`` uniform non-target draws.
+Other rows' and steps' targets serve as negatives, so the whole term is one
+GEMM against the candidate columns of the output layer; once the set covers
+the vocabulary the loss is exactly the full softmax.
 
 Training runs each LSTM layer over the whole sequence as one autograd node
 (``numerics.lstm_sequence``: one input GEMM against w[:I], h @ w[I:] per
 step, a hand-written backward through time). Its inputs and states are
 time-major rows, step t of batch row r at row t*B + r. Under teacher forcing
 every decoder input is known up front, so the decoder's layers run that way
-too (``decoder_states``); the per-step loop after them keeps only the
-hidden-state dropout, the candidate draw and the cross-entropy, in the same
-random-draw order as a step-by-step decoder. Inference steps the decoder on
-plain arrays with no graph (``decode_step``), through the packed
-[x, h] @ W + b GEMM and the same cell nonlinearity.
+too (``decoder_states``), and the loss reads all (T*B, cell) states at
+once: one hidden-state dropout mask, one candidate draw, one cross-entropy.
+Inference steps the decoder on plain arrays with no graph (``decode_step``),
+through the packed [x, h] @ W + b GEMM and the same cell nonlinearity.
 """
 
 from dataclasses import dataclass, replace
@@ -39,7 +38,7 @@ from .numerics import (
     ParamStore, Tensor, add, add_scalar, affine, concat_cols,
     cross_entropy_rows, exp_, gather_rows, lstm_cell,
     lstm_sequence, mul, mul_const, row_blocks, sampled_logits, scale,
-    slice_rows, sub, sum_all, sum_cols, tanh_, weighted_cross_entropy_rows,
+    sub, sum_all, sum_cols, tanh_, weighted_cross_entropy_rows,
     weighted_step_sum, zeros,
 )
 from .textpipe import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Batch, make_batch
@@ -55,9 +54,10 @@ class HyperParams:
     """Architecture sizes. Desk-scale defaults; ``paper_scale`` holds the
     published large-corpus configuration.
 
-    ``softmax_samples`` is K, the number of non-target ids each training step
-    draws for its shared candidate set, on top of the batch's distinct
-    targets (capped at the ids left in the vocabulary).
+    ``softmax_samples`` is K, the number of non-target ids each training
+    batch draws for the candidate set that all its decoder steps share, on
+    top of the batch's distinct targets (capped at the ids left in the
+    vocabulary).
     """
 
     vocab_size: int
@@ -330,15 +330,15 @@ def bow_loss(z: Tensor, bow_counts: np.ndarray, params: ParamStore, hp: HyperPar
 
 
 def draw_negatives(rng, vocab_size: int, sample_count: int, targets: np.ndarray):
-    """One candidate set for a decoder step, shared by every row of the batch.
+    """One candidate set for a batch, shared by every decoder step and row.
 
-    Returns ``(ids, target_pos)``. ``ids`` holds the batch's U distinct
-    targets (ascending) followed by ``min(sample_count, V - U)`` distinct
-    non-target ids, drawn uniformly without replacement and sorted;
-    ``ids[target_pos[r]] == targets[r]``. The draw is a single
-    ``rng.random(V)`` call whose smallest non-target keys win, so the draws
-    depend on the batch's shape, never on parameter values. Once
-    ``sample_count >= V - U`` the set is all of V.
+    ``targets`` holds every (step, row) target of the batch. Returns
+    ``(ids, target_pos)``. ``ids`` holds the U distinct targets (ascending)
+    followed by ``min(sample_count, V - U)`` distinct non-target ids, drawn
+    uniformly without replacement and sorted; ``ids[target_pos[r]] ==
+    targets[r]``. The draw is a single ``rng.random(V)`` call whose smallest
+    non-target keys win, so the draws depend on the batch's shape, never on
+    parameter values. Once ``sample_count >= V - U`` the set is all of V.
     """
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
@@ -387,20 +387,22 @@ def tiny_gradcheck_instance(index: int, **changes):
 
     Returns (params, loss_fn). ``loss_fn`` seeds a fresh generator and fixes
     eps on every call; the objective's draws (one dropout mask and one
-    ``rng.random(V)`` per decoder step) have shapes set by the batch alone,
-    so each call sees the same noise and the loss is a deterministic
-    function of the parameters. V=7, cell 4, latent 3, two decoder layers,
-    weights uniform in +-1; ``changes`` replaces HyperParams fields (e.g.
-    ``lenemb=False``). The default-shape instances are pre-screened (see
-    GRADCHECK_SEEDS) so that every nonzero parameter gradient is large enough
-    (>= ~4e-6) to be resolved by a float64 central difference at step 1e-5;
-    below that magnitude the relative-error quotient measures rounding noise
-    rather than correctness. A changed shape needs its own screening check.
+    ``rng.random(V)`` per batch) have shapes set by the batch alone, so each
+    call sees the same noise and the loss is a deterministic function of the
+    parameters. V=7, cell 4, latent 3, two decoder layers, weights uniform
+    in +-1. K=1: the targets hold 4 distinct ids (PAD, EOS, 5, 6), so the
+    candidate set is 5 of the 7 ids and the check exercises a proper subset.
+    ``changes`` replaces HyperParams fields (e.g. ``lenemb=False``). The
+    default-shape instances are pre-screened (see GRADCHECK_SEEDS) so that
+    every nonzero parameter gradient is large enough (>= ~4e-6) to be
+    resolved by a float64 central difference at step 1e-5; below that
+    magnitude the relative-error quotient measures rounding noise rather
+    than correctness. A changed shape needs its own screening check.
     """
     seed = GRADCHECK_SEEDS[index % len(GRADCHECK_SEEDS)]
     hp = replace(HyperParams(vocab_size=7, cell_size=4, embed_size=5, latent_dim=3,
                              bow_width=6, len_embed_size=3, decoder_layers=2,
-                             max_len_index=8, softmax_samples=3), **changes)
+                             max_len_index=8, softmax_samples=1), **changes)
     rng = np.random.default_rng(1000 + seed)
     params = init_params(hp, rng)
     for _, t in params.items():
@@ -422,7 +424,7 @@ def tiny_gradcheck_instance(index: int, **changes):
 # Re-screen (scan that minimum over seeds 0, 1, 2, ...) if the model's draw
 # order changes.
 GRADCHECK_MIN_GRADIENT = 4e-6
-GRADCHECK_SEEDS = (0, 1, 3, 11, 23, 25, 28, 30, 34, 39)
+GRADCHECK_SEEDS = (13, 19, 23, 25, 26, 30, 31, 32, 39, 44)
 
 
 def total_loss(batch: Batch, params: ParamStore, hp: HyperParams, kl_weight: float,
@@ -457,22 +459,17 @@ def total_loss(batch: Batch, params: ParamStore, hp: HyperParams, kl_weight: flo
     kl_mean = scale(sum_all(kl_divergence(latent)), 1.0 / n)
 
     states = decoder_states(z, dec_in, batch.lengths, params, hp)
-
-    recon_sum = None
-    for t in range(dec_in.shape[1]):
-        hidden = slice_rows(states, t * n, (t + 1) * n)
-        if training and dropout_keep < 1.0:
-            keep_mask = (rng.random((n, hp.cell_size)) < dropout_keep) / dropout_keep
-            hidden = mul_const(hidden, keep_mask)
-        if training:
-            ids_t, target_pos = draw_negatives(rng, hp.vocab_size, hp.softmax_samples,
-                                               targets[:, t])
-            logits_t = sampled_logits(hidden, params["out.W"], params["out.b"], ids_t)
-            ce = cross_entropy_rows(logits_t, target_pos, mask[:, t])
-        else:
-            logits_t = affine(hidden, params["out.W"], params["out.b"])
-            ce = cross_entropy_rows(logits_t, targets[:, t], mask[:, t])
-        recon_sum = ce if recon_sum is None else add(recon_sum, ce)
+    targets, mask = targets.T.ravel(), mask.T.ravel()   # time-major, as ``states``
+    if training:
+        if dropout_keep < 1.0:
+            keep_mask = (rng.random(states.data.shape) < dropout_keep) / dropout_keep
+            states = mul_const(states, keep_mask)
+        ids, target_pos = draw_negatives(rng, hp.vocab_size, hp.softmax_samples, targets)
+        logits = sampled_logits(states, params["out.W"], params["out.b"], ids)
+        recon_sum = cross_entropy_rows(logits, target_pos, mask)
+    else:
+        logits = affine(states, params["out.W"], params["out.b"])
+        recon_sum = cross_entropy_rows(logits, targets, mask)
     reconstruction = scale(recon_sum, 1.0 / n)
 
     bow = bow_loss(z, batch.bow, params, hp)

@@ -23,7 +23,7 @@ __all__ = [
     "Tensor", "zeros",
     "matmul", "add", "sub", "mul", "neg", "scale", "add_scalar",
     "mul_const", "sigmoid", "tanh_", "exp_",
-    "concat_cols", "slice_cols", "slice_rows", "gather_rows",
+    "concat_cols", "slice_cols", "gather_rows",
     "sum_all", "sum_cols", "weighted_step_sum", "affine",
     "cross_entropy_rows", "weighted_cross_entropy_rows", "sampled_logits",
     "log_softmax_rows",
@@ -255,15 +255,6 @@ def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
         _accum(a, full)
 
     return Tensor(out_data, (a,), bw)
-
-
-def slice_rows(a: Tensor, lo: int, hi: int) -> Tensor:
-    """Rows ``lo:hi``; backward adds into those rows of ``a``'s gradient."""
-    def bw(g):
-        if not a._constant:
-            _grad_buffer(a)[lo:hi] += g
-
-    return Tensor(a.data[lo:hi], (a,), bw)
 
 
 def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:

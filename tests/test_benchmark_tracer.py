@@ -10,7 +10,8 @@ from lenvae import model
 from lenvae.inference import DecodeRequest, beam_search, summarize
 from lenvae.model import HyperParams, init_params, posterior_means
 from lenvae.numerics import tensor
-from lenvae.textpipe import EOS_ID, build_vocab
+from lenvae.textpipe import EOS_ID, build_vocab, encode_sentences
+from lenvae.training import TrainConfig, train
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -67,3 +68,41 @@ def test_decode_spans_once_per_beam_step(tracing):
     assert names.count("numerics.log_softmax_rows") == result.steps
     assert tracer.counts["inference.decode_step.calls"] == result.steps
     assert tracer.counts["inference.decode_step.rows"] == 1 + 3 * (result.steps - 1)
+
+
+def test_traced_training_spans_one_candidate_draw_per_step(tracing, monkeypatch):
+    # the traced run's sampled-softmax metrics count one draw and one gather
+    # of the candidate columns per training step, and tracing changes nothing
+    words = "the cat dog bird runs sleeps eats sits a big small red".split()
+    lines = [[words[(3 * i + j) % len(words)] for j in range(2 + i % 4)] for i in range(12)]
+    vocab = build_vocab(lines, top_k=20)
+    sentences = encode_sentences(lines, vocab)
+    hp = HyperParams(vocab_size=vocab.size, cell_size=6, embed_size=5,
+                     latent_dim=4, bow_width=5, len_embed_size=3,
+                     decoder_layers=2, max_len_index=12, softmax_samples=2)
+    config = TrainConfig(batch_size=4, total_steps=5, anneal_horizon=5)
+    plain = train(sentences, vocab, hp, config)
+
+    draw = model.draw_negatives
+    candidates = []
+
+    def counted_draw(*args):
+        ids, target_pos = draw(*args)
+        candidates.append(ids.size)
+        return ids, target_pos
+
+    monkeypatch.setattr(model, "draw_negatives", counted_draw)
+    tracer = tracing.Tracer()
+    with tracer.installed(graph=True):
+        traced = train(sentences, vocab, hp, config)
+    names = [span[0] for span in tracer.spans]
+    steps = config.total_steps
+    assert len(candidates) == steps
+    assert names.count("numerics.sampled_logits.fwd") == steps
+    assert names.count("model.draw_negatives") == steps
+    assert sum(candidates) < steps * hp.vocab_size   # proper subsets of V
+    itemsize = traced.params["out.W"].data.itemsize
+    assert tracer.counts["numerics.sampled_logits.gather_bytes"] == \
+        hp.cell_size * sum(candidates) * itemsize
+    for (name, a), (_, b) in zip(plain.params.items(), traced.params.items()):
+        assert a.data.tobytes() == b.data.tobytes(), name

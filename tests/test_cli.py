@@ -1,6 +1,7 @@
 """End-to-end subcommand behavior and exit codes (in-process, but for the
 ``python -m lenvae.cli`` runs)."""
 
+import csv
 import json
 import os
 import struct
@@ -452,10 +453,34 @@ def test_evaluate_identity_scores_one(tmp_path, capsys):
     report = (out_dir / "report.txt").read_text()
     assert "model" in report and "prefix" in report
     row = [l for l in report.splitlines() if l.startswith("model")][0]
-    assert row.split()[1:4] == ["100.00", "100.00", "100.00"]  # identity
+    assert row.split()[1:7] == ["100.00"] * 6  # identity: every recall and F1
     assert (out_dir / "report.csv").exists()
     assert (out_dir / "hist_model.csv").read_text().startswith("bucket_start,count")
     capsys.readouterr()
+
+
+def test_evaluate_table_shows_the_csv_recall_and_f1(tmp_path, capsys):
+    source = tmp_path / "src.txt"
+    refs = tmp_path / "refs.txt"
+    cands = tmp_path / "model.txt"
+    source.write_text("the cat runs fast today\na dog sleeps on the mat now\n")
+    refs.write_text("the cat runs\na dog sleeps\n")
+    cands.write_text("cat runs today\nthe dog sleeps on a mat\n")
+    out_dir = tmp_path / "eval"
+    assert run("evaluate", "--source", str(source), "--references", str(refs),
+               "--candidates", str(cands), "--out-dir", str(out_dir)) == EXIT_OK
+    table = (out_dir / "report.txt").read_text()
+    assert capsys.readouterr().out == table
+    with open(out_dir / "report.csv", encoding="utf-8") as f:
+        rows = {row["system"]: row for row in csv.DictReader(f)}
+    text_rows = [line.split() for line in table.splitlines()[1:]]
+    assert [cells[0] for cells in text_rows] == list(rows)
+    for name, *cells in text_rows:
+        for i, kind in enumerate(("rouge1", "rouge2", "rougel")):
+            recall, f1 = (float(rows[name][f"{kind}_{part}"]) for part in ("recall", "f1"))
+            assert cells[2 * i] == f"{100 * recall:.2f}"
+            assert cells[2 * i + 1] == f"{100 * f1:.2f}"
+            assert f1 != recall   # so a swapped column would show
 
 
 def test_evaluate_scores_what_summarize_writes(trained, tmp_path, capsys):
@@ -510,6 +535,21 @@ def test_probe_cli(trained, tmp_path, capsys):
     assert code == EXIT_OK
     report = (out_dir / "probe_report.txt").read_text()
     assert "with length input" in report and "without length input" in report
+    capsys.readouterr()
+
+
+def test_probe_split_does_not_follow_the_training_seed(trained, tmp_path, capsys):
+    # --seed picks the training draws; the probe keeps its own fixed split
+    root, corpus, vocab, cfg, out_with, out_without = trained
+    reports = []
+    for seed in ("0", "2"):
+        out_dir = tmp_path / f"probe_{seed}"
+        assert run("--config", str(cfg), "--seed", seed, "probe",
+                   "--checkpoint-lenemb", str(out_with / "final.lvae"),
+                   "--checkpoint-no-lenemb", str(out_without / "final.lvae"),
+                   "--corpus", str(corpus), "--out-dir", str(out_dir)) == EXIT_OK
+        reports.append((out_dir / "probe_report.txt").read_text())
+    assert reports[0] == reports[1]
     capsys.readouterr()
 
 

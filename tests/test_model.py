@@ -8,11 +8,14 @@ import pytest
 
 from lenvae.model import (
     GRADCHECK_MIN_GRADIENT, GRADCHECK_SEEDS, INIT_ROW_BLOCK, INIT_SCALE, HyperParams,
-    LatentParams, bow_loss, decode_step, decoder_targets, draw_negatives, encode,
+    LatentParams, bow_loss, decode_step, decoder_states, decoder_targets, draw_negatives, encode,
     encoder_mean, init_decoder_state, init_params, kl_divergence,
     length_input, param_shapes, reparameterize, tiny_gradcheck_instance, total_loss,
 )
-from lenvae.numerics import Tensor, cross_entropy_rows, grad_check, sampled_logits, zeros
+from lenvae.numerics import (
+    Tensor, affine, cross_entropy_rows, grad_check, sampled_logits, zeros,
+)
+from lenvae.numerics.tensor import _toposort
 from lenvae.textpipe import EOS_ID, PAD_ID, Batch, make_batch
 
 import lstm_reference
@@ -505,6 +508,79 @@ def test_training_reconstruction_equals_eval_with_all_negatives():
     assert abs(train_comps["reconstruction"] - eval_comps["reconstruction"]) <= 1e-12
 
 
+def _log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _recon_inputs(hp, params, batch, eps):
+    """Time-major (T*B, cell) teacher-forced states, flat targets and mask."""
+    dec_in, targets, mask = decoder_targets(batch)
+    z = reparameterize(encode(batch, params, hp), eps)
+    states = decoder_states(z, dec_in, batch.lengths, params, hp).data
+    return states, targets, mask
+
+
+def test_training_reconstruction_is_one_sampled_softmax_over_one_shared_set():
+    # no dropout of either kind and a given eps: the candidate draw is the
+    # objective's only use of rng, one rng.random(V) for the whole batch
+    hp = replace(TINY, vocab_size=12, softmax_samples=2)
+    params = tiny_params(19, hp)
+    batch = make_batch([[5, 6, 5, 7], [8, 5], [9, 10, 6]], hp.vocab_size)
+    eps = np.random.default_rng(20).standard_normal((3, hp.latent_dim))
+    rng = np.random.default_rng(21)
+    _, comps = total_loss(batch, params, hp, 1.0, "train", rng, dropout_keep=1.0,
+                          word_drop_p=0.0, eps=eps)
+
+    reference = np.random.default_rng(21)
+    keys = reference.random(hp.vocab_size)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    states, targets, mask = _recon_inputs(hp, params, batch, eps)
+    targets, mask = targets.T.ravel(), mask.T.ravel()
+    distinct = np.unique(targets)
+    keys[distinct] = 2.0
+    negatives = np.sort(np.argsort(keys)[:hp.softmax_samples])
+    ids = np.concatenate([distinct, negatives])
+    assert len(ids) < hp.vocab_size   # a proper subset of the vocabulary
+    w, b = params["out.W"].data, params["out.b"].data
+    log_probs = _log_softmax(states @ w[:, ids] + b[ids])
+    target_pos = np.searchsorted(distinct, targets)
+    expected = -(mask * log_probs[np.arange(len(targets)), target_pos]).sum() / 3
+    np.testing.assert_allclose(comps["reconstruction"], expected, rtol=1e-12)
+
+
+def _op_nodes(loss):
+    return sum(node._backward is not None for node in _toposort(loss))
+
+
+def test_total_loss_node_count_does_not_grow_with_sentence_length():
+    hp, params = TINY, tiny_params(22)
+    counts = []
+    for width in (3, 9):
+        batch = make_batch([[5] * width, [6, 5]], hp.vocab_size)
+        loss, _ = total_loss(batch, params, hp, 0.5, "train", np.random.default_rng(23),
+                             dropout_keep=0.8, word_drop_p=0.2)
+        assert batch.ids.shape[1] == width
+        counts.append(_op_nodes(loss))
+    assert counts[0] == counts[1]
+
+
+def test_eval_reconstruction_equals_per_step_sum():
+    # the per-step form: one full softmax over each decoder step's B rows
+    hp, params = TINY, tiny_params(24)
+    batch = make_batch([[5, 6, 5, 4], [6, 5], [3]], hp.vocab_size)
+    eps = np.random.default_rng(25).standard_normal((3, hp.latent_dim))
+    _, comps = total_loss(batch, params, hp, 1.0, "eval", eps=eps)
+
+    states, targets, mask = _recon_inputs(hp, params, batch, eps)
+    n, steps = targets.shape
+    per_step = 0.0
+    for t in range(steps):
+        logits = affine(Tensor(states[t * n:(t + 1) * n]), params["out.W"], params["out.b"])
+        per_step += float(cross_entropy_rows(logits, targets[:, t], mask[:, t]).data)
+    np.testing.assert_allclose(comps["reconstruction"], per_step / n, rtol=1e-12)
+
+
 def test_total_loss_rejects_bad_mode_and_weight():
     hp, params = TINY, tiny_params(17)
     batch = _two_sentence_batch()
@@ -555,6 +631,8 @@ def test_gradcheck_instance_meets_screening_rule(index):
     loss_fn(params).backward()
     grads = np.concatenate([np.abs(t.grad).ravel() for _, t in params.items()])
     assert grads[grads > 0].min() >= GRADCHECK_MIN_GRADIENT
+    # the candidate set is a proper subset: 5 of the 7 output biases take part
+    assert np.count_nonzero(params["out.b"].grad) == 5
 
 
 @pytest.mark.parametrize("index", range(1, len(GRADCHECK_SEEDS)))
@@ -565,8 +643,8 @@ def test_full_model_gradient_check_remaining_instances(index):
 
 
 @pytest.mark.parametrize("changes, index", [
-    ({"lenemb": False}, 5),
-    ({"decoder_layers": 1}, 3),
+    ({"lenemb": False}, 7),
+    ({"decoder_layers": 1}, 1),
 ], ids=["no-lenemb", "one-layer"])
 def test_full_model_gradient_check_other_shapes(changes, index):
     # the default instance has the length table and two decoder layers; the

@@ -7,7 +7,7 @@ from lenvae.numerics import (
     ParamStore, Tensor, add, add_scalar, affine, concat_cols,
     cross_entropy_rows, exp_, gather_rows, grad_check, log_softmax_rows,
     matmul, mul, mul_const, neg, sampled_logits, scale, sigmoid, slice_cols,
-    slice_rows, sub, sum_all, sum_cols, tanh_, weighted_cross_entropy_rows,
+    sub, sum_all, sum_cols, tanh_, weighted_cross_entropy_rows,
     weighted_step_sum,
 )
 from lenvae.numerics.tensor import BLOCK
@@ -219,11 +219,6 @@ def test_cross_entropy_ops_are_log_softmax_rows(shape, scale_by):
     old_grad = _softmax_reference(x) * n[:, None] - counts
     np.testing.assert_allclose(logits.grad, old_grad, rtol=0,
                                atol=1e-14 * np.abs(old_grad).max())
-
-
-def test_slice_rows():
-    # overlapping row blocks of one tensor accumulate into its gradient
-    fd_check(lambda a: sum_all(mul(slice_rows(a, 1, 4), slice_rows(a, 0, 3))), 1, [(5, 3)])
 
 
 def test_weighted_step_sum():
