@@ -17,7 +17,12 @@ per batch, shared by every decoder step and row (Jean et al. 2015): the
 batch's distinct targets plus ``softmax_samples`` uniform non-target draws.
 Other rows' and steps' targets serve as negatives, so the whole term is one
 GEMM against the candidate columns of the output layer; once the set covers
-the vocabulary the loss is exactly the full softmax.
+the vocabulary the loss is exactly the full softmax. Each of the T*B rows is
+scored against all U + K candidates, U being the batch's distinct targets,
+where a set per step would score it against that step's U_t + K. So the
+term's work and memory grow with U: about the same as per-step sets while U
+is small next to K, four times their logits at the paper preset's batch of
+512 sentences over a Zipf 40k vocabulary (U near 3,900 against K = 1,000).
 
 Training runs each LSTM layer over the whole sequence as one autograd node
 (``numerics.lstm_sequence``: one input GEMM against w[:I], h @ w[I:] per
