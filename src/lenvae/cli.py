@@ -139,7 +139,7 @@ def _cmd_evaluate(args, cfg):
         name = os.path.splitext(os.path.basename(path))[0]
         systems.append(rouge.score_system(name, candidates, reference_lists,
                                           sources, cap=cap))
-        buckets = rouge.length_histogram(candidates, cfg.bucket_width)
+        buckets = rouge.length_histogram(candidates)
         rouge.write_histogram(os.path.join(args.out_dir, f"hist_{name}.csv"), buckets)
 
     table = rouge.render_report(systems)

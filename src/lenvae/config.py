@@ -7,7 +7,9 @@ Each key is declared once, as a field of the dataclass that uses it:
   - beam search: the fields of ``DecodeRequest`` (inference.py),
     ``beam_width`` and ``max_tokens``;
   - the run-level keys no other dataclass owns (``top_k``, ``max_words``,
-    ``desired_length``, ``byte_cap``, ``bucket_width``): ``RunConfig`` below.
+    ``desired_length``, ``byte_cap``): ``RunConfig`` below.
+Values that no run varies are constants, not keys: Adam's beta1, beta2 and
+eps (``numerics/optim.py``) and the histogram bucket width (``metrics.py``).
 The key table and the defaults are read off those fields, so they are the
 desk-scale defaults; the "paper" preset switches to the published
 large-corpus hyperparameters (``HyperParams.paper_scale``). Values are
@@ -47,14 +49,13 @@ class RunConfig:
     desired_length: str = "20"      # a word count or "natural"
     # evaluation
     byte_cap: int = DUC_BYTE_CAP    # UTF-8 bytes per candidate; <= 0 means no cap
-    bucket_width: int = 5
     # HyperParams keyword arguments but vocab_size
     architecture: dict = field(default_factory=_architecture)
     train: TrainConfig = field(default_factory=TrainConfig)
     decode: DecodeRequest = field(default_factory=DecodeRequest)
 
     def __post_init__(self):
-        for name in ("top_k", "max_words", "bucket_width"):
+        for name in ("top_k", "max_words"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.desired_length == NATURAL:

@@ -16,6 +16,7 @@ LARGE_SCALE_PREFIX_ROUGE1 = {"duc2004": 22.43, "gigaword": 23.14}
 
 PREFIX_CHARS = 75
 DUC_BYTE_CAP = 75
+HISTOGRAM_BUCKET_CHARS = 5
 
 
 @dataclass(frozen=True)
@@ -130,11 +131,11 @@ def extractive_pct(output_tokens, input_tokens):
     return 100.0 * matched / len(output_tokens)
 
 
-def length_histogram(outputs, bucket_width: int = 5):
-    """Character-length bucket counts: sorted list of (bucket_start, count)."""
-    if bucket_width < 1:
-        raise ValueError("bucket_width must be >= 1")
-    counts = Counter((len(text) // bucket_width) * bucket_width for text in outputs)
+def length_histogram(outputs):
+    """Character-length bucket counts, ``HISTOGRAM_BUCKET_CHARS`` wide: sorted
+    list of (bucket_start, count)."""
+    width = HISTOGRAM_BUCKET_CHARS
+    counts = Counter((len(text) // width) * width for text in outputs)
     return sorted(counts.items())
 
 

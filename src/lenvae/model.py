@@ -84,11 +84,10 @@ class HyperParams:
                 raise ValueError(f"HyperParams.{name} must be positive")
 
     @classmethod
-    def paper_scale(cls, vocab_size: int, lenemb: bool = True) -> "HyperParams":
+    def paper_scale(cls, vocab_size: int) -> "HyperParams":
         return cls(vocab_size=vocab_size, cell_size=243, embed_size=254,
                    latent_dim=124, bow_width=236, len_embed_size=50,
-                   decoder_layers=2, max_len_index=30, softmax_samples=1000,
-                   lenemb=lenemb)
+                   decoder_layers=2, max_len_index=30, softmax_samples=1000)
 
 
 @dataclass

@@ -10,6 +10,11 @@ import numpy as np
 from .params import ParamStore
 from .tensor import BLOCK
 
+# Adam's published constants (Kingma & Ba 2015, arXiv:1412.6980)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class MissingGradientError(RuntimeError):
     pass
@@ -17,33 +22,31 @@ class MissingGradientError(RuntimeError):
 
 @dataclass
 class AdamState:
-    """The settings (``TrainConfig`` holds their defaults) and the first and
-    second moment accumulators, keyed like the ParamStore and each in its
-    parameter's memory order."""
+    """The learning rate, the step count and the first and second moment
+    accumulators, keyed like the ParamStore and each in its parameter's
+    memory order. beta1, beta2 and eps are the module constants
+    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``."""
 
     learning_rate: float
-    beta1: float
-    beta2: float
-    eps: float
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: ParamStore, learning_rate: float, beta1: float,
-                   beta2: float, eps: float) -> "AdamState":
-        state = cls(learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps)
+    def for_params(cls, params: ParamStore, learning_rate: float) -> "AdamState":
+        state = cls(learning_rate=learning_rate)
         for name, t in params.items():
             state.m[name] = np.zeros_like(t.data)
             state.v[name] = np.zeros_like(t.data)
         return state
 
 
-def _adam_blocks(blocks, dtype, b1: float, b2: float, m_corr: float, v_corr: float,
-                 learning_rate: float, eps: float) -> None:
+def _adam_blocks(blocks, dtype, m_corr: float, v_corr: float,
+                 learning_rate: float) -> None:
     """The Adam update of each (gradient, m, v, value) block of flat views,
     in place, through two scratch blocks of its own in ``dtype``; zeroes
     each gradient block. Calls only numpy, so it can run on a worker thread."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     size = max((gb.size for gb, *_ in blocks), default=0)
     scratch1, scratch2 = np.empty(size, dtype), np.empty(size, dtype)
     for gb, mb, vb, pb in blocks:
@@ -59,7 +62,7 @@ def _adam_blocks(blocks, dtype, b1: float, b2: float, m_corr: float, v_corr: flo
         np.multiply(s1, learning_rate, out=s1)
         np.divide(vb, v_corr, out=s2)
         np.sqrt(s2, out=s2)
-        np.add(s2, eps, out=s2)
+        np.add(s2, ADAM_EPS, out=s2)
         np.divide(s1, s2, out=s1)
         np.subtract(pb, s1, out=pb)
         gb.fill(0.0)
@@ -101,7 +104,6 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
             raise ValueError(f"gradient of {name!r} is {t.grad.dtype}{t.grad.shape}, "
                              f"parameter is {t.data.dtype}{t.data.shape}")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
     blocks = []
     for name, t in params.items():
         if t.grad.strides != t.data.strides:
@@ -111,9 +113,10 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
         flats = [a.ravel(order="K") for a in (t.grad, state.m[name], state.v[name], t.data)]
         blocks += [[a[lo:lo + BLOCK] for a in flats] for lo in range(0, t.data.size, BLOCK)]
     largest = max((t.data for _, t in params.items()), key=np.size, default=np.empty(0))
-    walk = functools.partial(_adam_blocks, dtype=largest.dtype, b1=b1, b2=b2,
-                             m_corr=1.0 - b1 ** state.step, v_corr=1.0 - b2 ** state.step,
-                             learning_rate=state.learning_rate, eps=state.eps)
+    walk = functools.partial(_adam_blocks, dtype=largest.dtype,
+                             m_corr=1.0 - ADAM_BETA1 ** state.step,
+                             v_corr=1.0 - ADAM_BETA2 ** state.step,
+                             learning_rate=state.learning_rate)
     workers = 1 if params.num_values() <= BLOCK \
         else min(len(os.sched_getaffinity(0)), len(blocks))
     if workers == 1:

@@ -59,7 +59,9 @@ class Tensor:
     def backward(self):
         """Accumulate d(self)/d(leaf) into every contributing leaf's ``grad``.
 
-        ``self`` must be a scalar (size-1) tensor.
+        ``self`` must be a scalar (size-1) tensor. Each interior node's
+        ``grad`` is dropped as soon as its ``_backward`` has passed it on, so
+        only the leaves hold gradients afterwards.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar loss, got shape {self.data.shape}")
@@ -68,6 +70,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
 
 
 def _toposort(root):

@@ -1,6 +1,5 @@
 """Training loop: KL-weight annealing, metrics log, checkpoints."""
 
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -18,16 +17,16 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class TrainConfig:
+    """One training run's settings. The KL weight follows one linear schedule
+    (``kl_anneal_weight``); Adam's beta1, beta2 and eps are the constants
+    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS`` of ``numerics/optim.py``."""
+
     batch_size: int = 64
     total_steps: int = 2000
-    anneal_kind: str = "linear"       # or "logistic"
     anneal_horizon: int = 1000
     word_drop_p: float = 0.20
     dropout_keep: float = 0.87
     learning_rate: float = 0.002
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     grad_clip: float = 5.0
     seed: int = 0
     checkpoint_interval: int = 1000
@@ -36,40 +35,25 @@ class TrainConfig:
         for name in ("batch_size", "total_steps", "checkpoint_interval", "anneal_horizon"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("learning_rate", "grad_clip", "adam_eps"):
+        for name in ("learning_rate", "grad_clip"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1)")
         if not 0.0 <= self.word_drop_p <= 1.0:
             raise ValueError("word_drop_p must be in [0, 1]")
         if not 0.0 < self.dropout_keep <= 1.0:  # the kept units are scaled by 1 / keep
             raise ValueError("dropout_keep must be in (0, 1]")
         if self.anneal_horizon > self.total_steps:
             raise ValueError("anneal_horizon must be <= total_steps")
-        if self.anneal_kind not in ("linear", "logistic"):
-            raise ValueError(f"unknown anneal_kind {self.anneal_kind!r}")
         if self.seed < 0:  # numpy's generators take no negative seed
             raise ValueError("seed must be >= 0")
 
 
 def kl_anneal_weight(step: int, config: TrainConfig) -> float:
-    """Monotone weight in [0, 1]: 0 at step 0, 1 at and beyond the horizon."""
+    """The KL weight at ``step``: rises linearly from 0 at step 0 to 1 at
+    ``config.anneal_horizon`` and stays 1 from there on."""
     if step < 0:
         raise ValueError("step must be >= 0")
-    horizon = config.anneal_horizon
-    if step >= horizon:
-        return 1.0
-    frac = step / horizon
-    if config.anneal_kind == "linear":
-        return frac
-    # logistic, renormalized so the endpoints are exactly 0 and 1
-    steep = 12.0
-    def sig(x):
-        return 1.0 / (1.0 + math.exp(-x))
-    lo, hi = sig(-steep / 2.0), sig(steep / 2.0)
-    return (sig(steep * (frac - 0.5)) - lo) / (hi - lo)
+    return min(step / config.anneal_horizon, 1.0)
 
 
 @dataclass
@@ -127,9 +111,7 @@ def train(sentences, vocab: Vocabulary, hp: HyperParams, config: TrainConfig,
 
     rng = np.random.default_rng(config.seed)
     params = init_params(hp, rng)
-    adam = AdamState.for_params(params, learning_rate=config.learning_rate,
-                                beta1=config.adam_beta1, beta2=config.adam_beta2,
-                                eps=config.adam_eps)
+    adam = AdamState.for_params(params, config.learning_rate)
     metrics = MetricsLog()
     checkpoint_paths = []
     if out_dir is not None:

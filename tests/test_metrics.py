@@ -186,7 +186,7 @@ def test_extractive_pct_empty_output_is_absent():
 
 def test_length_histogram_bucketing_and_conservation():
     outputs = ["x" * 75, "y" * 3, "z" * 4, ""]
-    buckets = length_histogram(outputs, bucket_width=5)
+    buckets = length_histogram(outputs)  # 5-char buckets
     assert dict(buckets) == {0: 3, 75: 1}
     assert sum(count for _, count in buckets) == len(outputs)
 

@@ -19,6 +19,7 @@ from lenvae.numerics import (
     sampled_logits, sum_all, tanh_, zeros,
 )
 from lenvae.model import HyperParams, init_params
+from lenvae.numerics import optim
 from lenvae.numerics.optim import BLOCK
 from lenvae.training import TrainConfig
 from lstm_reference import lstm_cell_forward, unrolled_sequence
@@ -238,12 +239,9 @@ def test_row_blocks_of_a_column_major_output_layer_are_at_least_8_rows():
 # Adam
 # ---------------------------------------------------------------------------
 
-def adam_for(store, **settings):
-    """``AdamState`` with ``TrainConfig``'s Adam settings, some replaced by ``settings``."""
-    config = TrainConfig()
-    return AdamState.for_params(store, **{
-        "learning_rate": config.learning_rate, "beta1": config.adam_beta1,
-        "beta2": config.adam_beta2, "eps": config.adam_eps, **settings})
+def adam_for(store, learning_rate=TrainConfig().learning_rate):
+    """``AdamState`` with ``TrainConfig``'s default learning rate, or ``learning_rate``."""
+    return AdamState.for_params(store, learning_rate)
 
 
 def test_adam_zero_gradients_keep_parameters():
@@ -259,10 +257,10 @@ def test_adam_zero_gradients_keep_parameters():
 def test_adam_first_step_hand_value():
     # constant gradient 1 on a scalar: after bias correction the first update
     # is exactly -lr / (1 + eps)
-    lr, eps = 0.01, 1e-8
+    lr, eps = 0.01, optim.ADAM_EPS
     store = ParamStore()
     t = store.add("p", np.array([0.5]))
-    state = adam_for(store, learning_rate=lr, eps=eps)
+    state = adam_for(store, learning_rate=lr)
     t.grad = np.array([1.0])
     adam_step(store, state)
     np.testing.assert_allclose(t.data, [0.5 - lr / (1.0 + eps)], rtol=1e-15)
@@ -309,7 +307,8 @@ def test_adam_in_place_bit_identical_to_textbook():
     ref = {name: t.data.copy() for name, t in store.items()}
     ref_m = {name: np.zeros_like(p) for name, p in ref.items()}
     ref_v = {name: np.zeros_like(p) for name, p in ref.items()}
-    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
+    b1, b2, lr, eps = optim.ADAM_BETA1, optim.ADAM_BETA2, state.learning_rate, optim.ADAM_EPS
+    assert (b1, b2, eps) == (0.9, 0.999, 1e-8)  # Kingma & Ba 2015's published values
     for step in range(1, 5):
         for name, t in store.items():
             t.grad = 3.0 * rng.standard_normal(t.data.shape)
@@ -328,8 +327,8 @@ def test_adam_in_place_bit_identical_to_textbook():
 
 def _textbook_adam(store, state, grads):
     """Parameters and moments after one Adam step on fresh arrays."""
-    b1, b2, lr, eps, step = (state.beta1, state.beta2, state.learning_rate, state.eps,
-                             state.step + 1)
+    b1, b2, eps = optim.ADAM_BETA1, optim.ADAM_BETA2, optim.ADAM_EPS
+    lr, step = state.learning_rate, state.step + 1
     out = {}
     for name, t in store.items():
         g = grads[name]

@@ -103,10 +103,8 @@ def _tiny_pair():
 
 def test_probe_experiment_deterministic_and_in_range():
     params_with, hp_with, params_without, hp_without, sentences = _tiny_pair()
-    a = probe_experiment(params_with, hp_with, params_without, hp_without,
-                         sentences, seed=9)
-    b = probe_experiment(params_with, hp_with, params_without, hp_without,
-                         sentences, seed=9)
+    a = probe_experiment(params_with, hp_with, params_without, hp_without, sentences)
+    b = probe_experiment(params_with, hp_with, params_without, hp_without, sentences)
     assert (a.r2_with, a.r2_without) == (b.r2_with, b.r2_without)
     for value in (a.r2_with, a.r2_without):
         assert value <= 1.0 and np.isfinite(value)

@@ -10,7 +10,7 @@ from lenvae.numerics import (
     sub, sum_all, sum_cols, tanh_, weighted_cross_entropy_rows,
     weighted_step_sum,
 )
-from lenvae.numerics.tensor import BLOCK
+from lenvae.numerics.tensor import BLOCK, _toposort
 
 
 def fd_check(build, n_params, shapes, seed=0, tol=1e-7):
@@ -129,6 +129,27 @@ def test_diamond_reuse_accumulates_once_per_path():
     loss = sum_all(add(mul(a, a), a))
     loss.backward()
     np.testing.assert_allclose(a.grad, [7.0])
+
+
+def test_backward_leaves_gradients_only_on_the_leaves():
+    # loss = sum(h * h), h = tanh(x @ W + b); h is used twice
+    rng = np.random.default_rng(3)
+    store = ParamStore()
+    x = store.add("x", rng.standard_normal((3, 4)))
+    w = store.add("w", rng.standard_normal((4, 2)))
+    b = store.add("b", rng.standard_normal(2))
+    h = tanh_(add(matmul(x, w), b))
+    loss = sum_all(mul(h, h))
+    loss.backward()
+    interior = [node for node in _toposort(loss) if node._backward is not None]
+    assert len(interior) == 5
+    assert all(node.grad is None for node in interior)
+
+    h_ref = np.tanh(x.data @ w.data + b.data)
+    dz = 2.0 * h_ref * (1.0 - h_ref * h_ref)
+    np.testing.assert_allclose(x.grad, dz @ w.data.T, rtol=1e-12)
+    np.testing.assert_allclose(w.grad, x.data.T @ dz, rtol=1e-12)
+    np.testing.assert_allclose(b.grad, dz.sum(axis=0), rtol=1e-12)
 
 
 def test_log_softmax_rows_matches_softmax():
