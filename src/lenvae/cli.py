@@ -14,7 +14,7 @@ import sys
 from . import checkpoint as ckpt
 from . import metrics as rouge
 from .config import KEYS, PRESETS, ConfigError, load_run_config
-from .inference import NATURAL, summarize
+from .inference import summarize
 from .model import tiny_gradcheck_instance
 from .numerics import grad_check
 from .probe import probe_experiment
@@ -97,14 +97,13 @@ def _cmd_train(args, cfg):
 
 def _cmd_summarize(args, cfg):
     params, hp, vocab, _ = ckpt.checkpoint_load(args.checkpoint)
-    desired = NATURAL if cfg.desired_length == NATURAL else int(cfg.desired_length)
     lines = _read_lines(args.input)
     outputs = []
     for line in lines:
         if not line.strip():
             outputs.append("")
             continue
-        outputs.append(summarize(line, desired, params, hp, vocab,
+        outputs.append(summarize(line, cfg.desired_length, params, hp, vocab,
                                  beam_width=cfg.decode.beam_width,
                                  max_tokens=cfg.decode.max_tokens))
     _write_lines(args.output, outputs)

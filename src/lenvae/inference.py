@@ -196,7 +196,8 @@ def summarize(sentence: str, desired_length, params: ParamStore, hp: HyperParams
               max_tokens: int = DecodeRequest.max_tokens) -> str:
     """Decode a shortened (or same-length) version of one sentence.
 
-    ``desired_length`` is a word count, or NATURAL for the input's own count.
+    ``desired_length`` is a word count (an int or its decimal string), or
+    NATURAL for the input's own count.
     Requesting a specific length from a model trained without the length
     table is an incompatibility error.
     """

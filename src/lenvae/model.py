@@ -186,7 +186,7 @@ def encoder_mean(batch: Batch, params: ParamStore, hp: HyperParams) -> Tensor:
     means = []
     for direction, dir_ids in (("enc_fwd", ids), ("enc_bwd", _reverse_within_length(ids, lengths))):
         emb = gather_rows(params["embed.W"], dir_ids.T.ravel())
-        states = lstm_sequence(emb, zeros((n, hp.cell_size)), zeros((n, hp.cell_size)),
+        states = lstm_sequence(emb, zeros((n, hp.cell_size)),
                                params[f"{direction}.W"], params[f"{direction}.b"], width)
         means.append(weighted_step_sum(states, step_weights))
     return concat_cols(means)
@@ -240,7 +240,7 @@ def length_input(start: np.ndarray, t, params: ParamStore, hp: HyperParams) -> T
 
     With ``lenemb``: the ``len_table`` row at min(max(start - t, 0),
     max_len_index) for each row, so the countdown floors at 0 and values
-    beyond the table clamp to its last row. Without it: constant zeros.
+    beyond the table clamp to its last row. Without it: a zero leaf.
     """
     index = np.minimum(np.maximum(start - t, 0), hp.max_len_index).ravel()
     if not hp.lenemb:
@@ -315,8 +315,7 @@ def decoder_states(z: Tensor, dec_in: np.ndarray, start: np.ndarray,
     below = None
     for layer in range(hp.decoder_layers):
         layer_in = step_input if layer == 0 else concat_cols([below, step_input])
-        below = lstm_sequence(layer_in, zeros((n, hp.cell_size)),
-                              c0 if layer == 0 else zeros((n, hp.cell_size)),
+        below = lstm_sequence(layer_in, c0 if layer == 0 else zeros((n, hp.cell_size)),
                               params[f"dec_l{layer}.W"], params[f"dec_l{layer}.b"], steps)
     return below
 

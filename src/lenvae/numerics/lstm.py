@@ -10,8 +10,9 @@ are time-major row blocks: row ``t*B + r`` holds step t of batch row r, so
 step t is the contiguous block ``[t*B, (t+1)*B)``. Every input is known before
 the loop, so the input half of every step's gates is one (T*B, I) @ (I, 4H)
 GEMM plus the bias (Appleyard et al. 2016); only ``h @ w[I:]`` stays inside
-the loop. The forward caches every step's gate activations (i, f, g, o), cell
-state c and tanh(c).
+the loop. The hidden state starts at h_{-1} = 0, as both of the paper's LSTMs
+do, and the cell state at ``c0``. The forward caches every step's gate
+activations (i, f, g, o), cell state c and tanh(c).
 
 The backward is hand-written backpropagation through time. With dh_t the
 gradient reaching h_t (from the output and from step t+1) and dc_t the one
@@ -22,11 +23,10 @@ reaching c_t:
     dG_t   = [dc_t * g_t * i_t (1 - i_t),   dc_t * c_{t-1} * f_t (1 - f_t),
               dc_t * i_t * (1 - g_t^2),     dh_t * tanh(c_t) * o_t (1 - o_t)]
 
-with dG_T = 0 and dc_T = 0 past the last step, and h_{-1}, c_{-1} the
-initial ``h0``, ``c0``. One reverse loop fills dG (T, B, 4H); after it, one
-GEMM each gives dX = dG @ w[:I].T, dw[:I] = X.T @ dG and
-dw[I:] = [h_{-1}, ..., h_{T-2}].T @ dG, and the bias gradient is dG summed
-over rows. The gradients of ``h0`` and ``c0`` are dG_0 @ w[I:].T and
+with dG_T = 0 and dc_T = 0 past the last step, h_{-1} = 0 and c_{-1} = ``c0``.
+One reverse loop fills dG (T, B, 4H); after it, one GEMM each gives
+dX = dG @ w[:I].T, dw[:I] = X.T @ dG and dw[I:] = [h_{-1}, ..., h_{T-2}].T @ dG,
+and the bias gradient is dG summed over rows. The gradient of ``c0`` is
 dc_0 * f_0.
 
 ``lstm_cell`` is one step on plain arrays for inference: the packed
@@ -78,10 +78,10 @@ def lstm_cell(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
     return h, c
 
 
-def _check_shapes(x, h0, c0, w, b, steps):
-    if x.ndim != 2 or h0.ndim != 2:
-        raise ValueError("lstm_sequence expects rank-2 x and h0")
-    rows, hidden = h0.shape
+def _check_shapes(x, c0, w, b, steps):
+    if x.ndim != 2 or c0.ndim != 2:
+        raise ValueError("lstm_sequence expects rank-2 x and c0")
+    rows, hidden = c0.shape
     if x.shape[0] != steps * rows:
         raise ValueError(f"lstm input x: expected {steps} * {rows} rows, got {x.shape[0]}")
     expected_rows = x.shape[1] + hidden
@@ -90,17 +90,17 @@ def _check_shapes(x, h0, c0, w, b, steps):
             f"lstm weight w: expected shape {(expected_rows, 4 * hidden)}, got {w.shape}")
     if b.shape != (4 * hidden,):
         raise ValueError(f"lstm bias b: expected shape {(4 * hidden,)}, got {b.shape}")
-    if c0.shape != h0.shape:
-        raise ValueError(f"lstm cell state c0: expected shape {h0.shape}, got {c0.shape}")
 
 
-def lstm_sequence(x: Tensor, h0: Tensor, c0: Tensor, w: Tensor, b: Tensor, steps: int) -> Tensor:
+def lstm_sequence(x: Tensor, c0: Tensor, w: Tensor, b: Tensor, steps: int) -> Tensor:
     """Every step's hidden state, (T*B, H) time-major, as one autograd node.
 
-    x (T*B, I) time-major; h0, c0 (B, H); w (I+H, 4H); b (4H,); T = ``steps``.
+    x (T*B, I) time-major; c0 (B, H) the initial cell state; w (I+H, 4H);
+    b (4H,); T = ``steps``. The hidden state starts at h_{-1} = 0, and
+    ``c0`` receives the gradient dc_0 * f_0.
     """
-    _check_shapes(x.data, h0.data, c0.data, w.data, b.data, steps)
-    rows, hidden = h0.data.shape
+    _check_shapes(x.data, c0.data, w.data, b.data, steps)
+    rows, hidden = c0.data.shape
     in_dim = x.data.shape[1]
     scale = _gate_scale(hidden, w.data.dtype)
     # scaling by 0.5 is exact, so scaling both halves of the gates up front
@@ -110,10 +110,10 @@ def lstm_sequence(x: Tensor, h0: Tensor, c0: Tensor, w: Tensor, b: Tensor, steps
     acts *= scale
     acts = acts.reshape(steps, rows, 4 * hidden)   # pre-activations, then activations
     w_h_scaled = w.data[in_dim:] * scale
-    hs = np.empty((steps + 1, rows, hidden), dtype=acts.dtype)     # h_{-1} = h0, h_0, ...
+    hs = np.empty((steps + 1, rows, hidden), dtype=acts.dtype)     # h_{-1} = 0, h_0, ...
     cells = np.empty((steps + 1, rows, hidden), dtype=acts.dtype)  # c_{-1} = c0, c_0, ...
     tanh_cells = np.empty((steps, rows, hidden), dtype=acts.dtype)
-    hs[0], cells[0] = h0.data, c0.data
+    hs[0], cells[0] = 0.0, c0.data
     for t in range(steps):
         acts[t] += hs[t] @ w_h_scaled
         lstm_gates(acts[t], cells[t], scale, cells[t + 1], tanh_cells[t], hs[t + 1])
@@ -134,7 +134,7 @@ def lstm_sequence(x: Tensor, h0: Tensor, c0: Tensor, w: Tensor, b: Tensor, steps
         dc_from_h = o * (1.0 - tanh_cells * tanh_cells)
         g = g.reshape(steps, rows, hidden)
         w_h_t = np.ascontiguousarray(w.data[in_dim:].T)
-        dh_next = np.zeros_like(h0.data)
+        dh_next = np.zeros_like(c0.data)
         dc_next = np.zeros_like(c0.data)
         for t in reversed(range(steps)):
             dh = g[t] + dh_next
@@ -146,13 +146,10 @@ def lstm_sequence(x: Tensor, h0: Tensor, c0: Tensor, w: Tensor, b: Tensor, steps
             dh_next = dgates[t] @ w_h_t
         dgates = dgates.reshape(steps * rows, 4 * hidden)
         _accum(x, dgates @ w.data[:in_dim].T)
-        _accum(h0, dh_next)
         _accum(c0, dc_next)
-        if not w._constant:
-            gw = _grad_buffer(w)
-            gw[:in_dim] += x.data.T @ dgates
-            gw[in_dim:] += hs[:-1].reshape(steps * rows, hidden).T @ dgates
-        if not b._constant:
-            _grad_buffer(b)[:] += dgates.sum(axis=0)
+        gw = _grad_buffer(w)
+        gw[:in_dim] += x.data.T @ dgates
+        gw[in_dim:] += hs[:-1].reshape(steps * rows, hidden).T @ dgates
+        _grad_buffer(b)[:] += dgates.sum(axis=0)
 
-    return Tensor(hs[1:].reshape(steps * rows, hidden), (x, h0, c0, w, b), bw)
+    return Tensor(hs[1:].reshape(steps * rows, hidden), (x, c0, w, b), bw)

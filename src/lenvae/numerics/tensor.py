@@ -4,9 +4,10 @@ A ``Tensor`` wraps a numpy array and remembers which operation produced it.
 ``Tensor.backward`` walks the recorded operations in reverse and accumulates
 gradients into every leaf that contributed. The op set is deliberately small:
 the affine maps, gate nonlinearities, row gathers and cross-entropy reductions
-that the encoder, decoder and losses are built from. Constant inputs (masks,
-noise, index arrays) enter through ``mul_const`` or plain numpy arguments
-and never receive gradients.
+that the encoder, decoder and losses are built from. Every leaf accumulates
+its gradient; constants (masks, noise, index arrays) enter through
+``mul_const`` or plain numpy arguments and are never leaves. A zero start
+(``zeros``) is an ordinary leaf whose gradient is dropped with the graph.
 
 float64 is the compute type. The model's noise and masks are float64, so
 float32 parameters are upcast in places: a float32 store still gives a
@@ -33,15 +34,13 @@ __all__ = [
 class Tensor:
     """Value plus gradient slot plus a record of where the value came from."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward", "_constant", "_zeroed_grad",
-                 "__weakref__")
+    __slots__ = ("data", "grad", "_parents", "_backward", "_zeroed_grad", "__weakref__")
 
-    def __init__(self, data, _parents=(), _backward=None, constant=False):
+    def __init__(self, data, _parents=(), _backward=None):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
         self.grad = None
         self._parents = _parents
         self._backward = _backward
-        self._constant = constant  # skip gradient accumulation into this leaf
         self._zeroed_grad = None  # all-zero array the next backward accumulates into
 
     def __repr__(self):
@@ -103,8 +102,6 @@ def _grad_buffer(t):
 
 
 def _accum(t, g):
-    if t._constant:
-        return
     grad = _grad_buffer(t)
     grad += g
 
@@ -120,8 +117,10 @@ def _unbroadcast(g, shape):
 
 
 def zeros(shape, dtype=np.float64):
-    """Constant zero leaf (no gradient is accumulated into it)."""
-    return Tensor(np.zeros(shape, dtype=dtype), constant=True)
+    """Zero-valued leaf, such as an LSTM's zero start or the length input of
+    a model without the length table. Like every leaf it accumulates a
+    gradient, which nothing reads."""
+    return Tensor(np.zeros(shape, dtype=dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +265,7 @@ def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
     out_data = table.data[idx]
 
     def bw(g):
-        if not table._constant:
-            np.add.at(_grad_buffer(table), idx, g)
+        np.add.at(_grad_buffer(table), idx, g)
 
     return Tensor(out_data, (table,), bw)
 
@@ -329,7 +327,8 @@ def cross_entropy_rows(logits: Tensor, targets: np.ndarray, weights: np.ndarray)
     def bw(g):
         gl = np.exp(log_probs) * weights[:, None]
         gl[rows, targets] -= weights
-        _accum(logits, gl * float(g))
+        gl *= float(g)
+        _accum(logits, gl)
 
     return Tensor(out_data, (logits,), bw)
 
@@ -346,7 +345,8 @@ def weighted_cross_entropy_rows(logits: Tensor, counts: np.ndarray) -> Tensor:
 
     def bw(g):
         gl = np.exp(log_probs) * n[:, None] - counts
-        _accum(logits, gl * float(g))
+        gl *= float(g)
+        _accum(logits, gl)
 
     return Tensor(out_data, (logits,), bw)
 
@@ -368,10 +368,8 @@ def sampled_logits(h: Tensor, w: Tensor, b: Tensor, ids: np.ndarray) -> Tensor:
 
     def bw(g):
         _accum(h, g @ wc.T)
-        if not w._constant:
-            _grad_buffer(w)[:, ids] += h.data.T @ g
-        if not b._constant:
-            _grad_buffer(b)[ids] += g.sum(axis=0)
+        _grad_buffer(w)[:, ids] += h.data.T @ g
+        _grad_buffer(b)[ids] += g.sum(axis=0)
 
     return Tensor(out_data, (h, w, b), bw)
 

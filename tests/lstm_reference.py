@@ -31,7 +31,8 @@ def lstm_cell_forward(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: Tensor, b: T
 
 def unrolled_sequence(x_steps, h0: Tensor, c0: Tensor, w: Tensor, b: Tensor):
     """``lstm_sequence`` as chained cell steps over the per-step inputs
-    ``x_steps``: the list of every step's h."""
+    ``x_steps``: the list of every step's h. The kernel's own start is
+    ``h0 = 0``."""
     h, c, hs = h0, c0, []
     for x in x_steps:
         h, c = lstm_cell_forward(x, h, c, w, b)

@@ -15,7 +15,7 @@ from lenvae.numerics import (
     AdamState, MissingGradientError, NonFiniteLossError, ParamStore, Tensor, add,
     row_blocks,
     adam_step, clip_grad_norm, cross_entropy_rows, gather_rows, grad_check,
-    log_softmax_rows, lstm_cell, lstm_sequence, matmul, mul,
+    log_softmax_rows, lstm_cell, lstm_sequence, matmul, mul, mul_const,
     sampled_logits, sum_all, tanh_, zeros,
 )
 from lenvae.model import HyperParams, init_params
@@ -75,12 +75,11 @@ def test_softmax_shift_invariance(logits, shift):
 
 def test_lstm_zero_weights_zero_output():
     x = Tensor(np.random.default_rng(0).standard_normal((2 * 3, 4)))
-    h0 = Tensor(np.zeros((3, 2)))
     c0 = Tensor(np.zeros((3, 2)))
     w = Tensor(np.zeros((6, 8)))
     b = Tensor(np.zeros(8))
-    np.testing.assert_array_equal(lstm_sequence(x, h0, c0, w, b, 2).data, np.zeros((6, 2)))
-    h, c = lstm_cell(x.data[:3], h0.data, c0.data, w.data, b.data)
+    np.testing.assert_array_equal(lstm_sequence(x, c0, w, b, 2).data, np.zeros((6, 2)))
+    h, c = lstm_cell(x.data[:3], np.zeros((3, 2)), c0.data, w.data, b.data)
     np.testing.assert_array_equal(h, np.zeros((3, 2)))
     np.testing.assert_array_equal(c, np.zeros((3, 2)))
 
@@ -94,21 +93,25 @@ def test_lstm_hand_evaluated_two_unit_cell():
     w[2, :] = [-0.4, 0.1, 0.2, -0.2, 0.3, 0.1, -0.3, 0.4]  # h[1] row
     b = np.array([0.01, 1.0, -0.02, 0.03, 0.04, 1.0, 0.05, -0.05])
 
-    pre = np.array([x_val, h_val[0], h_val[1]]) @ w + b
     sig = lambda v: 1.0 / (1.0 + math.exp(-v))
-    i = np.array([sig(pre[0]), sig(pre[1])])
-    f = np.array([sig(pre[2]), sig(pre[3])])
-    g = np.array([math.tanh(pre[4]), math.tanh(pre[5])])
-    o = np.array([sig(pre[6]), sig(pre[7])])
-    c_expected = f * c_val + i * g
-    h_expected = o * np.tanh(c_expected)
 
+    def cell_by_hand(h_prev):
+        pre = np.array([x_val, h_prev[0], h_prev[1]]) @ w + b
+        i = np.array([sig(pre[0]), sig(pre[1])])
+        f = np.array([sig(pre[2]), sig(pre[3])])
+        g = np.array([math.tanh(pre[4]), math.tanh(pre[5])])
+        o = np.array([sig(pre[6]), sig(pre[7])])
+        c_new = f * c_val + i * g
+        return o * np.tanh(c_new), c_new
+
+    h_expected, c_expected = cell_by_hand(h_val)
     h, c = lstm_cell(np.array([[x_val]]), h_val[None, :], c_val[None, :], w, b)
     np.testing.assert_allclose(c[0], c_expected, rtol=1e-12)
     np.testing.assert_allclose(h[0], h_expected, rtol=1e-12)
-    h_seq = lstm_sequence(Tensor(np.array([[x_val]])), Tensor(h_val[None, :]),
-                          Tensor(c_val[None, :]), Tensor(w), Tensor(b), 1)
-    np.testing.assert_allclose(h_seq.data[0], h_expected, rtol=1e-12)
+    # the sequence kernel starts from h = 0
+    h_seq = lstm_sequence(Tensor(np.array([[x_val]])), Tensor(c_val[None, :]),
+                          Tensor(w), Tensor(b), 1)
+    np.testing.assert_allclose(h_seq.data[0], cell_by_hand(np.zeros(2))[0], rtol=1e-12)
     ref_h, ref_c = lstm_cell_forward(Tensor(np.array([[x_val]])), Tensor(h_val[None, :]),
                                      Tensor(c_val[None, :]), Tensor(w), Tensor(b))
     np.testing.assert_allclose(ref_c.data[0], c_expected, rtol=1e-12)
@@ -121,11 +124,10 @@ def test_lstm_gradients_match_finite_differences():
     store.add("w", rng.standard_normal((3 + 2, 4 * 2)))
     store.add("b", rng.standard_normal(4 * 2))
     store.add("x", rng.standard_normal((3 * 2, 3)))
-    store.add("h0", rng.standard_normal((2, 2)))
     store.add("c0", rng.standard_normal((2, 2)))
 
     def loss_fn(p):
-        h = lstm_sequence(p["x"], p["h0"], p["c0"], p["w"], p["b"], 3)
+        h = lstm_sequence(p["x"], p["c0"], p["w"], p["b"], 3)
         return sum_all(mul(h, h))
 
     assert grad_check(loss_fn, store, eps=1e-5) < 1e-4
@@ -133,17 +135,13 @@ def test_lstm_gradients_match_finite_differences():
 
 def test_lstm_shape_mismatch_names_offender():
     x = Tensor(np.zeros((1, 3)))
-    h = Tensor(np.zeros((1, 2)))
     c = Tensor(np.zeros((1, 2)))
     with pytest.raises(ValueError, match="lstm weight w"):
-        lstm_sequence(x, h, c, Tensor(np.zeros((4, 8))), Tensor(np.zeros(8)), 1)
+        lstm_sequence(x, c, Tensor(np.zeros((4, 8))), Tensor(np.zeros(8)), 1)
     with pytest.raises(ValueError, match="lstm bias b"):
-        lstm_sequence(x, h, c, Tensor(np.zeros((5, 8))), Tensor(np.zeros(7)), 1)
-    with pytest.raises(ValueError, match="c0"):
-        lstm_sequence(x, h, Tensor(np.zeros((1, 3))), Tensor(np.zeros((5, 8))),
-                      Tensor(np.zeros(8)), 1)
+        lstm_sequence(x, c, Tensor(np.zeros((5, 8))), Tensor(np.zeros(7)), 1)
     with pytest.raises(ValueError, match="lstm input x"):
-        lstm_sequence(x, h, c, Tensor(np.zeros((5, 8))), Tensor(np.zeros(8)), 2)
+        lstm_sequence(x, c, Tensor(np.zeros((5, 8))), Tensor(np.zeros(8)), 2)
 
 
 def test_lstm_forget_bias_initialized_to_one():
@@ -184,22 +182,19 @@ def assert_close_to(actual, expected):
                                atol=KERNEL_RTOL * np.abs(expected).max())
 
 
+# constant-start: the cell state starts at the zero leaf of ``zeros()``
 @pytest.mark.parametrize("steps", [1, 2, 7])
-@pytest.mark.parametrize("constant_start", [False, True], ids=["leaf-start", "constant-start"])
-def test_lstm_sequence_matches_unrolled_cell(steps, constant_start):
+@pytest.mark.parametrize("zero_start", [False, True], ids=["leaf-start", "constant-start"])
+def test_lstm_sequence_matches_unrolled_cell(steps, zero_start):
     rows, in_dim, hidden = 3, 4, 5
 
     def inputs():
         r = np.random.default_rng(100 + steps)
         x = r.standard_normal((steps * rows, in_dim))
-        if constant_start:
-            h0, c0 = zeros((rows, hidden)), zeros((rows, hidden))
-        else:
-            h0 = Tensor(r.standard_normal((rows, hidden)))
-            c0 = Tensor(r.standard_normal((rows, hidden)))
+        c0 = zeros((rows, hidden)) if zero_start else Tensor(r.standard_normal((rows, hidden)))
         w = Tensor(0.5 * r.standard_normal((in_dim + hidden, 4 * hidden)))
         b = Tensor(r.standard_normal(4 * hidden))
-        return x, h0, c0, w, b
+        return x, c0, w, b
 
     upstream = np.random.default_rng(200 + steps).standard_normal((steps * rows, hidden))
     x, *kernel_rest = inputs()
@@ -209,7 +204,7 @@ def test_lstm_sequence_matches_unrolled_cell(steps, constant_start):
 
     x, *ref_rest = inputs()
     x_steps = [Tensor(x[t * rows:(t + 1) * rows].copy()) for t in range(steps)]
-    hs = unrolled_sequence(x_steps, *ref_rest)
+    hs = unrolled_sequence(x_steps, zeros((rows, hidden)), *ref_rest)
     loss = sum_all(mul(hs[0], Tensor(upstream[:rows])))
     for t in range(1, steps):
         loss = add(loss, sum_all(mul(hs[t], Tensor(upstream[t * rows:(t + 1) * rows]))))
@@ -217,11 +212,8 @@ def test_lstm_sequence_matches_unrolled_cell(steps, constant_start):
 
     assert_close_to(out.data, np.concatenate([h.data for h in hs]))
     assert_close_to(kernel_x.grad, np.concatenate([x_t.grad for x_t in x_steps]))
-    for name, k, r in zip(("h0", "c0", "w", "b"), kernel_rest, ref_rest):
-        if constant_start and name in ("h0", "c0"):
-            assert k.grad is None and r.grad is None
-        else:
-            assert_close_to(k.grad, r.grad)
+    for k, r in zip(kernel_rest, ref_rest):
+        assert_close_to(k.grad, r.grad)
 
 
 def test_row_blocks_of_a_column_major_output_layer_are_at_least_8_rows():
@@ -505,8 +497,9 @@ def test_grad_check_quadratic_over_fortran_ordered_parameter_is_tiny():
     store = ParamStore()
     store.add("w", np.asfortranarray(np.random.default_rng(1).standard_normal((3, 4))))
     assert not store["w"].data.flags.c_contiguous
-    weights = Tensor(np.arange(12.0).reshape(3, 4) + 1.0, constant=True)
-    err = grad_check(lambda s: sum_all(mul(weights, mul(s["w"], s["w"]))), store, eps=1e-5)
+    weights = np.arange(12.0).reshape(3, 4) + 1.0
+    err = grad_check(lambda s: sum_all(mul_const(mul(s["w"], s["w"]), weights)), store,
+                     eps=1e-5)
     assert err < 1e-6
 
 
