@@ -3,15 +3,13 @@
 Layout (all integers little-endian): magic b"LVAE", u32 format version,
 u64 config length + UTF-8 JSON config (hyperparameters, step, vocabulary
 token list), u64 tensor count, then per tensor: u32 name length + name,
-u32 rank, u64 dims, float64 little-endian row-major values. The values are
-row-major whatever the parameter's memory order (``model.param_order``), so
-the bytes do not depend on it. The file ends with a CRC32 of every
-preceding byte.
+u32 rank, u64 dims, float64 little-endian row-major values. The file ends
+with a CRC32 of every preceding byte.
 
 A save streams each part to a temporary file beside the target as it is
 made, folding it into the running CRC; a tensor goes in row blocks
-(``numerics.row_blocks``), each copied into row-major order only when it is
-not already, so a save holds no copy of the parameters. It then syncs the
+(``numerics.row_blocks``), each converted to ``<f8`` only when it is not
+already, so a save holds no copy of the parameters. It then syncs the
 file to disk and renames it over the target, so a crash mid-save leaves the
 previous file whole. The temporary file gets a fresh name from
 ``tempfile.mkstemp`` (owner-only permissions, created exclusively), so a
@@ -21,12 +19,10 @@ A load reads the file twice: it checks the CRC over the body in CRC_CHUNK
 reads before parsing a byte, then parses from the start. Before it reads or
 allocates, it checks each length against the bytes left, and each tensor's
 name and dims against ``model.param_shapes`` of the stored hyperparameters.
-Each tensor is read in row blocks into the array the ParamStore keeps,
-allocated in ``model.param_order`` (a column-major one through a block-sized
-buffer), so a load holds one copy of the parameters in the layout
-``init_params`` gives. A record that does not
-parse, config included, is a CheckpointFormatError, and so is a file whose
-tensors or vocabulary do not fit its hyperparameters.
+Each tensor is read with one ``readinto`` straight into the array the
+ParamStore keeps, so a load holds one copy of the parameters. A record that
+does not parse, config included, is a CheckpointFormatError, and so is a
+file whose tensors or vocabulary do not fit its hyperparameters.
 """
 
 import json
@@ -40,7 +36,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .model import HyperParams, param_order, param_shapes
+from .model import HyperParams, param_shapes
 from .numerics import ParamStore, row_blocks
 from .textpipe import Vocabulary
 
@@ -165,13 +161,8 @@ def checkpoint_load(path):
                 if dims != expected:
                     raise CheckpointFormatError(f"malformed checkpoint: tensor {name!r} is "
                                                 f"{dims}, hyperparameters give {expected}")
-                values = np.empty(dims, "<f8", order=param_order(name))
-                for block in row_blocks(values):
-                    # rows of a C-ordered array are read in place, others via a copy
-                    rows = block if block.flags.c_contiguous else np.empty(block.shape, "<f8")
-                    f.readinto(memoryview(rows.reshape(-1)).cast("B"))
-                    if rows is not block:
-                        block[...] = rows
+                values = np.empty(dims, "<f8")
+                f.readinto(memoryview(values.reshape(-1)).cast("B"))
                 params.add(name, values)
         except (ValueError, TypeError, KeyError) as e:
             raise CheckpointFormatError(f"malformed checkpoint: {e!r}") from e

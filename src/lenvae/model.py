@@ -42,16 +42,13 @@ import numpy as np
 from .numerics import (
     ParamStore, Tensor, add, add_scalar, affine, concat_cols,
     cross_entropy_rows, exp_, gather_rows, lstm_cell,
-    lstm_sequence, mul, mul_const, row_blocks, sampled_logits, scale,
+    lstm_sequence, mul, mul_const, sampled_logits, scale,
     sub, sum_all, sum_cols, tanh_, weighted_cross_entropy_rows,
     weighted_step_sum, zeros,
 )
 from .textpipe import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Batch, make_batch
 
 INIT_SCALE = 0.08  # fresh weights are uniform in +-INIT_SCALE
-# values per row block of a column-major weight's draw (8 MB of float64):
-# enough rows that each block's transposing copy writes whole cache lines
-INIT_ROW_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -125,19 +122,10 @@ def param_shapes(hp: HyperParams) -> dict:
     return shapes
 
 
-def param_order(name: str) -> str:
-    """Memory order of parameter ``name``: "F" (column-major) for the output
-    layer's weight, whose candidate columns the sampled softmax gathers and
-    scatter-adds, "C" for every other parameter."""
-    return "F" if name == "out.W" else "C"
-
-
 def init_params(hp: HyperParams, rng: np.random.Generator, dtype=np.float64) -> ParamStore:
-    """Fresh parameters of ``param_shapes(hp)`` in ``param_order``, drawn in
-    its order: weights uniform +-INIT_SCALE, biases 0, except each LSTM
-    layer's forget-gate bias, 1.0 (a standard stabilizer; gate order i, f,
-    g, o). A column-major weight gets the values of one row-major draw,
-    made in row blocks of INIT_ROW_BLOCK values straight into its array."""
+    """Fresh parameters of ``param_shapes(hp)``, drawn in its order: each
+    weight one uniform +-INIT_SCALE draw, biases 0, except each LSTM layer's
+    forget-gate bias, 1.0 (a standard stabilizer; gate order i, f, g, o)."""
     lstm_biases = {"enc_fwd.b", "enc_bwd.b", *(f"dec_l{i}.b" for i in range(hp.decoder_layers))}
     p = ParamStore()
     for name, shape in param_shapes(hp).items():
@@ -145,12 +133,8 @@ def init_params(hp: HyperParams, rng: np.random.Generator, dtype=np.float64) -> 
             value = np.zeros(shape, dtype=dtype)
             if name in lstm_biases:
                 value[hp.cell_size:2 * hp.cell_size] = 1.0
-        elif param_order(name) == "C":
-            value = rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(dtype, copy=False)
         else:
-            value = np.empty(shape, dtype=dtype, order="F")
-            for block in row_blocks(value, INIT_ROW_BLOCK):
-                block[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=block.shape)
+            value = rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(dtype, copy=False)
         p.add(name, value)
     return p
 

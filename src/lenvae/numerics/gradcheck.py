@@ -35,8 +35,7 @@ def grad_check(loss_function, params: ParamStore, eps: float = 1e-5) -> float:
 
     worst = 0.0
     for name, t in params.items():
-        # index the value itself, in any memory order, so each perturbation
-        # writes through and pairs with the analytic entry at the same index
+        # index the value itself, so each perturbation writes through
         for i in np.ndindex(t.data.shape):
             orig = t.data[i]
             t.data[i] = orig + eps

@@ -23,9 +23,8 @@ class MissingGradientError(RuntimeError):
 @dataclass
 class AdamState:
     """The learning rate, the step count and the first and second moment
-    accumulators, keyed like the ParamStore and each in its parameter's
-    memory order. beta1, beta2 and eps are the module constants
-    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``."""
+    accumulators, keyed like the ParamStore. beta1, beta2 and eps are the
+    module constants ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``."""
 
     learning_rate: float
     step: int = 0
@@ -73,12 +72,11 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
 
     Every gradient is checked first (present, and of its parameter's shape
     and dtype), so a bad one raises before any state changes. A gradient
-    laid out otherwise than its parameter (another memory order, or a
-    strided view) is then copied into the parameter's layout and replaces
-    ``t.grad``; the caller's array is left as it was. Each parameter's
-    (gradient, m, v, value) is walked through order-preserving flat views
-    (``ravel(order="K")``; ``ParamStore`` keeps each value C- or
-    Fortran-contiguous, so the views write through) in blocks of ``BLOCK``
+    that is not C-contiguous (a caller's transposed or strided array) is
+    then copied into C order and replaces ``t.grad``; the caller's array is
+    left as it was. Each parameter's (gradient, m, v, value) is walked
+    through flat views (``reshape(-1)``; ``ParamStore`` keeps each value
+    C-contiguous, so the views write through) in blocks of ``BLOCK``
     values, so memory is read once per step. Each block makes the textbook
     expression's operations in the textbook order, so the result is
     bit-identical to evaluating ``m = b1*m + (1-b1)*g``,
@@ -106,11 +104,9 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
     state.step += 1
     blocks = []
     for name, t in params.items():
-        if t.grad.strides != t.data.strides:
-            g = np.empty_like(t.data)
-            g[...] = t.grad
-            t.grad = g
-        flats = [a.ravel(order="K") for a in (t.grad, state.m[name], state.v[name], t.data)]
+        if not t.grad.flags.c_contiguous:
+            t.grad = np.ascontiguousarray(t.grad)
+        flats = [a.reshape(-1) for a in (t.grad, state.m[name], state.v[name], t.data)]
         blocks += [[a[lo:lo + BLOCK] for a in flats] for lo in range(0, t.data.size, BLOCK)]
     largest = max((t.data for _, t in params.items()), key=np.size, default=np.empty(0))
     walk = functools.partial(_adam_blocks, dtype=largest.dtype,
@@ -134,19 +130,18 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
 def clip_grad_norm(params: ParamStore, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
-    Each gradient's sum of squares is one BLAS dot of its flat view in
-    memory order (``ravel(order="K")``, a view of a C- or Fortran-contiguous
-    gradient) with itself, so no squares are stored. The dot's summation
-    order, and so the norm's last bits, depends on that memory order and on
-    how the BLAS splits the dot, which is fixed for a fixed thread count; at
-    the paper's gradient sizes the norm agrees with
+    Each gradient's sum of squares is one BLAS dot of its flat view
+    (``reshape(-1)``) with itself, so no squares are stored. The dot's
+    summation order, and so the norm's last bits, depends on how the BLAS
+    splits the dot, which is fixed for a fixed thread count; at the paper's
+    gradient sizes the norm agrees with
     ``sqrt(sum((g * g).sum()))`` to about 1e-15 relative. Returns the
     pre-clip norm.
     """
     total = 0.0
     for _, t in params.items():
         if t.grad is not None:
-            flat = t.grad.ravel(order="K")
+            flat = t.grad.reshape(-1)
             total += float(np.dot(flat, flat))
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:

@@ -11,11 +11,9 @@ class ParamStore:
     """Ordered map from unique name to a leaf Tensor (value + gradient slot).
 
     Iteration order is insertion order and is preserved by checkpoint
-    round trips. ``add`` keeps the array it is handed when it is C- or
-    Fortran-contiguous, so each value keeps its memory order (the model's
-    output layer is column-major, see ``model.param_order``); any other
-    value is copied into C order. Gradients and Adam's moments follow each
-    value's order.
+    round trips. ``add`` keeps the array it is handed when it is
+    C-contiguous and copies any other value into C order, so every value,
+    and with it every gradient and Adam moment, is C-contiguous.
     """
 
     def __init__(self):
@@ -24,10 +22,7 @@ class ParamStore:
     def add(self, name: str, value: np.ndarray) -> Tensor:
         if name in self._entries:
             raise ValueError(f"duplicate parameter name {name!r}")
-        value = np.asarray(value)
-        if not (value.flags.c_contiguous or value.flags.f_contiguous):
-            value = np.ascontiguousarray(value)
-        t = Tensor(value)
+        t = Tensor(np.asarray(value, order="C"))
         self._entries[name] = t
         return t
 
@@ -51,9 +46,6 @@ class ParamStore:
 
 def row_blocks(a: np.ndarray, values: int = BLOCK):
     """Views of ``a`` in consecutive slices along its first axis, each of
-    as many whole rows as fit in ``values`` values, but at least 8: eight
-    float64 rows of a column-major array fill one 64-byte cache line per
-    column. Walking them visits the values in row-major order whatever
-    ``a``'s memory order, and writes to a view go through to ``a``."""
-    rows = max(8, values // max(1, math.prod(a.shape[1:])))
+    as many whole rows as fit in ``values`` values, but at least one."""
+    rows = max(1, values // max(1, math.prod(a.shape[1:])))
     return [a[lo:lo + rows] for lo in range(0, a.shape[0], rows)]

@@ -52,7 +52,7 @@ class Tensor:
     def keep_zeroed_grad(self):
         """Set ``grad`` to None, keeping its array for the next backward to
         accumulate into. The caller has zeroed ``grad`` and checked that it
-        has the value's shape, dtype and memory order."""
+        is C-contiguous, of the value's shape and dtype."""
         self.grad, self._zeroed_grad = None, self.grad
 
     def backward(self):
@@ -94,7 +94,7 @@ def _toposort(root):
 
 def _grad_buffer(t):
     """``t.grad``, made on first use from the zeroed array kept on the leaf,
-    or from fresh zeros in the value's memory order when there is none."""
+    or from fresh zeros when there is none."""
     if t.grad is None:
         kept, t._zeroed_grad = t._zeroed_grad, None
         t.grad = kept if kept is not None else np.zeros_like(t.data)

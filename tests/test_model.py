@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lenvae.model import (
-    GRADCHECK_MIN_GRADIENT, GRADCHECK_SEEDS, INIT_ROW_BLOCK, INIT_SCALE, HyperParams,
+    GRADCHECK_MIN_GRADIENT, GRADCHECK_SEEDS, INIT_SCALE, HyperParams,
     LatentParams, bow_loss, decode_step, decoder_states, decoder_targets, draw_negatives, encode,
     encoder_mean, init_decoder_state, init_params, kl_divergence,
     length_input, param_shapes, reparameterize, tiny_gradcheck_instance, total_loss,
@@ -35,12 +35,9 @@ def one_sentence_batch(ids, hp=TINY):
 
 
 def test_init_params_draws_each_weight_as_one_uniform_draw():
-    # the column-major output layer spans two INIT_ROW_BLOCKs, drawn in row
-    # blocks, and still holds the values of one row-major draw
     hp = HyperParams(vocab_size=20000, cell_size=64, embed_size=8, latent_dim=4,
                      bow_width=4, len_embed_size=3, decoder_layers=1)
     params = init_params(hp, np.random.default_rng(3))
-    assert params["out.W"].data.size > INIT_ROW_BLOCK
     rng = np.random.default_rng(3)
     for name, shape in param_shapes(hp).items():
         if name.endswith(".W"):

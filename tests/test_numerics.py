@@ -216,15 +216,16 @@ def test_lstm_sequence_matches_unrolled_cell(steps, zero_start):
         assert_close_to(k.grad, r.grad)
 
 
-def test_row_blocks_of_a_column_major_output_layer_are_at_least_8_rows():
-    # a 40,000-wide row fills most of a BLOCK; every view but the ragged
-    # last one still holds 8 rows, and the views cover the rows in order
-    a = np.empty((243, 40000), order="F")
-    a[...] = np.arange(243)[:, None]
-    blocks = row_blocks(a)
-    assert [b.shape[0] for b in blocks] == [8] * 30 + [3]
-    assert [row for b in blocks for row in b[:, 0]] == list(range(243))
-    assert all(np.shares_memory(b, a) for b in blocks)
+def test_row_blocks_cover_the_rows_in_order_at_least_one_row_each():
+    # whole rows up to ``values`` values per view, one row when a row is
+    # wider; the views cover the rows in order and write through
+    a = np.zeros((5, 7))
+    assert [b.shape[0] for b in row_blocks(a, values=15)] == [2, 2, 1]
+    blocks = row_blocks(a, values=3)
+    assert [b.shape[0] for b in blocks] == [1] * 5
+    for i, b in enumerate(blocks):
+        b[...] = i
+    np.testing.assert_array_equal(a, np.arange(5.0)[:, None] * np.ones(7))
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +335,17 @@ def _textbook_adam(store, state, grads):
 @pytest.mark.parametrize("cores", [None, {0}, {0, 1, 2, 3, 4}],
                          ids=["usable cores", "one core", "five cores"])
 def test_adam_threaded_block_walk_bit_identical_to_textbook(monkeypatch, cores):
-    # an output-layer-shaped column-major weight of many blocks beside
-    # row-major ones: the walk is split across threads unless one core is
-    # usable, and five threads switching often still give the serial bytes
+    # an output-layer-shaped weight of many blocks beside smaller ones: the
+    # walk is split across threads unless one core is usable, and five
+    # threads switching often still give the serial bytes
     if cores is not None:
         monkeypatch.setattr("lenvae.numerics.optim.os.sched_getaffinity", lambda pid: cores)
     rng = np.random.default_rng(31)
     store = ParamStore()
-    store.add("out.W", np.asfortranarray(rng.standard_normal((243, 4000))))
-    for name, shape in (("embed.W", (4000, 40)), ("out.b", (4000,)), ("ragged", (BLOCK + 7,))):
+    for name, shape in (("out.W", (243, 4000)), ("embed.W", (4000, 40)), ("out.b", (4000,)),
+                        ("ragged", (BLOCK + 7,))):
         store.add(name, rng.standard_normal(shape))
-    assert store["out.W"].data.flags.f_contiguous
-    assert not store["out.W"].data.flags.c_contiguous
+    values = {name: t.data for name, t in store.items()}
     state = adam_for(store, learning_rate=0.002)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -353,8 +353,7 @@ def test_adam_threaded_block_walk_bit_identical_to_textbook(monkeypatch, cores):
         for _ in range(3):
             grads = {}
             for name, t in store.items():
-                t.grad = np.zeros_like(t.data)  # in the parameter's memory order
-                t.grad[...] = rng.standard_normal(t.data.shape)
+                t.grad = rng.standard_normal(t.data.shape)
                 grads[name] = t.grad.copy()
             arrays = {name: t.grad for name, t in store.items()}
             expected = _textbook_adam(store, state, grads)
@@ -368,15 +367,15 @@ def test_adam_threaded_block_walk_bit_identical_to_textbook(monkeypatch, cores):
                 assert not arrays[name].any(), name
     finally:
         sys.setswitchinterval(interval)
-    assert store["out.W"].data.flags.f_contiguous
+    assert all(t.data is values[name] for name, t in store.items())  # updated in place
 
 
 def test_adam_copies_a_gradient_of_another_memory_order():
     rng = np.random.default_rng(32)
     store = ParamStore()
-    store.add("w", np.asfortranarray(rng.standard_normal((300, 400))))
+    store.add("w", rng.standard_normal((300, 400)))
     state = adam_for(store)
-    given = rng.standard_normal((300, 400))  # C order, on a Fortran-ordered value
+    given = np.asfortranarray(rng.standard_normal((300, 400)))
     store["w"].grad = given
     expected = _textbook_adam(store, state, {"w": given.copy()})
     before = given.copy()
@@ -384,7 +383,7 @@ def test_adam_copies_a_gradient_of_another_memory_order():
     assert store["w"].data.tobytes() == expected["w"][0].tobytes()
     np.testing.assert_array_equal(given, before)  # the caller's array is left as it was
     kept = store["w"]._zeroed_grad
-    assert kept is not given and kept.flags.f_contiguous and not kept.any()
+    assert kept is not given and kept.flags.c_contiguous and not kept.any()
 
 
 @pytest.mark.parametrize("max_norm", [1e6, 1.0])
@@ -454,12 +453,9 @@ def test_backward_accumulates_into_the_gradients_adam_zeroed():
     rng = np.random.default_rng(23)
     store = ParamStore()
     for name, shape in (("embed", (5, 3)), ("proj", (3, 4)), ("out", (4, 6)), ("bias", (6,))):
-        value = rng.standard_normal(shape)
-        store.add(name, np.asfortranarray(value) if name == "out" else value)
-    assert store["out"].data.flags.f_contiguous and not store["out"].data.flags.c_contiguous
+        store.add(name, rng.standard_normal(shape))
     state = adam_for(store)
     _reuse_loss(store).backward()
-    assert store["out"].grad.flags.f_contiguous
     arrays = {name: t.grad for name, t in store.items()}
     adam_step(store, state)
     assert all(t.grad is None for _, t in store.items())
@@ -492,15 +488,20 @@ def test_grad_check_quadratic_is_tiny():
 
 
 def test_grad_check_quadratic_over_fortran_ordered_parameter_is_tiny():
-    # a perturbation must write through to the value, and pair with the
-    # analytic gradient at the same index, in any memory order
+    # the store copies a Fortran-ordered value into C order once, and a
+    # perturbation writes through to that copy, not to the caller's array
+    given = np.asfortranarray(np.random.default_rng(1).standard_normal((3, 4)))
+    before = given.copy()
     store = ParamStore()
-    store.add("w", np.asfortranarray(np.random.default_rng(1).standard_normal((3, 4))))
-    assert not store["w"].data.flags.c_contiguous
+    kept = store.add("w", given).data
+    assert kept is not given and kept.flags.c_contiguous
+    np.testing.assert_array_equal(kept, given)
     weights = np.arange(12.0).reshape(3, 4) + 1.0
     err = grad_check(lambda s: sum_all(mul_const(mul(s["w"], s["w"]), weights)), store,
                      eps=1e-5)
     assert err < 1e-6
+    assert store["w"].data is kept
+    np.testing.assert_array_equal(given, before)
 
 
 def test_grad_check_detects_corrupted_backward():

@@ -1,14 +1,17 @@
 """The demos and the claims harness use only names the package has.
 
-Each file is parsed, not executed (test_claims.py runs part of the
-harness). Every ``from lenvae... import name`` in it is looked up on the
-imported module, and every keyword argument it passes to a settings
-dataclass must be a field of that class.
+Each file is parsed (test_claims.py runs part of the harness, and the
+quick text-pipeline demo is also run). Every ``from lenvae... import name``
+in it is looked up on the imported module, and every keyword argument it
+passes to a settings dataclass must be a field of that class.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -70,3 +73,12 @@ def test_settings_calls_are_found():
     # the check above is not vacuous: the toy-model demo builds both
     found = {cls.__name__ for path in SCRIPTS for cls, _ in _settings_calls(path)}
     assert {"TrainConfig", "HyperParams"} <= found
+
+
+def test_text_pipeline_demo_runs_to_exit_0():
+    # running it checks the demo's own bag-of-words assertion
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / "01_text_pipeline.py")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

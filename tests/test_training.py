@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lenvae import training
+from lenvae.checkpoint import checkpoint_load
 from lenvae.model import HyperParams, init_params, total_loss, word_dropout
 from lenvae.numerics import optim
 from lenvae.textpipe import (
@@ -174,8 +175,7 @@ def _textbook_train(sentences, vocab, hp, config):
         params.zero_grads()
         loss.backward()
         grads = {name: t.grad for name, t in params.items()}
-        norm = float(np.sqrt(sum(float(np.dot(g.ravel(order="K"), g.ravel(order="K")))
-                                 for g in grads.values())))
+        norm = float(np.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads.values())))
         if norm > config.grad_clip:
             grads = {name: g * (config.grad_clip / norm) for name, g in grads.items()}
         norms.append(norm)
@@ -224,6 +224,30 @@ def test_train_frees_each_step_graph_before_the_next_forward(monkeypatch):
     plain = train(sentences, vocab, hp, cfg)
     for name, t in plain.params.items():
         assert t.data.tobytes() == watched_params[name].data.tobytes(), name
+
+
+def test_every_value_gradient_and_moment_is_c_contiguous(tmp_path, monkeypatch):
+    sentences, vocab, _ = _toy_setup(120)
+    hp = HyperParams(vocab_size=vocab.size)  # the desk shape
+    cfg = TrainConfig(batch_size=32, total_steps=1, anneal_horizon=1, seed=11)
+    arrays = {"init_params": [t.data for _, t in init_params(hp, np.random.default_rng(0)).items()]}
+    adam_step = training.adam_step
+
+    def watched(params, state):
+        arrays["gradients"] = [t.grad for _, t in params.items()]
+        arrays["moments"] = [*state.m.values(), *state.v.values()]
+        adam_step(params, state)
+
+    monkeypatch.setattr(training, "adam_step", watched)
+    result = train(sentences, vocab, hp, cfg, out_dir=tmp_path)
+    loaded, *_ = checkpoint_load(result.checkpoint_paths[-1])
+    arrays["checkpoint_load"] = [t.data for _, t in loaded.items()]
+    n_params = len(result.params)
+    assert {kind: len(a) for kind, a in arrays.items()} == \
+        {"init_params": n_params, "gradients": n_params, "moments": 2 * n_params,
+         "checkpoint_load": n_params}
+    for kind, found in arrays.items():
+        assert all(a.flags.c_contiguous for a in found), kind
 
 
 def test_train_kl_value_rises_after_annealing_engages():
