@@ -3,13 +3,20 @@
 Layout (all integers little-endian): magic b"LVAE", u32 format version,
 u64 config length + UTF-8 JSON config (hyperparameters, step, vocabulary
 token list), u64 tensor count, then per tensor: u32 name length + name,
-u32 rank, u64 dims, float64 little-endian row-major values. The file ends
-with a CRC32 of every preceding byte.
+u32 rank, u64 dims, row-major little-endian values. The file ends with a
+CRC32 of every preceding byte.
+
+The version names the values' element type and nothing else: version 1
+holds ``<f8`` (float64) values, version 2 the same layout with ``<f4``
+(float32) values (``ELEMENT_TYPES``). A save takes the version from the
+dtype of the stored parameters, which must all share one of these, so a
+float64 store writes the same bytes as before version 2 existed. A load
+returns the parameters in the dtype the file holds.
 
 A save streams each part to a temporary file beside the target as it is
 made, folding it into the running CRC; a tensor goes in row blocks
-(``numerics.row_blocks``), each converted to ``<f8`` only when it is not
-already, so a save holds no copy of the parameters. It then syncs the
+(``numerics.row_blocks``), each byte-swapped only on a big-endian machine,
+so a save holds no copy of the parameters. It then syncs the
 file to disk and renames it over the target, so a crash mid-save leaves the
 previous file whole. The temporary file gets a fresh name from
 ``tempfile.mkstemp`` (owner-only permissions, created exclusively), so a
@@ -41,7 +48,7 @@ from .numerics import ParamStore, row_blocks
 from .textpipe import Vocabulary
 
 MAGIC = b"LVAE"
-FORMAT_VERSION = 1
+ELEMENT_TYPES = {1: np.dtype("<f8"), 2: np.dtype("<f4")}  # format version -> values
 CRC_CHUNK = 1 << 20  # bytes per read while a load checks the CRC
 
 
@@ -70,6 +77,14 @@ class IncompatibleCheckpointError(CheckpointError):
 
 
 def checkpoint_save(path, params: ParamStore, hp: HyperParams, vocab: Vocabulary, step: int) -> None:
+    """Writes the format version of the parameters' dtype; raises ValueError
+    for a store of mixed dtypes or of a dtype no version holds."""
+    dtypes = {t.data.dtype.newbyteorder("<") for _, t in params.items()}
+    version = next((v for v, element in ELEMENT_TYPES.items() if {element} == dtypes), None)
+    if version is None:
+        raise ValueError(f"cannot save parameters of dtypes {sorted(map(str, dtypes))}: "
+                         f"a checkpoint holds one of {[str(e) for e in ELEMENT_TYPES.values()]}")
+    element = ELEMENT_TYPES[version]
     config = {"hyperparams": asdict(hp), "step": int(step), "vocab_tokens": vocab.tokens}
     config_bytes = json.dumps(config).encode("utf-8")
     fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=os.path.basename(path) + ".",
@@ -83,7 +98,7 @@ def checkpoint_save(path, params: ParamStore, hp: HyperParams, vocab: Vocabulary
                 f.write(part)
                 crc = zlib.crc32(part, crc)
 
-            write(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(config_bytes)))
+            write(MAGIC + struct.pack("<IQ", version, len(config_bytes)))
             write(config_bytes)
             write(struct.pack("<Q", len(params)))
             for name, t in params.items():
@@ -91,7 +106,7 @@ def checkpoint_save(path, params: ParamStore, hp: HyperParams, vocab: Vocabulary
                 write(struct.pack("<I", len(name_bytes)) + name_bytes
                       + struct.pack(f"<I{t.data.ndim}Q", t.data.ndim, *t.data.shape))
                 for block in row_blocks(t.data):
-                    write(memoryview(np.ascontiguousarray(block, "<f8").reshape(-1)).cast("B"))
+                    write(memoryview(np.ascontiguousarray(block, element).reshape(-1)).cast("B"))
             f.write(struct.pack("<I", crc))
             f.flush()
             os.fsync(f.fileno())
@@ -102,8 +117,10 @@ def checkpoint_save(path, params: ParamStore, hp: HyperParams, vocab: Vocabulary
 
 
 def checkpoint_load(path):
-    """Returns (params, hyperparams, vocabulary, step); raises a distinct
-    CheckpointError subclass for each kind of damage.
+    """Returns (params, hyperparams, vocabulary, step), the parameters in
+    the file's element type; raises a distinct CheckpointError subclass for
+    each kind of damage, and CheckpointVersionError for a version other
+    than those of ``ELEMENT_TYPES``.
 
     The tensors must be exactly ``model.param_shapes`` of the stored
     hyperparameters, and the vocabulary must hold ``vocab_size`` tokens.
@@ -137,9 +154,10 @@ def checkpoint_load(path):
         if f.read(take(4)) != MAGIC:
             raise CheckpointFormatError(f"{path} is not a checkpoint file (bad magic)")
         version, = unpack("<I")
-        if version != FORMAT_VERSION:
-            raise CheckpointVersionError(
-                f"unsupported checkpoint format version {version} (expected {FORMAT_VERSION})")
+        if version not in ELEMENT_TYPES:
+            raise CheckpointVersionError(f"unsupported checkpoint format version {version} "
+                                         f"(expected one of {sorted(ELEMENT_TYPES)})")
+        element = ELEMENT_TYPES[version]
         config_bytes = f.read(take(unpack("<Q")[0]))
         try:
             config = json.loads(config_bytes.decode("utf-8"))
@@ -156,12 +174,12 @@ def checkpoint_load(path):
                 name = f.read(take(unpack("<I")[0])).decode("utf-8")
                 rank, = unpack("<I")
                 dims = unpack(f"<{rank}Q")
-                take(8 * math.prod(dims))
+                take(element.itemsize * math.prod(dims))
                 expected = unread.pop(name, "no tensor of that name left")
                 if dims != expected:
                     raise CheckpointFormatError(f"malformed checkpoint: tensor {name!r} is "
                                                 f"{dims}, hyperparameters give {expected}")
-                values = np.empty(dims, "<f8")
+                values = np.empty(dims, element)
                 f.readinto(memoryview(values.reshape(-1)).cast("B"))
                 params.add(name, values)
         except (ValueError, TypeError, KeyError) as e:

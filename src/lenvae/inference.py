@@ -125,24 +125,27 @@ def beam_search(z: np.ndarray, request: DecodeRequest, params: ParamStore,
     to rank the raw full vocabulary.
 
     Every step's scores live in one (beam_width, V) buffer allocated per
-    search; the selection copies what it keeps out of it.
+    search; the selection copies what it keeps out of it. ``z``, the
+    buffer and the cumulative scores take the parameters' dtype, so a
+    float32 model decodes in float32.
     """
     if initial_length < 0:
         raise ValueError(f"initial_length must be >= 0, got {initial_length}")
     width = request.beam_width
-    z = np.asarray(z, dtype=np.float64)
+    dtype = params["out.W"].data.dtype
+    z = np.asarray(z, dtype=dtype)
     state = init_decoder_state(z[None, :], params, hp)
     # every row shares the countdown, so one row per step serves the beam
     len_rows = length_input(np.array([initial_length]), np.arange(request.max_tokens)[:, None],
                             params, hp).data
     embed = params["embed.W"].data
     ids = np.zeros((1, 0), dtype=np.intp)
-    log_prob = np.zeros(1)
+    log_prob = np.zeros(1, dtype)
     prev_ids = np.array([BOS_ID], dtype=np.intp)
     done = None  # (ids, log_prob) of the first best completed hypothesis
     forbidden = [i for i in forbidden_ids if i < hp.vocab_size]
     stop_reason = "horizon"
-    buffer = np.empty((width, hp.vocab_size))
+    buffer = np.empty((width, hp.vocab_size), dtype)
 
     for steps in range(1, request.max_tokens + 1):
         n = log_prob.size

@@ -42,7 +42,7 @@ import numpy as np
 from .numerics import (
     ParamStore, Tensor, add, add_scalar, affine, concat_cols,
     cross_entropy_rows, exp_, gather_rows, lstm_cell,
-    lstm_sequence, mul, mul_const, sampled_logits, scale,
+    lstm_sequence, mul, mul_const, row_blocks, sampled_logits, scale,
     sub, sum_all, sum_cols, tanh_, weighted_cross_entropy_rows,
     weighted_step_sum, zeros,
 )
@@ -122,19 +122,38 @@ def param_shapes(hp: HyperParams) -> dict:
     return shapes
 
 
-def init_params(hp: HyperParams, rng: np.random.Generator, dtype=np.float64) -> ParamStore:
-    """Fresh parameters of ``param_shapes(hp)``, drawn in its order: each
-    weight one uniform +-INIT_SCALE draw, biases 0, except each LSTM layer's
-    forget-gate bias, 1.0 (a standard stabilizer; gate order i, f, g, o)."""
+def init_params(hp: HyperParams, rng: np.random.Generator, dtype=np.float32) -> ParamStore:
+    """Fresh ``dtype`` parameters of ``param_shapes(hp)``, drawn in its
+    order: each weight one uniform +-INIT_SCALE draw, biases 0, except each
+    LSTM layer's forget-gate bias, 1.0 (a standard stabilizer; gate order i,
+    f, g, o).
+
+    float32 is the compute type of training and decoding, and every array
+    the model makes follows the parameters' dtype. float64 is the reference
+    that the gradient check and the exactness tests ask for.
+
+    A weight is drawn in row blocks (``row_blocks``) into one reused float64
+    scratch, ``low + (high - low) * rng.random()`` as ``rng.uniform``
+    computes it, and each block is rounded into the array. So a float64
+    store is bit for bit one ``rng.uniform(-INIT_SCALE, INIT_SCALE, shape)``
+    draw, and a float32 store is that draw rounded to float32, with no
+    float64 copy of a whole weight.
+    """
     lstm_biases = {"enc_fwd.b", "enc_bwd.b", *(f"dec_l{i}.b" for i in range(hp.decoder_layers))}
     p = ParamStore()
+    scratch = np.empty(0)
     for name, shape in param_shapes(hp).items():
-        if not name.endswith(".W"):
-            value = np.zeros(shape, dtype=dtype)
-            if name in lstm_biases:
-                value[hp.cell_size:2 * hp.cell_size] = 1.0
-        else:
-            value = rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape).astype(dtype, copy=False)
+        value = np.zeros(shape, dtype=dtype)
+        if name in lstm_biases:
+            value[hp.cell_size:2 * hp.cell_size] = 1.0
+        if name.endswith(".W"):
+            for block in row_blocks(value):
+                if scratch.size < block.size:
+                    scratch = np.empty(block.size)
+                draw = rng.random(out=scratch[:block.size])
+                draw *= 2 * INIT_SCALE
+                draw -= INIT_SCALE
+                block[...] = draw.reshape(block.shape)
         p.add(name, value)
     return p
 
@@ -170,7 +189,7 @@ def encoder_mean(batch: Batch, params: ParamStore, hp: HyperParams) -> Tensor:
     means = []
     for direction, dir_ids in (("enc_fwd", ids), ("enc_bwd", _reverse_within_length(ids, lengths))):
         emb = gather_rows(params["embed.W"], dir_ids.T.ravel())
-        states = lstm_sequence(emb, zeros((n, hp.cell_size)),
+        states = lstm_sequence(emb, zeros((n, hp.cell_size), emb.data.dtype),
                                params[f"{direction}.W"], params[f"{direction}.b"], width)
         means.append(weighted_step_sum(states, step_weights))
     return concat_cols(means)
@@ -202,7 +221,7 @@ def posterior_means(sentences, params: ParamStore, hp: HyperParams,
 def reparameterize(latent: LatentParams, eps: np.ndarray) -> Tensor:
     """z = mu + exp(logvar / 2) * eps, with ``eps`` treated as a constant."""
     sigma = exp_(scale(latent.logvar, 0.5))
-    return add(latent.mu, mul_const(sigma, np.asarray(eps, dtype=np.float64)))
+    return add(latent.mu, mul_const(sigma, eps))
 
 
 def kl_divergence(latent: LatentParams) -> Tensor:
@@ -224,11 +243,12 @@ def length_input(start: np.ndarray, t, params: ParamStore, hp: HyperParams) -> T
 
     With ``lenemb``: the ``len_table`` row at min(max(start - t, 0),
     max_len_index) for each row, so the countdown floors at 0 and values
-    beyond the table clamp to its last row. Without it: a zero leaf.
+    beyond the table clamp to its last row. Without it: a zero leaf of the
+    parameters' dtype.
     """
     index = np.minimum(np.maximum(start - t, 0), hp.max_len_index).ravel()
     if not hp.lenemb:
-        return zeros((index.size, hp.len_embed_size))
+        return zeros((index.size, hp.len_embed_size), params["embed.W"].data.dtype)
     return gather_rows(params["len_table.W"], index)
 
 
@@ -238,12 +258,13 @@ def length_input(start: np.ndarray, t, params: ParamStore, hp: HyperParams) -> T
 
 def init_decoder_state(z: np.ndarray, params: ParamStore, hp: HyperParams) -> list:
     """Per-layer (h, c) arrays for the (B, latent) ``z``; layer 0's cell
-    state is an affine map of z, everything else zeros."""
+    state is an affine map of z, everything else zeros of the parameters'
+    dtype."""
     n = z.shape[0]
     c0 = z @ params["dec_init.W"].data + params["dec_init.b"].data
-    state = [(np.zeros((n, hp.cell_size)), c0)]
+    state = [(np.zeros((n, hp.cell_size), c0.dtype), c0)]
     for _ in range(1, hp.decoder_layers):
-        state.append((np.zeros((n, hp.cell_size)), np.zeros((n, hp.cell_size))))
+        state.append(tuple(np.zeros((n, hp.cell_size), c0.dtype) for _ in range(2)))
     return state
 
 
@@ -299,8 +320,9 @@ def decoder_states(z: Tensor, dec_in: np.ndarray, start: np.ndarray,
     below = None
     for layer in range(hp.decoder_layers):
         layer_in = step_input if layer == 0 else concat_cols([below, step_input])
-        below = lstm_sequence(layer_in, c0 if layer == 0 else zeros((n, hp.cell_size)),
-                              params[f"dec_l{layer}.W"], params[f"dec_l{layer}.b"], steps)
+        start_cell = c0 if layer == 0 else zeros((n, hp.cell_size), c0.data.dtype)
+        below = lstm_sequence(layer_in, start_cell, params[f"dec_l{layer}.W"],
+                              params[f"dec_l{layer}.b"], steps)
     return below
 
 
@@ -376,9 +398,10 @@ def tiny_gradcheck_instance(index: int, **changes):
     eps on every call; the objective's draws (one dropout mask and one
     ``rng.random(V)`` per batch) have shapes set by the batch alone, so each
     call sees the same noise and the loss is a deterministic function of the
-    parameters. V=7, cell 4, latent 3, two decoder layers, weights uniform
-    in +-1. K=1: the targets hold 4 distinct ids (PAD, EOS, 5, 6), so the
-    candidate set is 5 of the 7 ids and the check exercises a proper subset.
+    parameters, which are float64, the reference dtype. V=7, cell 4,
+    latent 3, two decoder layers, weights uniform in +-1. K=1: the targets
+    hold 4 distinct ids (PAD, EOS, 5, 6), so the candidate set is 5 of the 7
+    ids and the check exercises a proper subset.
     ``changes`` replaces HyperParams fields (e.g. ``lenemb=False``). The
     default-shape instances are pre-screened (see GRADCHECK_SEEDS) so that
     every nonzero parameter gradient is large enough (>= ~4e-6) to be
@@ -391,7 +414,7 @@ def tiny_gradcheck_instance(index: int, **changes):
                              bow_width=6, len_embed_size=3, decoder_layers=2,
                              max_len_index=8, softmax_samples=1), **changes)
     rng = np.random.default_rng(1000 + seed)
-    params = init_params(hp, rng)
+    params = init_params(hp, rng, dtype=np.float64)
     for _, t in params.items():
         t.data[:] = rng.uniform(-1.0, 1.0, size=t.data.shape)
     batch = make_batch([[5, 6, 5], [6, 5]], hp.vocab_size)
@@ -449,7 +472,8 @@ def total_loss(batch: Batch, params: ParamStore, hp: HyperParams, kl_weight: flo
     targets, mask = targets.T.ravel(), mask.T.ravel()   # time-major, as ``states``
     if training:
         if dropout_keep < 1.0:
-            keep_mask = (rng.random(states.data.shape) < dropout_keep) / dropout_keep
+            keep_mask = (rng.random(states.data.shape) < dropout_keep).astype(states.data.dtype)
+            keep_mask /= dropout_keep
             states = mul_const(states, keep_mask)
         ids, target_pos = draw_negatives(rng, hp.vocab_size, hp.softmax_samples, targets)
         logits = sampled_logits(states, params["out.W"], params["out.b"], ids)

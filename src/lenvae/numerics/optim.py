@@ -41,15 +41,18 @@ class AdamState:
 
 
 def _adam_blocks(blocks, dtype, m_corr: float, v_corr: float,
-                 learning_rate: float) -> None:
+                 learning_rate: float, grad_scale: float) -> None:
     """The Adam update of each (gradient, m, v, value) block of flat views,
-    in place, through two scratch blocks of its own in ``dtype``; zeroes
-    each gradient block. Calls only numpy, so it can run on a worker thread."""
+    in place, through two scratch blocks of its own in ``dtype``; scales
+    each gradient block by ``grad_scale`` first (unless it is 1) and zeroes
+    it last. Calls only numpy, so it can run on a worker thread."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     size = max((gb.size for gb, *_ in blocks), default=0)
     scratch1, scratch2 = np.empty(size, dtype), np.empty(size, dtype)
     for gb, mb, vb, pb in blocks:
         s1, s2 = scratch1[:gb.size], scratch2[:gb.size]
+        if grad_scale != 1.0:
+            np.multiply(gb, grad_scale, out=gb)
         np.multiply(mb, b1, out=mb)
         np.multiply(gb, 1.0 - b1, out=s1)
         np.add(mb, s1, out=mb)
@@ -67,8 +70,9 @@ def _adam_blocks(blocks, dtype, m_corr: float, v_corr: float,
         gb.fill(0.0)
 
 
-def adam_step(params: ParamStore, state: AdamState) -> None:
-    """In-place update of every parameter from its gradient; zeroes gradients after.
+def adam_step(params: ParamStore, state: AdamState, grad_scale: float = 1.0) -> None:
+    """In-place update of every parameter from its gradient times
+    ``grad_scale``; zeroes gradients after.
 
     Every gradient is checked first (present, and of its parameter's shape
     and dtype), so a bad one raises before any state changes. A gradient
@@ -79,9 +83,13 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
     C-contiguous, so the views write through) in blocks of ``BLOCK``
     values, so memory is read once per step. Each block makes the textbook
     expression's operations in the textbook order, so the result is
-    bit-identical to evaluating ``m = b1*m + (1-b1)*g``,
-    ``v = b2*v + (1-b2)*(g*g)`` and ``p -= lr * m_hat / (sqrt(v_hat) + eps)``
-    with fresh arrays.
+    bit-identical to evaluating ``g = g * grad_scale``,
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)`` and
+    ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` with fresh arrays. The scale
+    is how a clip (``clip_grad_norm``'s factor) reaches the gradients: each
+    block is multiplied while it is in cache, not in a pass of its own.
+    Every constant is a python float, so a float32 store is updated in
+    float32 (numpy's scalar promotion).
 
     When the store spans more than one block and more than one core is
     usable (``os.sched_getaffinity``), the blocks are dealt round-robin to
@@ -112,7 +120,8 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
     walk = functools.partial(_adam_blocks, dtype=largest.dtype,
                              m_corr=1.0 - ADAM_BETA1 ** state.step,
                              v_corr=1.0 - ADAM_BETA2 ** state.step,
-                             learning_rate=state.learning_rate)
+                             learning_rate=state.learning_rate,
+                             grad_scale=float(grad_scale))
     workers = 1 if params.num_values() <= BLOCK \
         else min(len(os.sched_getaffinity(0)), len(blocks))
     if workers == 1:
@@ -127,16 +136,19 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
         t.keep_zeroed_grad()
 
 
-def clip_grad_norm(params: ParamStore, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``.
+def clip_grad_norm(params: ParamStore, max_norm: float) -> tuple[float, float]:
+    """The global L2 norm of the gradients, and the factor that scales it
+    to at most ``max_norm``: ``max_norm / norm`` when the norm exceeds it,
+    else 1. The gradients are left as they are; ``adam_step(params, state,
+    factor)`` applies the factor inside its walk.
 
     Each gradient's sum of squares is one BLAS dot of its flat view
-    (``reshape(-1)``) with itself, so no squares are stored. The dot's
-    summation order, and so the norm's last bits, depends on how the BLAS
-    splits the dot, which is fixed for a fixed thread count; at the paper's
-    gradient sizes the norm agrees with
-    ``sqrt(sum((g * g).sum()))`` to about 1e-15 relative. Returns the
-    pre-clip norm.
+    (``reshape(-1)``) with itself, in the gradient's dtype, so no squares
+    are stored. The dot's summation order, and so the norm's last bits,
+    depends on how the BLAS splits the dot, which is fixed for a fixed
+    thread count; at the paper's gradient sizes a float64 norm agrees with
+    ``sqrt(sum((g * g).sum()))`` to about 1e-15 relative. Returns
+    ``(pre-clip norm, factor)``.
     """
     total = 0.0
     for _, t in params.items():
@@ -144,9 +156,4 @@ def clip_grad_norm(params: ParamStore, max_norm: float) -> float:
             flat = t.grad.reshape(-1)
             total += float(np.dot(flat, flat))
     norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0.0:
-        factor = max_norm / norm
-        for _, t in params.items():
-            if t.grad is not None:
-                t.grad *= factor
-    return norm
+    return norm, max_norm / norm if norm > max_norm else 1.0

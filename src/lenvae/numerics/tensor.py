@@ -9,15 +9,18 @@ its gradient; constants (masks, noise, index arrays) enter through
 ``mul_const`` or plain numpy arguments and are never leaves. A zero start
 (``zeros``) is an ordinary leaf whose gradient is dropped with the graph.
 
-float64 is the compute type. The model's noise and masks are float64, so
-float32 parameters are upcast in places: a float32 store still gives a
-float64 loss.
+float32 is the compute type of training and decoding; float64 is the
+reference that the gradient check and the exactness tests ask for. Every op
+computes in the dtype of the tensors it differentiates: a constant array
+(mask, noise, step weights, target weights, counts) is cast to it, and a
+python scalar does not widen an array (numpy's scalar promotion), so a
+float32 store gives float32 values, gradients and loss throughout.
 """
 
 import numpy as np
 
-# values per block of a walk over an array: 512 KB of float64, so a block of
-# every array a walk touches stays in a 4 MB L2 cache
+# values per block of a walk over an array: 512 KB of float64 (256 KB of
+# float32), so a block of every array a walk touches stays in a 4 MB L2 cache
 BLOCK = 1 << 16
 
 __all__ = [
@@ -37,7 +40,11 @@ class Tensor:
     __slots__ = ("data", "grad", "_parents", "_backward", "_zeroed_grad", "__weakref__")
 
     def __init__(self, data, _parents=(), _backward=None):
-        self.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
+        # a 0-d op result comes back as a numpy scalar and keeps its dtype;
+        # python numbers and lists become float64
+        if not isinstance(data, np.ndarray):
+            data = np.asarray(data, getattr(data, "dtype", np.float64))
+        self.data = data
         self.grad = None
         self._parents = _parents
         self._backward = _backward
@@ -116,10 +123,11 @@ def _unbroadcast(g, shape):
     return g
 
 
-def zeros(shape, dtype=np.float64):
+def zeros(shape, dtype=np.float32):
     """Zero-valued leaf, such as an LSTM's zero start or the length input of
-    a model without the length table. Like every leaf it accumulates a
-    gradient, which nothing reads."""
+    a model without the length table, of the compute type unless ``dtype``
+    says otherwise. Like every leaf it accumulates a gradient, which nothing
+    reads."""
     return Tensor(np.zeros(shape, dtype=dtype))
 
 
@@ -192,8 +200,9 @@ def add_scalar(a: Tensor, k: float) -> Tensor:
 
 
 def mul_const(a: Tensor, c: np.ndarray) -> Tensor:
-    """Elementwise multiply by a constant array (masks, noise); no grad to ``c``."""
-    c = np.asarray(c)
+    """Elementwise multiply by a constant array (masks, noise), cast to
+    ``a``'s dtype; no grad to ``c``."""
+    c = np.asarray(c, dtype=a.data.dtype)
 
     def bw(g):
         _accum(a, _unbroadcast(g * c, a.data.shape))

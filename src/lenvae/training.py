@@ -134,8 +134,8 @@ def train(sentences, vocab: Vocabulary, hp: HyperParams, config: TrainConfig,
                     f"non-finite {name} component at step {step}: {value}")
         loss.backward()
         del loss  # free this step's graph before the next one is built
-        grad_norm = clip_grad_norm(params, config.grad_clip)
-        adam_step(params, adam)
+        grad_norm, clip_factor = clip_grad_norm(params, config.grad_clip)
+        adam_step(params, adam, clip_factor)
 
         metrics.append(step, kl_w, comps["kl"], comps["reconstruction"],
                        comps["bow"], comps["total"], grad_norm,

@@ -41,11 +41,14 @@ def unrolled_sequence(x_steps, h0: Tensor, c0: Tensor, w: Tensor, b: Tensor):
 
 
 def init_decoder_state(z: Tensor, params, hp) -> list:
-    """Per-layer (h, c) Tensors; layer 0's cell state is an affine map of z."""
+    """Per-layer (h, c) Tensors; layer 0's cell state is an affine map of z,
+    everything else zeros of the parameters' dtype."""
     n = z.data.shape[0]
-    state = [(zeros((n, hp.cell_size)), affine(z, params["dec_init.W"], params["dec_init.b"]))]
+    c0 = affine(z, params["dec_init.W"], params["dec_init.b"])
+    state = [(zeros((n, hp.cell_size), c0.data.dtype), c0)]
     for _ in range(1, hp.decoder_layers):
-        state.append((zeros((n, hp.cell_size)), zeros((n, hp.cell_size))))
+        state.append((zeros((n, hp.cell_size), c0.data.dtype),
+                      zeros((n, hp.cell_size), c0.data.dtype)))
     return state
 
 

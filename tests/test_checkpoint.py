@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from lenvae.checkpoint import (
-    CheckpointChecksumError, CheckpointFormatError, CheckpointTruncatedError,
+    ELEMENT_TYPES, CheckpointChecksumError, CheckpointFormatError, CheckpointTruncatedError,
     CheckpointVersionError, IncompatibleCheckpointError, checkpoint_load,
     checkpoint_save,
 )
@@ -44,7 +44,7 @@ def test_roundtrip_bit_exact(saved):
     assert [n for n, _ in loaded_params.items()] == [n for n, _ in params.items()]  # order
     for name, t in params.items():
         got = loaded_params[name].data
-        assert got.dtype == np.float64
+        assert got.dtype == t.data.dtype
         np.testing.assert_array_equal(got, t.data)
 
 
@@ -119,17 +119,53 @@ def test_lenemb_disabled_checkpoint_refuses_length_decoding(tmp_path):
     assert isinstance(out, str)
 
 
-def test_float32_params_roundtrip_through_float64_file(tmp_path):
+@pytest.mark.parametrize("dtype, version", [(np.float32, 2), (np.float64, 1)],
+                         ids=["float32", "float64"])
+def test_checkpoint_round_trips_in_the_version_of_its_dtype(tmp_path, dtype, version):
+    # a float32 store is a version 2 file of <f4 values and loads as float32;
+    # a float64 store is a version 1 file of <f8 values, as before version 2
     vocab = build_vocab([["a", "b"]], top_k=5)
     hp = HyperParams(vocab_size=vocab.size, cell_size=4, embed_size=4,
                      latent_dim=2, bow_width=4, len_embed_size=2,
                      decoder_layers=1, max_len_index=8, softmax_samples=3)
-    params = init_params(hp, np.random.default_rng(2), dtype=np.float32)
-    path = tmp_path / "f32.lvae"
+    params = init_params(hp, np.random.default_rng(2), dtype=dtype)
+    path = tmp_path / "model.lvae"
     checkpoint_save(path, params, hp, vocab, step=0)
+    raw = path.read_bytes()
+    assert struct.unpack_from("<I", raw, 4) == (version,)
+    element = np.dtype(dtype).newbyteorder("<")
+    assert ELEMENT_TYPES[version] == element
+    records = tensor_records(raw)
     loaded, *_ = checkpoint_load(path)
-    for name, t in params.items():
-        np.testing.assert_array_equal(loaded[name].data.astype(np.float32), t.data)
+    for (name, t), record in zip(params.items(), records):
+        assert record.endswith(t.data.astype(element).tobytes()), name
+        got = loaded[name].data
+        assert got.dtype == dtype and got.tobytes() == t.data.tobytes(), name
+
+
+def test_save_refuses_a_store_no_version_holds(tmp_path):
+    vocab = build_vocab([["a", "b"]], top_k=5)
+    hp = HyperParams(vocab_size=vocab.size, cell_size=4, embed_size=4,
+                     latent_dim=2, bow_width=4, len_embed_size=2,
+                     decoder_layers=1, max_len_index=8, softmax_samples=3)
+    mixed = init_params(hp, np.random.default_rng(2))
+    mixed["out.b"].data = mixed["out.b"].data.astype(np.float64)
+    half = init_params(hp, np.random.default_rng(2), dtype=np.float16)
+    for params in (mixed, half):
+        with pytest.raises(ValueError, match="cannot save parameters of dtypes"):
+            checkpoint_save(tmp_path / "model.lvae", params, hp, vocab, step=0)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("version", [0, 3])
+def test_version_next_to_the_known_ones_is_typed_error(saved, tmp_path, version):
+    path, *_ = saved
+    raw = path.read_bytes()
+    body = raw[:4] + struct.pack("<I", version) + raw[8:-4]
+    out = tmp_path / "versioned.lvae"
+    out.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(CheckpointVersionError, match=f"version {version} "):
+        checkpoint_load(out)
 
 
 @pytest.mark.parametrize("failing", ["fsync", "replace"])
@@ -174,7 +210,7 @@ def test_save_streams_without_copying_parameters(tmp_path):
     vocab = build_vocab([["cat", "dog", "runs", "the"]], top_k=10)
     hp = HyperParams(vocab_size=vocab.size, cell_size=256, embed_size=64)
     params = init_params(hp, np.random.default_rng(0))
-    param_bytes = 8 * params.num_values()
+    param_bytes = sum(t.data.nbytes for _, t in params.items())
     assert param_bytes > 4_000_000
     tracemalloc.start()
     try:
@@ -199,7 +235,7 @@ def test_large_vocabulary_round_trip_keeps_layout_and_streams(tmp_path):
     out_w = params["out.W"].data
     assert out_w.flags.c_contiguous
     assert max(t.data.size for _, t in params.items()) == out_w.size
-    param_bytes = 8 * params.num_values()
+    param_bytes = sum(t.data.nbytes for _, t in params.items())
     path = tmp_path / "wide.lvae"
     tracemalloc.start()
     try:
@@ -250,7 +286,7 @@ def test_load_holds_one_copy_of_parameters(tmp_path):
     vocab = build_vocab([["cat", "dog", "runs", "the"]], top_k=10)
     hp = HyperParams(vocab_size=vocab.size, cell_size=256, embed_size=64)
     params = init_params(hp, np.random.default_rng(0))
-    param_bytes = 8 * params.num_values()
+    param_bytes = sum(t.data.nbytes for _, t in params.items())
     assert param_bytes > 4_000_000
     checkpoint_save(tmp_path / "big.lvae", params, hp, vocab, step=1)
     tracemalloc.start()
@@ -317,14 +353,15 @@ def test_bad_tensor_name_is_format_error(saved, tmp_path, names):
 
 def tensor_records(raw):
     """The raw tensor records of a checkpoint file, in file order."""
-    n, = struct.unpack_from("<Q", raw, 8)
+    version, n = struct.unpack_from("<IQ", raw, 4)
+    itemsize = ELEMENT_TYPES[version].itemsize
     pos = 16 + n + 8
     records = []
     while pos < len(raw) - 4:
         name_len, = struct.unpack_from("<I", raw, pos)
         rank, = struct.unpack_from("<I", raw, pos + 4 + name_len)
         dims = struct.unpack_from(f"<{rank}Q", raw, pos + 8 + name_len)
-        end = pos + 8 + name_len + 8 * rank + 8 * int(np.prod(dims))
+        end = pos + 8 + name_len + 8 * rank + itemsize * int(np.prod(dims))
         records.append(raw[pos:end])
         pos = end
     return records

@@ -25,11 +25,13 @@ def tiny_hp(v=4, layers=1, lenemb=True):
                        max_len_index=10, softmax_samples=2, lenemb=lenemb)
 
 
-def random_model(seed, hp):
-    params = init_params(hp, np.random.default_rng(seed))
+def random_model(seed, hp, dtype=np.float64):
+    """Standard-normal parameters and z, rounded to ``dtype``: float64, the
+    reference dtype, unless a test asks for the float32 compute type."""
+    params = init_params(hp, np.random.default_rng(seed), dtype=dtype)
     for _, t in params.items():
         t.data[:] = np.random.default_rng(seed + 1).standard_normal(t.data.shape)
-    z = np.random.default_rng(seed + 2).standard_normal(hp.latent_dim)
+    z = np.random.default_rng(seed + 2).standard_normal(hp.latent_dim).astype(dtype)
     return params, z
 
 
@@ -41,7 +43,7 @@ def step_log_probs(prev_id, state, z, params, hp, remaining):
         idx = np.array([min(remaining, hp.max_len_index)])
         len_emb = gather_rows(params["len_table.W"], idx)
     else:
-        len_emb = zeros((1, hp.len_embed_size))
+        len_emb = zeros((1, hp.len_embed_size), z.dtype)
     logits, new_state = decode_step(z_row, prev, len_emb, state, params, hp)
     return log_softmax_rows(logits.data)[0], new_state
 
@@ -84,6 +86,21 @@ def test_beam_matches_brute_force_enumeration(seed):
     request = DecodeRequest(beam_width=64, max_tokens=3)
     result = beam_search(z, request, params, hp, initial_length=3, forbidden_ids=())
     np.testing.assert_allclose(result.log_prob, expected_logp, rtol=1e-10)
+    assert result.ids == expected_ids
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_float32_beam_equals_float32_brute_force_exactly(seed):
+    # both sides decode in float32, one row at a time against the beam's
+    # stacked rows, and sum each path's log-probabilities in the same order
+    hp = tiny_hp(v=4)
+    params, z = random_model(10 * seed, hp, dtype=np.float32)
+    expected_ids, expected_logp = brute_force_best(z, params, hp, max_len=3,
+                                                   initial_length=3)
+    request = DecodeRequest(beam_width=64, max_tokens=3)
+    result = beam_search(z, request, params, hp, initial_length=3, forbidden_ids=())
+    assert expected_logp.dtype == np.float32
+    assert result.log_prob == float(expected_logp)
     assert result.ids == expected_ids
 
 
@@ -200,7 +217,8 @@ def reference_beam_search(z, request, params, hp, initial_length,
     Python candidate tuples by (-score, row, token); returns (ids, log_prob,
     truncated). Ties are exact wherever no three equal scores straddle a
     row's width-th place."""
-    z_row = Tensor(np.asarray(z, dtype=np.float64)[None, :])
+    dtype = params["out.W"].data.dtype
+    z_row = Tensor(np.asarray(z, dtype=dtype)[None, :])
     init_state = _state_to_arrays(init_decoder_state(z_row, params, hp))
     beams = [Hypothesis(state=init_state, remaining=initial_length)]
     completed = []
@@ -209,7 +227,7 @@ def reference_beam_search(z, request, params, hp, initial_length,
     for _ in range(request.max_tokens):
         n = len(beams)
         prev_ids = np.array([b.ids[-1] if b.ids else BOS_ID for b in beams], dtype=np.intp)
-        z_batch = Tensor(np.repeat(np.asarray(z, dtype=np.float64)[None, :], n, axis=0))
+        z_batch = Tensor(np.repeat(np.asarray(z, dtype=dtype)[None, :], n, axis=0))
         state = [(Tensor(np.stack([b.state[l][0][0] for b in beams])),
                   Tensor(np.stack([b.state[l][1][0] for b in beams])))
                  for l in range(hp.decoder_layers)]
@@ -218,7 +236,7 @@ def reference_beam_search(z, request, params, hp, initial_length,
             idx = np.array([min(b.remaining, hp.max_len_index) for b in beams], dtype=np.intp)
             len_emb = gather_rows(params["len_table.W"], idx)
         else:
-            len_emb = zeros((n, hp.len_embed_size))
+            len_emb = zeros((n, hp.len_embed_size), dtype)
         logits, new_state = decode_step(z_batch, prev_emb, len_emb, state, params, hp)
         log_probs = log_softmax_rows(logits.data)
         if forbidden:
@@ -279,6 +297,16 @@ def test_array_engine_equals_reference(seed, width, forbidden, lenemb, layers):
     kwargs = {} if forbidden == "default" else {"forbidden_ids": forbidden}
     assert_matches_reference(z, DecodeRequest(beam_width=width, max_tokens=4),
                              params, hp, initial_length=2, **kwargs)
+
+
+@pytest.mark.parametrize("lenemb", [True, False])
+@pytest.mark.parametrize("width", [2, 6 ** 4])
+def test_float32_array_engine_equals_reference(width, lenemb):
+    hp = tiny_hp(v=6, layers=2, lenemb=lenemb)
+    params, z = random_model(400, hp, dtype=np.float32)
+    params["out.b"].data[EOS_ID] += 1.0
+    assert_matches_reference(z, DecodeRequest(beam_width=width, max_tokens=4),
+                             params, hp, initial_length=2)
 
 
 def test_exact_tie_settled_by_row_then_token():
@@ -382,10 +410,11 @@ def test_stop_reason_exhausted(monkeypatch):
 
 
 def test_beam_search_holds_one_score_buffer():
-    # one (width, V) buffer per search; the parent's three temporaries per
-    # step measured 4.03 buffers at this shape
+    # one (width, V) buffer per search; three temporaries per step, as
+    # decoding once made them, measured 4.03 buffers at this shape
     hp = HyperParams(vocab_size=20000)
     params = init_params(hp, np.random.default_rng(0))
+    itemsize = params["out.W"].data.itemsize
     z = np.random.default_rng(1).standard_normal(hp.latent_dim)
     request = DecodeRequest(beam_width=8, max_tokens=10)
     tracemalloc.start()
@@ -395,7 +424,7 @@ def test_beam_search_holds_one_score_buffer():
     finally:
         tracemalloc.stop()
     assert result.steps > 1
-    assert peak < 2 * request.beam_width * hp.vocab_size * 8
+    assert peak < 2 * request.beam_width * hp.vocab_size * itemsize
 
 
 # ---------------------------------------------------------------------------

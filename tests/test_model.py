@@ -27,7 +27,9 @@ TINY = HyperParams(vocab_size=7, cell_size=3, embed_size=4, latent_dim=2,
 
 
 def tiny_params(seed=0, hp=TINY):
-    return init_params(hp, np.random.default_rng(seed))
+    """Parameters in float64, the dtype of the references these tests hold
+    the model to."""
+    return init_params(hp, np.random.default_rng(seed), dtype=np.float64)
 
 
 def one_sentence_batch(ids, hp=TINY):
@@ -37,12 +39,19 @@ def one_sentence_batch(ids, hp=TINY):
 def test_init_params_draws_each_weight_as_one_uniform_draw():
     hp = HyperParams(vocab_size=20000, cell_size=64, embed_size=8, latent_dim=4,
                      bow_width=4, len_embed_size=3, decoder_layers=1)
-    params = init_params(hp, np.random.default_rng(3))
+    # float64 is that draw bit for bit, and float32 is it rounded to float32
+    params = init_params(hp, np.random.default_rng(3), dtype=np.float64)
+    params32 = init_params(hp, np.random.default_rng(3))
     rng = np.random.default_rng(3)
     for name, shape in param_shapes(hp).items():
+        assert params32[name].data.dtype == np.float32, name
         if name.endswith(".W"):
             expected = rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
-            assert np.array_equal(params[name].data, expected), name
+            assert params[name].data.tobytes() == expected.tobytes(), name
+            assert params32[name].data.tobytes() == expected.astype(np.float32).tobytes(), name
+        else:
+            assert params32[name].data.tobytes() == \
+                params[name].data.astype(np.float32).tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -55,11 +64,10 @@ def test_encoder_mean_single_token_equals_state():
     mean = encoder_mean(batch, params, hp).data[0]
 
     emb = Tensor(params["embed.W"].data[[5]])
-    h0 = zeros((1, hp.cell_size))
-    c0 = zeros((1, hp.cell_size))
+    h0 = zeros((1, hp.cell_size), np.float64)
+    c0 = zeros((1, hp.cell_size), np.float64)
     fh, _ = lstm_cell_forward(emb, h0, c0, params["enc_fwd.W"], params["enc_fwd.b"])
-    bh, _ = lstm_cell_forward(emb, zeros((1, hp.cell_size)), zeros((1, hp.cell_size)),
-                              params["enc_bwd.W"], params["enc_bwd.b"])
+    bh, _ = lstm_cell_forward(emb, h0, c0, params["enc_bwd.W"], params["enc_bwd.b"])
     np.testing.assert_allclose(mean, np.concatenate([fh.data[0], bh.data[0]]), rtol=1e-12)
 
 
@@ -76,8 +84,8 @@ def test_encode_zero_affines_return_biases():
 
 def _unrolled_direction(ids, params, hp, prefix):
     """Hand-unrolled LSTM pass over the given token order; returns states."""
-    h = zeros((1, hp.cell_size))
-    c = zeros((1, hp.cell_size))
+    h = zeros((1, hp.cell_size), np.float64)
+    c = zeros((1, hp.cell_size), np.float64)
     states = []
     for i in ids:
         emb = Tensor(params["embed.W"].data[[i]])
@@ -496,13 +504,47 @@ def test_training_reconstruction_equals_eval_with_all_negatives():
     hp = HyperParams(vocab_size=7, cell_size=3, embed_size=4, latent_dim=2,
                      bow_width=5, len_embed_size=2, decoder_layers=2,
                      max_len_index=6, softmax_samples=6)  # V-1 negatives
-    params = init_params(hp, np.random.default_rng(16))
+    params = init_params(hp, np.random.default_rng(16), dtype=np.float64)
     batch = _two_sentence_batch(hp)
     eps = np.zeros((2, hp.latent_dim))
     _, train_comps = total_loss(batch, params, hp, 1.0, "train",
                                 np.random.default_rng(10), dropout_keep=1.0, eps=eps)
     _, eval_comps = total_loss(batch, params, hp, 1.0, "eval", eps=eps)
     assert abs(train_comps["reconstruction"] - eval_comps["reconstruction"]) <= 1e-12
+
+
+# float32 sampled softmax with every other id as a negative against the full
+# softmax: the two sum the same terms in different orders. Over 60 instances
+# (V = 7, 50 and 400, seeds 0-19, weights N(0, 0.25)) they differed by at
+# most 1.8e-7 relative, about 1.5 float32 epsilons, and the sampled loss
+# differed from the float64 full softmax on the same weights by at most
+# 1.3e-7; the bound is 1e-6.
+FLOAT32_SOFTMAX_RTOL = 1e-6
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_float32_sampled_softmax_with_all_negatives_equals_full_softmax(seed):
+    hp = HyperParams(vocab_size=50, cell_size=16, embed_size=8, latent_dim=4,
+                     bow_width=5, len_embed_size=2, decoder_layers=2,
+                     max_len_index=12, softmax_samples=49)   # V-1 negatives
+    rng = np.random.default_rng(seed)
+    params = init_params(hp, np.random.default_rng(seed))
+    for _, t in params.items():
+        t.data[:] = 0.5 * rng.standard_normal(t.data.shape)
+    params64 = init_params(hp, np.random.default_rng(seed), dtype=np.float64)
+    for name, t in params.items():
+        params64[name].data[:] = t.data
+    batch = make_batch([list(rng.integers(4, hp.vocab_size, size=rng.integers(1, 10)))
+                        for _ in range(6)], hp.vocab_size)
+    eps = np.zeros((6, hp.latent_dim))
+    train_loss, train = total_loss(batch, params, hp, 1.0, "train", np.random.default_rng(1),
+                                   dropout_keep=1.0, eps=eps)
+    _, full = total_loss(batch, params, hp, 1.0, "eval", eps=eps)
+    _, full64 = total_loss(batch, params64, hp, 1.0, "eval", eps=eps)
+    assert train_loss.data.dtype == np.float32
+    for reference in (full, full64):
+        np.testing.assert_allclose(train["reconstruction"], reference["reconstruction"],
+                                   rtol=FLOAT32_SOFTMAX_RTOL, atol=0)
 
 
 def _log_softmax(logits):

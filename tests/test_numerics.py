@@ -165,7 +165,7 @@ def test_init_holds_one_copy_of_parameters():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    param_bytes = 8 * params.num_values()
+    param_bytes = sum(t.data.nbytes for _, t in params.items())
     assert param_bytes > 4_000_000
     assert peak < 1.1 * param_bytes
 
@@ -182,7 +182,7 @@ def assert_close_to(actual, expected):
                                atol=KERNEL_RTOL * np.abs(expected).max())
 
 
-# constant-start: the cell state starts at the zero leaf of ``zeros()``
+# constant-start: the cell state starts at a float64 zero leaf of ``zeros()``
 @pytest.mark.parametrize("steps", [1, 2, 7])
 @pytest.mark.parametrize("zero_start", [False, True], ids=["leaf-start", "constant-start"])
 def test_lstm_sequence_matches_unrolled_cell(steps, zero_start):
@@ -191,7 +191,10 @@ def test_lstm_sequence_matches_unrolled_cell(steps, zero_start):
     def inputs():
         r = np.random.default_rng(100 + steps)
         x = r.standard_normal((steps * rows, in_dim))
-        c0 = zeros((rows, hidden)) if zero_start else Tensor(r.standard_normal((rows, hidden)))
+        if zero_start:
+            c0 = zeros((rows, hidden), np.float64)
+        else:
+            c0 = Tensor(r.standard_normal((rows, hidden)))
         w = Tensor(0.5 * r.standard_normal((in_dim + hidden, 4 * hidden)))
         b = Tensor(r.standard_normal(4 * hidden))
         return x, c0, w, b
@@ -204,7 +207,7 @@ def test_lstm_sequence_matches_unrolled_cell(steps, zero_start):
 
     x, *ref_rest = inputs()
     x_steps = [Tensor(x[t * rows:(t + 1) * rows].copy()) for t in range(steps)]
-    hs = unrolled_sequence(x_steps, zeros((rows, hidden)), *ref_rest)
+    hs = unrolled_sequence(x_steps, zeros((rows, hidden), np.float64), *ref_rest)
     loss = sum_all(mul(hs[0], Tensor(upstream[:rows])))
     for t in range(1, steps):
         loss = add(loss, sum_all(mul(hs[t], Tensor(upstream[t * rows:(t + 1) * rows]))))
@@ -394,11 +397,44 @@ def test_clip_grad_norm_in_scratch_matches_fresh_squares(max_norm):
     expected = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
     for name, t in store.items():
         t.grad = grads[name].copy()
-    norm = clip_grad_norm(store, max_norm)
+    norm, factor = clip_grad_norm(store, max_norm)
     assert norm == pytest.approx(expected, rel=1e-13, abs=0)
-    factor = min(1.0, max_norm / norm)
-    for name, t in store.items():
-        assert t.grad.tobytes() == (grads[name] * factor).tobytes()
+    assert factor == min(1.0, max_norm / norm)
+    for name, t in store.items():  # the factor is applied by adam_step
+        assert t.grad.tobytes() == grads[name].tobytes()
+
+
+@pytest.mark.parametrize("cores", [None, {0}], ids=["usable cores", "one core"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adam_with_the_clip_factor_equals_clip_then_adam_bit_for_bit(monkeypatch, dtype, cores):
+    # adam_step(grad_scale=factor) multiplies each gradient block in its
+    # walk; clipping first scales every gradient in a pass of its own
+    if cores is not None:
+        monkeypatch.setattr("lenvae.numerics.optim.os.sched_getaffinity", lambda pid: cores)
+    rng = np.random.default_rng(26)
+    fused, separate = ParamStore(), ParamStore()
+    for name, t in _random_store(rng).items():
+        fused.add(name, t.data.astype(dtype))
+        separate.add(name, t.data.astype(dtype))
+    fused_state, separate_state = adam_for(fused), adam_for(separate)
+    factors = []
+    for _ in range(3):
+        for name, t in fused.items():
+            t.grad = (3.0 * rng.standard_normal(t.data.shape)).astype(dtype)
+            separate[name].grad = t.grad.copy()
+        _, factor = clip_grad_norm(fused, max_norm=100.0)
+        factors.append(factor)
+        adam_step(fused, fused_state, factor)
+        for _, t in separate.items():
+            t.grad *= factor
+        adam_step(separate, separate_state)
+        for name, t in fused.items():
+            assert t.data.dtype == dtype
+            assert t.data.tobytes() == separate[name].data.tobytes(), name
+            assert fused_state.m[name].tobytes() == separate_state.m[name].tobytes(), name
+            assert fused_state.v[name].tobytes() == separate_state.v[name].tobytes(), name
+            assert t.grad is None and not t._zeroed_grad.any(), name
+    assert all(f < 1.0 for f in factors)   # every step clipped
 
 
 def test_adam_missing_gradient_errors():
@@ -435,9 +471,9 @@ def test_clip_grad_norm_at_paper_output_shape(max_norm):
     grad = rng.standard_normal(t.data.shape)
     expected = float(np.sqrt(float((grad * grad).sum())))
     t.grad = grad.copy()
-    norm = clip_grad_norm(store, max_norm)
+    norm, factor = clip_grad_norm(store, max_norm)
     assert norm == pytest.approx(expected, rel=1e-13, abs=0)
-    np.multiply(grad, min(1.0, max_norm / norm), out=grad)
+    assert factor == min(1.0, max_norm / norm)
     assert np.array_equal(t.grad.view(np.uint64), grad.view(np.uint64))
 
 
