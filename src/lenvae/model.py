@@ -8,16 +8,17 @@ as input (layers above the first also see the lower layer's hidden state),
 the first layer's cell state initialized from an affine map of z. The length
 embedding indexes a learned table by a per-step countdown that starts at the
 desired output length and decrements to 0. Losses: per-token reconstruction
-cross-entropy (sampled in training mode, full softmax in eval mode), the
-closed-form KL against a standard-normal prior, and a bag-of-words auxiliary
-loss predicting the input's token counts from z.
+cross-entropy over candidate ids (sampled in training mode, every id in eval
+mode), the closed-form KL against a standard-normal prior, and a
+bag-of-words auxiliary loss predicting the input's token counts from z.
 
 The training-mode reconstruction is a sampled softmax with one candidate set
 per batch, shared by every decoder step and row (Jean et al. 2015): the
 batch's distinct targets plus ``softmax_samples`` uniform non-target draws.
 Other rows' and steps' targets serve as negatives, so the whole term is one
-GEMM against the candidate columns of the output layer; once the set covers
-the vocabulary the loss is exactly the full softmax. Each of the T*B rows is
+GEMM against the candidate columns of the output layer. The set is sorted
+and eval mode's set is every id, so a training set that covers the
+vocabulary is eval's full softmax bit for bit. Each of the T*B rows is
 scored against all U + K candidates, U being the batch's distinct targets,
 where a set per step would score it against that step's U_t + K. So the
 term's work and memory grow with U: about the same as per-step sets while U
@@ -59,7 +60,7 @@ class HyperParams:
     ``softmax_samples`` is K, the number of non-target ids each training
     batch draws for the candidate set that all its decoder steps share, on
     top of the batch's distinct targets (capped at the ids left in the
-    vocabulary).
+    vocabulary). Eval mode ignores it: its candidate set is every id.
     """
 
     vocab_size: int
@@ -342,21 +343,21 @@ def draw_negatives(rng, vocab_size: int, sample_count: int, targets: np.ndarray)
     """One candidate set for a batch, shared by every decoder step and row.
 
     ``targets`` holds every (step, row) target of the batch. Returns
-    ``(ids, target_pos)``. ``ids`` holds the U distinct targets (ascending)
-    followed by ``min(sample_count, V - U)`` distinct non-target ids, drawn
-    uniformly without replacement and sorted; ``ids[target_pos[r]] ==
-    targets[r]``. The draw is a single ``rng.random(V)`` call whose smallest
-    non-target keys win, so the draws depend on the batch's shape, never on
-    parameter values. Once ``sample_count >= V - U`` the set is all of V.
+    ``(ids, target_pos)``: ``ids`` holds, ascending, the U distinct targets
+    and ``min(sample_count, V - U)`` non-target ids drawn uniformly without
+    replacement; ``ids[target_pos[r]] == targets[r]``. The draw is one
+    ``rng.random(V)`` whose smallest non-target keys win, so the draws
+    depend on the batch's shape, never on parameter values. Once
+    ``sample_count >= V - U`` the set is ``arange(V)``, eval mode's set.
     """
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
-    distinct, target_pos = np.unique(targets, return_inverse=True)
+    distinct = np.unique(targets)
     keys = rng.random(vocab_size)
     keys[distinct] = 2.0  # above every uniform key: targets are never drawn
     extra = min(sample_count, vocab_size - distinct.size)
-    negatives = np.sort(np.argpartition(keys, extra - 1)[:extra])
-    return np.concatenate([distinct, negatives]), target_pos
+    ids = np.sort(np.concatenate([distinct, np.argpartition(keys, extra - 1)[:extra]]))
+    return ids, np.searchsorted(ids, targets)
 
 
 def word_dropout(decoder_input_ids: np.ndarray, p: float, rng) -> np.ndarray:
@@ -443,10 +444,10 @@ def total_loss(batch: Batch, params: ParamStore, hp: HyperParams, kl_weight: flo
     """Scalar objective and its components for one batch.
 
     mode "train": word dropout at ``word_drop_p`` on the teacher-forcing
-    inputs (the targets stay clean), sampled-softmax reconstruction,
-    hidden-state dropout at ``dropout_keep``, noise drawn from ``rng`` unless
-    ``eps`` is supplied. mode "eval": full-softmax reconstruction, no
-    dropout of either kind, eps defaults to 0.
+    inputs (the targets stay clean), hidden-state dropout at
+    ``dropout_keep``, candidates from ``draw_negatives``, noise drawn from
+    ``rng`` unless ``eps`` is supplied. mode "eval": every id a candidate
+    (the full softmax), no dropout of either kind, eps defaults to 0.
 
     Returns (loss Tensor, components dict with reconstruction / kl / bow /
     total floats; kl is the unweighted batch-mean KL value).
@@ -476,11 +477,10 @@ def total_loss(batch: Batch, params: ParamStore, hp: HyperParams, kl_weight: flo
             keep_mask /= dropout_keep
             states = mul_const(states, keep_mask)
         ids, target_pos = draw_negatives(rng, hp.vocab_size, hp.softmax_samples, targets)
-        logits = sampled_logits(states, params["out.W"], params["out.b"], ids)
-        recon_sum = cross_entropy_rows(logits, target_pos, mask)
     else:
-        logits = affine(states, params["out.W"], params["out.b"])
-        recon_sum = cross_entropy_rows(logits, targets, mask)
+        ids, target_pos = np.arange(hp.vocab_size), targets
+    logits = sampled_logits(states, params["out.W"], params["out.b"], ids)
+    recon_sum = cross_entropy_rows(logits, target_pos, mask)
     reconstruction = scale(recon_sum, 1.0 / n)
 
     bow = bow_loss(z, batch.bow, params, hp)

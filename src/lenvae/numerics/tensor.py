@@ -364,10 +364,10 @@ def sampled_logits(h: Tensor, w: Tensor, b: Tensor, ids: np.ndarray) -> Tensor:
     """Output logits over a shared candidate set: out[r, k] = h[r] . w[:, ids[k]] + b[ids[k]].
 
     ``h`` (B, H), ``w`` (H, V), ``b`` (V,), ``ids`` distinct ints (C,). One
-    (B, H) @ (H, C) GEMM scores every row against the same C columns, so the
-    full (B, V) logit matrix is never formed. Backward adds one (H, B) @ (B, C)
-    GEMM into the candidate columns of ``w.grad``; the ids must be distinct,
-    since a repeated id would receive only one of its contributions.
+    (B, H) @ (H, C) GEMM scores every row against the same C columns, and
+    ``ids = arange(V)`` is the full output layer. Backward adds one (H, B) @
+    (B, C) GEMM into the candidate columns of ``w.grad``; the ids must be
+    distinct, since a repeated id would receive only one of its contributions.
     """
     ids = np.asarray(ids, dtype=np.intp)
     if ids.ndim != 1:

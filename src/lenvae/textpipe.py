@@ -112,7 +112,8 @@ class Batch:
     """PAD-filled id matrix with true lengths and bag-of-words targets.
 
     ids (B, T) int; positions at or beyond the true length are PAD.
-    bow (B, V) float counts over the sentence's own ids (no PAD/BOS/EOS).
+    bow (B, V) float32 counts over the sentence's own ids (no PAD/BOS/EOS);
+    counts below 2**24 are exact in float32.
     """
 
     ids: np.ndarray
@@ -125,7 +126,7 @@ def make_batch(sentences: list[list[int]], vocab_size: int) -> Batch:
     lengths = np.array([len(s) for s in sentences], dtype=np.intp)
     width = int(lengths.max()) if n else 0
     ids = np.full((n, width), PAD_ID, dtype=np.intp)
-    bow = np.zeros((n, vocab_size), dtype=np.float64)
+    bow = np.zeros((n, vocab_size), dtype=np.float32)
     for r, s in enumerate(sentences):
         ids[r, :len(s)] = s
         for i in s:

@@ -12,7 +12,7 @@ from .textpipe import Vocabulary, encode_batch
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when a loss component stops being finite; names the component."""
+    """Raised when a loss component or the gradient norm stops being finite."""
 
 
 @dataclass
@@ -135,6 +135,8 @@ def train(sentences, vocab: Vocabulary, hp: HyperParams, config: TrainConfig,
         loss.backward()
         del loss  # free this step's graph before the next one is built
         grad_norm, clip_factor = clip_grad_norm(params, config.grad_clip)
+        if not np.isfinite(grad_norm):  # a clip factor of 0 would hide it
+            raise TrainingDivergedError(f"non-finite gradient norm at step {step}: {grad_norm}")
         adam_step(params, adam, clip_factor)
 
         metrics.append(step, kl_w, comps["kl"], comps["reconstruction"],

@@ -136,6 +136,7 @@ def test_bow_counts_single_occurrence():
     expected = np.zeros(vocab.size)
     expected[vocab.encode(["a", "b"])] = 1
     np.testing.assert_array_equal(batch.bow[0], expected)
+    assert batch.bow.dtype == np.float32   # exact counts at half float64's bytes
 
 
 def test_bow_counts_duplicates():

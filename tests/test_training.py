@@ -274,6 +274,34 @@ def test_train_aborts_on_nonfinite_with_component_name():
         train(sentences, vocab, hp, cfg)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot")
+def test_train_stops_on_a_nonfinite_gradient_norm_before_the_update(tmp_path, monkeypatch):
+    # a float32 gradient entry of 1e20 squares to inf: the norm is inf, the
+    # clip factor 0, and Adam would move on momentum alone
+    sentences, vocab, hp = _toy_setup(120)
+    cfg = TrainConfig(batch_size=32, total_steps=6, anneal_horizon=2, seed=11,
+                      checkpoint_interval=1)
+    clip_grad_norm = training.clip_grad_norm
+    entering = []
+
+    def injecting(params, max_norm):
+        entering.append((params, {name: t.data.copy() for name, t in params.items()}))
+        if len(entering) == 3:
+            params["out.W"].grad[0, 0] = 1e20
+        return clip_grad_norm(params, max_norm)
+
+    monkeypatch.setattr(training, "clip_grad_norm", injecting)
+    with pytest.raises(TrainingDivergedError, match="gradient norm at step 2: inf"):
+        train(sentences, vocab, hp, cfg, out_dir=tmp_path)
+    assert len(entering) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt_000001.lvae", "ckpt_000002.lvae"]
+    loaded, *_ = checkpoint_load(tmp_path / "ckpt_000002.lvae")
+    params, before = entering[-1]
+    for name, t in params.items():
+        assert t.data.tobytes() == before[name].tobytes(), name
+        assert loaded[name].data.tobytes() == before[name].tobytes(), name
+
+
 def test_train_validates_vocab_size_and_length_table():
     sentences, vocab, hp = _toy_setup(50)
     bad_hp = HyperParams(vocab_size=vocab.size + 1, cell_size=8, embed_size=8,
