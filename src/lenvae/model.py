@@ -11,6 +11,9 @@ desired output length and decrements to 0. Losses: per-token reconstruction
 cross-entropy over candidate ids (sampled in training mode, every id in eval
 mode), the closed-form KL against a standard-normal prior, and a
 bag-of-words auxiliary loss predicting the input's token counts from z.
+Those counts are derived from the batch's ids each step (``Batch.bow``): a
+batch holds no (B, V) array, and encoding (``posterior_means``) never
+builds one.
 
 The training-mode reconstruction is a sampled softmax with one candidate set
 per batch, shared by every decoder step and row (Jean et al. 2015): the
@@ -332,7 +335,12 @@ def decoder_states(z: Tensor, dec_in: np.ndarray, start: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def bow_loss(z: Tensor, bow_counts: np.ndarray, params: ParamStore, hp: HyperParams) -> Tensor:
-    """Batch-mean of -sum_w count_w * log softmax(logits)_w from a tanh layer on z."""
+    """Batch-mean of -sum_w count_w * log softmax(logits)_w from a tanh layer on z.
+
+    ``bow_counts`` is (B, V); ``total_loss`` passes the step's ``Batch.bow``,
+    built from the batch's ids for this step alone, and the loss node keeps
+    it until backward.
+    """
     hidden = tanh_(affine(z, params["bow_h.W"], params["bow_h.b"]))
     logits = affine(hidden, params["bow_out.W"], params["bow_out.b"])
     n = z.data.shape[0]

@@ -113,6 +113,21 @@ def _accum(t, g):
     grad += g
 
 
+def _accum_product(t, x, y):
+    """Add ``x @ y`` into ``t.grad``. The first contribution is written
+    straight into the zeroed array kept on the leaf, or into a fresh
+    C-contiguous array of the value's shape and dtype, and that array
+    becomes ``t.grad``; later ones are added. Writing a product where
+    ``_accum`` would add it to zeros changes only the sign of a zero
+    (``0 + -0.0`` is ``+0.0``)."""
+    if t.grad is None:
+        kept, t._zeroed_grad = t._zeroed_grad, None
+        out = kept if kept is not None else np.empty(t.data.shape, t.data.dtype)
+        t.grad = np.matmul(x, y, out=out)
+    else:
+        t.grad += x @ y
+
+
 def _unbroadcast(g, shape):
     """Sum ``g`` down to ``shape`` (reverse of numpy broadcasting)."""
     while g.ndim > len(shape):
@@ -139,8 +154,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def bw(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        _accum_product(a, g, b.data.T)
+        _accum_product(b, a.data.T, g)
 
     return Tensor(out_data, (a, b), bw)
 
@@ -365,18 +380,21 @@ def sampled_logits(h: Tensor, w: Tensor, b: Tensor, ids: np.ndarray) -> Tensor:
 
     ``h`` (B, H), ``w`` (H, V), ``b`` (V,), ``ids`` distinct ints (C,). One
     (B, H) @ (H, C) GEMM scores every row against the same C columns, and
-    ``ids = arange(V)`` is the full output layer. Backward adds one (H, B) @
-    (B, C) GEMM into the candidate columns of ``w.grad``; the ids must be
-    distinct, since a repeated id would receive only one of its contributions.
+    ``ids = arange(V)`` is the full output layer. The gathered (H, C)
+    columns are a temporary of the forward and are gathered again in
+    backward, so the node does not hold a copy of ``w`` (for the full layer,
+    all of it) while the loss is formed. Backward adds one (H, B) @ (B, C)
+    GEMM into the candidate columns of ``w.grad``; the ids must be distinct,
+    since a repeated id would receive only one of its contributions.
     """
     ids = np.asarray(ids, dtype=np.intp)
     if ids.ndim != 1:
         raise ValueError(f"sampled_logits needs 1-D candidate ids, got shape {ids.shape}")
-    wc = w.data[:, ids]                       # (H, C)
-    out_data = h.data @ wc + b.data[ids]
+    out_data = h.data @ w.data[:, ids]
+    out_data += b.data[ids]
 
     def bw(g):
-        _accum(h, g @ wc.T)
+        _accum(h, g @ w.data[:, ids].T)
         _grad_buffer(w)[:, ids] += h.data.T @ g
         _grad_buffer(b)[ids] += g.sum(axis=0)
 

@@ -4,7 +4,8 @@ Normalization lowercases, splits punctuation off into separate tokens and
 replaces digit runs (optionally with . or , separators, e.g. "1,000" or
 "3.14") by the "#" token. Vocabularies keep the top-k most frequent content
 tokens after five reserved entries. Batches carry a PAD-filled id matrix,
-true lengths and per-sentence bag-of-words count vectors.
+true lengths and the vocabulary size; their bag-of-words count vectors are
+derived from the ids when read, one (B, V) array per read.
 """
 
 import re
@@ -109,35 +110,46 @@ def encode_sentences(token_corpus, vocab: Vocabulary) -> list[list[int]]:
 
 @dataclass
 class Batch:
-    """PAD-filled id matrix with true lengths and bag-of-words targets.
+    """PAD-filled id matrix with true lengths, over a vocabulary of
+    ``vocab_size`` ids.
 
     ids (B, T) int; positions at or beyond the true length are PAD.
-    bow (B, V) float32 counts over the sentence's own ids (no PAD/BOS/EOS);
-    counts below 2**24 are exact in float32.
+    A batch holds no (B, V) array: ``bow`` derives the bag-of-words counts
+    from ``ids`` and ``lengths`` on every read.
     """
 
     ids: np.ndarray
     lengths: np.ndarray
-    bow: np.ndarray
+    vocab_size: int
+
+    @property
+    def bow(self) -> np.ndarray:
+        """(B, V) float32 counts over each sentence's own ids (no
+        PAD/BOS/EOS), a fresh array per read; counts below 2**24 are exact
+        in float32."""
+        in_sentence = np.arange(self.ids.shape[1]) < self.lengths[:, None]
+        counts = np.zeros((self.ids.shape[0], self.vocab_size), dtype=np.float32)
+        np.add.at(counts, (np.nonzero(in_sentence)[0], self.ids[in_sentence]), 1.0)
+        return counts
 
 
 def make_batch(sentences: list[list[int]], vocab_size: int) -> Batch:
+    """One batch of id lists over ``vocab_size`` ids; its counts are
+    derived when ``Batch.bow`` is read."""
     n = len(sentences)
     lengths = np.array([len(s) for s in sentences], dtype=np.intp)
     width = int(lengths.max()) if n else 0
     ids = np.full((n, width), PAD_ID, dtype=np.intp)
-    bow = np.zeros((n, vocab_size), dtype=np.float32)
     for r, s in enumerate(sentences):
         ids[r, :len(s)] = s
-        for i in s:
-            bow[r, i] += 1.0
-    return Batch(ids=ids, lengths=lengths, bow=bow)
+    return Batch(ids=ids, lengths=lengths, vocab_size=vocab_size)
 
 
 def encode_batch(sentences, vocab: Vocabulary, batch_size: int,
                  rng: np.random.Generator) -> list[Batch]:
     """Partition sentences, shuffled by ``rng``, into batches; each sentence
-    appears exactly once."""
+    appears exactly once. The batches hold ids and lengths only, so an
+    epoch takes O(tokens) memory; each step derives its own counts."""
     order = np.arange(len(sentences))
     rng.shuffle(order)
     batches = []

@@ -125,7 +125,7 @@ def test_encoder_invariant_to_extra_padding():
     padded = Batch(
         ids=np.concatenate([base.ids, np.full((1, 3), PAD_ID, dtype=np.intp)], axis=1),
         lengths=base.lengths.copy(),
-        bow=base.bow.copy(),
+        vocab_size=base.vocab_size,
     )
     latent_a = encode(base, params, hp)
     latent_b = encode(padded, params, hp)
@@ -520,6 +520,27 @@ def test_eval_loss_memory_stays_under_three_logit_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 3.0 * logit_bytes
+
+
+def test_eval_loss_does_not_hold_a_copy_of_the_output_weight():
+    # an output weight as large as the logits (H = T*B = 128, V = 20000):
+    # the logits and the log-probabilities are two (H, V)-sized arrays and
+    # the bound leaves one more for everything else, which a copy of
+    # out.W's columns kept by the scoring node would fill on its own
+    hp = HyperParams(vocab_size=20000, cell_size=128)
+    params = init_params(hp, np.random.default_rng(28))
+    rng = np.random.default_rng(29)
+    batch = make_batch([rng.integers(5, hp.vocab_size, size=15).tolist() for _ in range(8)],
+                       hp.vocab_size)
+    weight_bytes = params["out.W"].data.nbytes
+    assert (15 + 1) * 8 * hp.vocab_size * 4 == weight_bytes
+    tracemalloc.start()
+    try:
+        total_loss(batch, params, hp, 1.0, "eval")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * weight_bytes
 
 
 def _loss_and_gradients(batch, params, hp, mode, rng=None, **kwargs):

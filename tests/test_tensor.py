@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lenvae.numerics import (
-    ParamStore, Tensor, add, add_scalar, affine, concat_cols,
+    AdamState, ParamStore, Tensor, adam_step, add, add_scalar, affine, concat_cols,
     cross_entropy_rows, exp_, gather_rows, grad_check, log_softmax_rows,
     matmul, mul, mul_const, neg, sampled_logits, scale, sigmoid, slice_cols,
     sub, sum_all, sum_cols, tanh_, weighted_cross_entropy_rows,
@@ -185,6 +185,68 @@ def test_backward_leaves_gradients_only_on_the_leaves():
     np.testing.assert_allclose(x.grad, dz @ w.data.T, rtol=1e-12)
     np.testing.assert_allclose(w.grad, x.data.T @ dz, rtol=1e-12)
     np.testing.assert_allclose(b.grad, dz.sum(axis=0), rtol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_matmul_backward_equals_products_added_to_zeros(dtype):
+    # w_one feeds one matmul, w_two and x1 feed two; every gradient equals
+    # the textbook zeros + product (+ product) bit for bit
+    rng = np.random.default_rng(7)
+    x1, x2 = (Tensor(rng.standard_normal((5, 4)).astype(dtype)) for _ in range(2))
+    w_one, w_two = (Tensor(rng.standard_normal((4, 3)).astype(dtype)) for _ in range(2))
+    c = rng.standard_normal((5, 3)).astype(dtype)   # the upstream gradient
+    y = add(add(matmul(x1, w_one), matmul(x1, w_two)), matmul(x2, w_two))
+    sum_all(mul_const(y, c)).backward()
+
+    def zeros_plus(*products):
+        total = np.zeros(products[0].shape, dtype)
+        for p in products:
+            total += p
+        return total
+
+    expected = {
+        "w_one": (w_one, zeros_plus(x1.data.T @ c)),
+        "w_two": (w_two, zeros_plus(x1.data.T @ c, x2.data.T @ c)),
+        "x1": (x1, zeros_plus(c @ w_one.data.T, c @ w_two.data.T)),
+        "x2": (x2, zeros_plus(c @ w_two.data.T)),
+    }
+    for name, (leaf, reference) in expected.items():
+        assert leaf.grad.dtype == dtype, name
+        assert np.array_equal(leaf.grad, reference), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_matmul_backward_writes_into_the_kept_zeroed_gradient(dtype):
+    rng = np.random.default_rng(8)
+    store = ParamStore()
+    w = store.add("w", rng.standard_normal((4, 3)).astype(dtype))
+    x = Tensor(rng.standard_normal((5, 4)).astype(dtype))
+    c = rng.standard_normal((5, 3)).astype(dtype)
+    state = AdamState.for_params(store, 0.01)
+    sum_all(mul_const(matmul(x, w), c)).backward()
+    adam_step(store, state)
+    kept = w._zeroed_grad
+    assert w.grad is None and kept is not None
+    sum_all(mul_const(matmul(x, w), c)).backward()
+    assert w.grad is kept   # the product was written into it: no new array
+    assert np.array_equal(w.grad, x.data.T @ c)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_matmul_backward_gives_a_fresh_leaf_a_c_contiguous_gradient(dtype):
+    # x's value is column-major; its gradient is still a C-contiguous array
+    # of the value's shape and dtype, which adam_step keeps as it is
+    rng = np.random.default_rng(9)
+    store = ParamStore()
+    w = store.add("w", rng.standard_normal((4, 3)).astype(dtype))
+    x = Tensor(np.asfortranarray(rng.standard_normal((5, 4)).astype(dtype)))
+    sum_all(mul_const(matmul(x, w), rng.standard_normal((5, 3)))).backward()
+    for leaf in (x, w):
+        assert leaf.grad.flags.c_contiguous
+        assert leaf.grad.shape == leaf.data.shape and leaf.grad.dtype == dtype
+    grad = w.grad
+    adam_step(store, AdamState.for_params(store, 0.01))
+    assert w._zeroed_grad is grad
 
 
 def test_log_softmax_rows_matches_softmax():

@@ -1,5 +1,6 @@
 """Normalization, vocabulary, batching and toy-corpus behavior."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -144,6 +145,24 @@ def test_bow_counts_duplicates():
     batch = make_batch(encode_sentences([["a", "a"]], vocab), vocab.size)
     assert batch.bow[0, vocab.encode(["a"])[0]] == 2
     assert batch.bow[0].sum() == 2  # equals the content-token count
+
+
+def test_bow_is_derived_per_read_and_counts_only_true_positions():
+    # ids beyond a row's length are PAD here, but any id there must be
+    # ignored; a batch holds no (B, V) array, and each read is a fresh one
+    rng = np.random.default_rng(5)
+    sents = [rng.integers(5, 40, size=n).tolist() for n in (7, 1, 12, 3)]
+    batch = make_batch(sents, 40)
+    expected = np.zeros((4, 40), dtype=np.float32)
+    for r, s in enumerate(sents):
+        for i in s:
+            expected[r, i] += 1.0
+    np.testing.assert_array_equal(batch.bow, expected)
+    assert batch.bow is not batch.bow
+    assert [f.name for f in dataclasses.fields(batch)] == ["ids", "lengths", "vocab_size"]
+    batch.ids[0, 7:] = 9   # beyond the first row's length
+    np.testing.assert_array_equal(batch.bow, expected)
+    assert make_batch([], 40).bow.shape == (0, 40)
 
 
 def test_batch_padding_and_lengths():

@@ -1,5 +1,6 @@
 """Annealing, word dropout, the training loop and its determinism."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ from lenvae.checkpoint import checkpoint_load
 from lenvae.model import HyperParams, init_params, total_loss, word_dropout
 from lenvae.numerics import optim
 from lenvae.textpipe import (
-    BOS_ID, PAD_ID, UNK_ID, build_vocab, default_toy_grammar, encode_batch,
+    BOS_ID, PAD_ID, UNK_ID, Vocabulary, build_vocab, default_toy_grammar, encode_batch,
     encode_sentences, generate_toy_corpus, make_batch, normalize,
 )
 from lenvae.training import (
@@ -249,6 +250,27 @@ def test_every_value_gradient_and_moment_is_c_contiguous(tmp_path, monkeypatch):
          "checkpoint_load": n_params}
     for kind, found in arrays.items():
         assert all(a.flags.c_contiguous for a in found), kind
+
+
+def test_train_memory_does_not_grow_with_corpus_size():
+    # an epoch's batches hold ids and lengths, not (B, V) counts: two steps
+    # on 64 batches peak within one batch's float32 counts of two steps on
+    # 8 batches, where 56 more batches of stored counts would be 56 times that
+    vocab = Vocabulary([f"w{i}" for i in range(4995)])
+    hp = HyperParams(vocab_size=vocab.size)
+    rng = np.random.default_rng(31)
+    corpus = [rng.integers(5, vocab.size, size=10).tolist() for _ in range(64 * 16)]
+    config = TrainConfig(batch_size=16, total_steps=2, anneal_horizon=2, seed=3)
+    train(corpus[:8 * 16], vocab, hp, config)   # one-time imports and caches
+    peaks = []
+    for n_batches in (8, 64):
+        tracemalloc.start()
+        try:
+            train(corpus[:n_batches * 16], vocab, hp, config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 16 * vocab.size * 4
 
 
 def test_train_kl_value_rises_after_annealing_engages():
