@@ -28,6 +28,13 @@ term's work and memory grow with U: about the same as per-step sets while U
 is small next to K, four times their logits at the paper preset's batch of
 512 sentences over a Zipf 40k vocabulary (U near 3,900 against K = 1,000).
 
+So a training step touches few of the vocabulary's rows and columns. The
+output weight's and bias's gradients hold only the candidate columns and
+entries, and the embedding's and length table's only the gathered rows
+(``numerics.SlicedGrad``); Adam updates the rest as a zero gradient would.
+The bag-of-words head's output layer scores every id, so its gradient is
+the one dense (bow_width, V) array of a step.
+
 Training runs each LSTM layer over the whole sequence as one autograd node
 (``numerics.lstm_sequence``: one input GEMM against w[:I], h @ w[I:] per
 step, a hand-written backward through time). Its inputs and states are

@@ -28,9 +28,7 @@ def grad_check(loss_function, params: ParamStore, eps: float = 1e-5) -> float:
     if not np.isfinite(loss.data).all():
         raise NonFiniteLossError(f"loss is not finite: {loss.data}")
     loss.backward()
-    analytic = {}
-    for name, t in params.items():
-        analytic[name] = np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+    analytic = {name: t.dense_grad() for name, t in params.items()}
     params.zero_grads()
 
     worst = 0.0

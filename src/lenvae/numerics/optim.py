@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import ParamStore
-from .tensor import BLOCK
+from .tensor import BLOCK, SlicedGrad
 
 # Adam's published constants (Kingma & Ba 2015, arXiv:1412.6980)
 ADAM_BETA1 = 0.9
@@ -45,21 +45,31 @@ def _adam_blocks(blocks, dtype, m_corr: float, v_corr: float,
     """The Adam update of each (gradient, m, v, value) block of flat views,
     in place, through two scratch blocks of its own in ``dtype``; scales
     each gradient block by ``grad_scale`` first (unless it is 1) and zeroes
-    it last. Calls only numpy, so it can run on a worker thread."""
+    it last. A block whose gradient is None has a zero gradient: its
+    moments become ``b1*m + 0.0`` and ``b2*v + 0.0``, as a block of zeros
+    would make them, sign of zero included. Calls only numpy, so it can run
+    on a worker thread."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    size = max((gb.size for gb, *_ in blocks), default=0)
+    size = max((mb.size for _, mb, *_ in blocks), default=0)
     scratch1, scratch2 = np.empty(size, dtype), np.empty(size, dtype)
     for gb, mb, vb, pb in blocks:
-        s1, s2 = scratch1[:gb.size], scratch2[:gb.size]
-        if grad_scale != 1.0:
-            np.multiply(gb, grad_scale, out=gb)
-        np.multiply(mb, b1, out=mb)
-        np.multiply(gb, 1.0 - b1, out=s1)
-        np.add(mb, s1, out=mb)
-        np.multiply(gb, gb, out=s1)
-        np.multiply(s1, 1.0 - b2, out=s1)
-        np.multiply(vb, b2, out=vb)
-        np.add(vb, s1, out=vb)
+        s1, s2 = scratch1[:mb.size], scratch2[:mb.size]
+        if gb is None:
+            np.multiply(mb, b1, out=mb)
+            np.add(mb, 0.0, out=mb)
+            np.multiply(vb, b2, out=vb)
+            np.add(vb, 0.0, out=vb)
+        else:
+            if grad_scale != 1.0:
+                np.multiply(gb, grad_scale, out=gb)
+            np.multiply(mb, b1, out=mb)
+            np.multiply(gb, 1.0 - b1, out=s1)
+            np.add(mb, s1, out=mb)
+            np.multiply(gb, gb, out=s1)
+            np.multiply(s1, 1.0 - b2, out=s1)
+            np.multiply(vb, b2, out=vb)
+            np.add(vb, s1, out=vb)
+            gb.fill(0.0)
         np.divide(mb, m_corr, out=s1)
         np.multiply(s1, learning_rate, out=s1)
         np.divide(vb, v_corr, out=s2)
@@ -67,7 +77,15 @@ def _adam_blocks(blocks, dtype, m_corr: float, v_corr: float,
         np.add(s2, ADAM_EPS, out=s2)
         np.divide(s1, s2, out=s1)
         np.subtract(pb, s1, out=pb)
-        gb.fill(0.0)
+
+
+def _flat_blocks(*arrays):
+    """Consecutive ``BLOCK``-value slices of the arrays' flat views, one
+    list per slice; a None array gives None in each."""
+    flats = [None if a is None else a.reshape(-1) for a in arrays]
+    size = next(f.size for f in flats if f is not None)
+    return [[None if f is None else f[lo:lo + BLOCK] for f in flats]
+            for lo in range(0, size, BLOCK)]
 
 
 def adam_step(params: ParamStore, state: AdamState, grad_scale: float = 1.0) -> None:
@@ -75,15 +93,15 @@ def adam_step(params: ParamStore, state: AdamState, grad_scale: float = 1.0) -> 
     ``grad_scale``; zeroes gradients after.
 
     Every gradient is checked first (present, and of its parameter's shape
-    and dtype), so a bad one raises before any state changes. A gradient
-    that is not C-contiguous (a caller's transposed or strided array) is
-    then copied into C order and replaces ``t.grad``; the caller's array is
-    left as it was. Each parameter's (gradient, m, v, value) is walked
-    through flat views (``reshape(-1)``; ``ParamStore`` keeps each value
-    C-contiguous, so the views write through) in blocks of ``BLOCK``
-    values, so memory is read once per step. Each block makes the textbook
-    expression's operations in the textbook order, so the result is
-    bit-identical to evaluating ``g = g * grad_scale``,
+    and dtype), so a bad one raises before any state changes. A dense
+    gradient that is not C-contiguous (a caller's transposed or strided
+    array) is then copied into C order and replaces ``t.grad``; the
+    caller's array is left as it was. Each parameter's (gradient, m, v,
+    value) is walked through flat views (``reshape(-1)``; ``ParamStore``
+    keeps each value C-contiguous, so the views write through) in blocks of
+    ``BLOCK`` values, so memory is read once per step. Each block makes the
+    textbook expression's operations in the textbook order, so the result
+    is bit-identical to evaluating ``g = g * grad_scale``,
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)`` and
     ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` with fresh arrays. The scale
     is how a clip (``clip_grad_norm``'s factor) reaches the gradients: each
@@ -91,17 +109,29 @@ def adam_step(params: ParamStore, state: AdamState, grad_scale: float = 1.0) -> 
     Every constant is a python float, so a float32 store is updated in
     float32 (numpy's scalar promotion).
 
+    A ``SlicedGrad`` (a gathered or sampled table's gradient) is walked in
+    two parts. Its touched entries' m, v and value are gathered into
+    copies, which take the walk above with the compact block as the
+    gradient. The whole table takes the zero-gradient walk
+    (``m = b1*m + 0.0``, ``v = b2*v + 0.0``, the same value update), and
+    the copies are then written back over the touched entries. So every
+    entry is updated bit for bit as a dense gradient, zero outside the
+    index, would update it. A ``SlicedGrad`` whose index is every row or
+    column (eval's full candidate set; a small vocabulary) is laid out as
+    the dense gradient and is walked as one.
+
     When the store spans more than one block and more than one core is
     usable (``os.sched_getaffinity``), the blocks are dealt round-robin to
     one thread per core, each with its own two scratch blocks; the blocks
     are disjoint and each is updated exactly as in a serial walk, so the
     split does not change a bit.
 
-    The walk zeroes each gradient block while it is in cache, so the
-    gradient arrays are all zeros afterwards. Each ``t.grad`` is then
-    ``None``, and its zeroed array stays on the leaf: the next backward
-    accumulates into it instead of allocating fresh zeros
-    (``ParamStore.zero_grads`` drops it).
+    The walk zeroes each dense gradient block while it is in cache, so those
+    arrays are all zeros afterwards. Each ``t.grad`` is then ``None``, and
+    a dense zeroed array stays on its leaf: the next backward accumulates
+    into it instead of allocating fresh zeros (``ParamStore.zero_grads``
+    drops it). A ``SlicedGrad`` is dropped; the next backward makes a new
+    one.
     """
     for name, t in params.items():
         if t.grad is None:
@@ -110,12 +140,20 @@ def adam_step(params: ParamStore, state: AdamState, grad_scale: float = 1.0) -> 
             raise ValueError(f"gradient of {name!r} is {t.grad.dtype}{t.grad.shape}, "
                              f"parameter is {t.data.dtype}{t.data.shape}")
     state.step += 1
-    blocks = []
+    blocks, touched = [], []
     for name, t in params.items():
-        if not t.grad.flags.c_contiguous:
-            t.grad = np.ascontiguousarray(t.grad)
-        flats = [a.reshape(-1) for a in (t.grad, state.m[name], state.v[name], t.data)]
-        blocks += [[a[lo:lo + BLOCK] for a in flats] for lo in range(0, t.data.size, BLOCK)]
+        m, v = state.m[name], state.v[name]
+        if isinstance(t.grad, SlicedGrad) and t.grad.index.size == t.data.shape[t.grad.axis]:
+            blocks += _flat_blocks(t.grad.values, m, v, t.data)   # every index: the dense layout
+        elif isinstance(t.grad, SlicedGrad):
+            flat = t.grad.flat_index()
+            copies = [a.reshape(-1)[flat] for a in (m, v, t.data)]
+            touched.append(([m, v, t.data], flat, copies))
+            blocks += _flat_blocks(t.grad.values, *copies) + _flat_blocks(None, m, v, t.data)
+        else:
+            if not t.grad.flags.c_contiguous:
+                t.grad = np.ascontiguousarray(t.grad)
+            blocks += _flat_blocks(t.grad, m, v, t.data)
     largest = max((t.data for _, t in params.items()), key=np.size, default=np.empty(0))
     walk = functools.partial(_adam_blocks, dtype=largest.dtype,
                              m_corr=1.0 - ADAM_BETA1 ** state.step,
@@ -132,6 +170,9 @@ def adam_step(params: ParamStore, state: AdamState, grad_scale: float = 1.0) -> 
             walk(blocks[0::workers])
             for future in futures:
                 future.result()
+    for arrays, flat, copies in touched:
+        for a, c in zip(arrays, copies):
+            a.reshape(-1)[flat] = c
     for _, t in params.items():
         t.keep_zeroed_grad()
 
@@ -144,16 +185,19 @@ def clip_grad_norm(params: ParamStore, max_norm: float) -> tuple[float, float]:
 
     Each gradient's sum of squares is one BLAS dot of its flat view
     (``reshape(-1)``) with itself, in the gradient's dtype, so no squares
-    are stored. The dot's summation order, and so the norm's last bits,
-    depends on how the BLAS splits the dot, which is fixed for a fixed
-    thread count; at the paper's gradient sizes a float64 norm agrees with
-    ``sqrt(sum((g * g).sum()))`` to about 1e-15 relative. Returns
+    are stored; a ``SlicedGrad``'s dot runs over its compact block, the
+    touched rows or columns in index order, and skips the zeros a dense
+    gradient would hold. The dot's summation order, and so the norm's last
+    bits, depends on how the BLAS splits the dot, which is fixed for a
+    fixed thread count; at the paper's gradient sizes a float64 norm agrees
+    with ``sqrt(sum((g * g).sum()))`` to about 1e-15 relative. Returns
     ``(pre-clip norm, factor)``.
     """
     total = 0.0
     for _, t in params.items():
-        if t.grad is not None:
-            flat = t.grad.reshape(-1)
+        grad = t.grad.values if isinstance(t.grad, SlicedGrad) else t.grad
+        if grad is not None:
+            flat = grad.reshape(-1)
             total += float(np.dot(flat, flat))
     norm = float(np.sqrt(total))
     return norm, max_norm / norm if norm > max_norm else 1.0

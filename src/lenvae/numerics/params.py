@@ -36,7 +36,8 @@ class ParamStore:
         return self._entries.items()
 
     def zero_grads(self):
-        """Drop every gradient, and the zeroed arrays ``adam_step`` kept."""
+        """Drop every gradient, dense or ``SlicedGrad``, and the zeroed
+        dense arrays ``adam_step`` kept."""
         for t in self._entries.values():
             t.zero_grad()
 

@@ -9,6 +9,16 @@ its gradient; constants (masks, noise, index arrays) enter through
 ``mul_const`` or plain numpy arguments and are never leaves. A zero start
 (``zeros``) is an ordinary leaf whose gradient is dropped with the graph.
 
+A leaf table that gets its gradient only through ``gather_rows`` (the
+embedding and length tables: rows) or ``sampled_logits`` (the output weight:
+columns; the output bias: entries) holds it as a ``SlicedGrad``: the sorted
+indices the backward touched and a compact block of their values, never an
+array with a vocabulary-sized axis. Each touched entry is accumulated in the
+same order as a dense gradient would be, so it is bit-identical to it.
+``Tensor.dense_grad`` gives any gradient as one array of the value's shape;
+training never calls it. Interior nodes (such as the latent rows the decoder
+gathers) and leaves that also get a dense contribution keep dense gradients.
+
 float32 is the compute type of training and decoding; float64 is the
 reference that the gradient check and the exactness tests ask for. Every op
 computes in the dtype of the tensors it differentiates: a constant array
@@ -24,7 +34,7 @@ import numpy as np
 BLOCK = 1 << 16
 
 __all__ = [
-    "Tensor", "zeros",
+    "Tensor", "SlicedGrad", "zeros",
     "matmul", "add", "sub", "mul", "neg", "scale", "add_scalar",
     "mul_const", "sigmoid", "tanh_", "exp_",
     "concat_cols", "slice_cols", "gather_rows",
@@ -57,10 +67,22 @@ class Tensor:
         self.grad = self._zeroed_grad = None
 
     def keep_zeroed_grad(self):
-        """Set ``grad`` to None, keeping its array for the next backward to
-        accumulate into. The caller has zeroed ``grad`` and checked that it
-        is C-contiguous, of the value's shape and dtype."""
-        self.grad, self._zeroed_grad = None, self.grad
+        """Set ``grad`` to None, keeping a dense array for the next backward
+        to accumulate into; a ``SlicedGrad`` is dropped. The caller has
+        zeroed a dense ``grad`` and checked that it is C-contiguous, of the
+        value's shape and dtype."""
+        kept = self.grad if isinstance(self.grad, np.ndarray) else None
+        self.grad, self._zeroed_grad = None, kept
+
+    def dense_grad(self) -> np.ndarray:
+        """The gradient as one array of the value's shape: zeros when there
+        is none, a dense ``grad`` itself, a ``SlicedGrad`` scattered into
+        zeros. For checks and tests; training reads ``grad``."""
+        if self.grad is None:
+            return np.zeros_like(self.data)
+        if isinstance(self.grad, SlicedGrad):
+            return self.grad.dense()
+        return self.grad
 
     def backward(self):
         """Accumulate d(self)/d(leaf) into every contributing leaf's ``grad``.
@@ -77,6 +99,75 @@ class Tensor:
             if node._backward is not None:
                 node._backward(node.grad)
                 node.grad = None
+
+
+class SlicedGrad:
+    """The gradient of a leaf table that is zero outside some indices along
+    one axis: the sorted distinct ``index`` and the C-contiguous ``values``
+    there, equal to the full gradient's ``take(index, axis)``."""
+
+    __slots__ = ("shape", "axis", "index", "values")
+
+    def __init__(self, shape, axis: int, index: np.ndarray, values: np.ndarray):
+        self.shape, self.axis, self.index, self.values = tuple(shape), axis, index, values
+
+    @property
+    def dtype(self):
+        return self.values.dtype
+
+    def at(self, positions):
+        """The index tuple that selects ``positions`` along ``axis``."""
+        return (slice(None),) * self.axis + (positions,)
+
+    def flat_index(self) -> np.ndarray:
+        """Where each entry of ``values``, in C order, sits in the flat view
+        of an array of the full gradient's shape. One scatter through it is
+        several times faster than numpy's column assignment ``a[:, index]``."""
+        grid = np.ix_(*(self.index if k == self.axis else np.arange(n)
+                        for k, n in enumerate(self.shape)))
+        return np.ravel_multi_index(grid, self.shape).reshape(-1)
+
+    def dense(self) -> np.ndarray:
+        full = np.zeros(self.shape, self.dtype)
+        full[self.at(self.index)] = self.values
+        return full
+
+
+def _takes_slices(t) -> bool:
+    """Whether a gathered or sampled contribution to ``t`` goes into a
+    ``SlicedGrad``: ``t`` is a leaf holding no dense gradient or kept array."""
+    return t._backward is None and t._zeroed_grad is None \
+        and (t.grad is None or isinstance(t.grad, SlicedGrad))
+
+
+def _sorted_distinct(ids: np.ndarray) -> np.ndarray:
+    """The distinct values of ``ids``, ascending, as ``np.unique`` gives
+    them, from one sort; ``np.unique`` takes several times as long for the
+    few hundred ids of a batch."""
+    ids = np.sort(ids, axis=None)
+    keep = np.empty(ids.size, bool)
+    keep[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
+
+
+def _sliced_grad(t, axis: int, ids: np.ndarray) -> SlicedGrad:
+    """``t.grad`` as a ``SlicedGrad`` along ``axis`` whose index covers the
+    sorted distinct ``ids``: made with zero values on first use; widened by
+    copying its values into a new block that is zero at the ids it lacked."""
+    shape = list(t.data.shape)
+    grad = t.grad
+    if grad is None:
+        shape[axis] = ids.size
+        t.grad = SlicedGrad(t.data.shape, axis, ids, np.zeros(shape, t.data.dtype))
+        return t.grad
+    index = _sorted_distinct(np.concatenate([grad.index, ids]))
+    if index.size != grad.index.size:
+        shape[axis] = index.size
+        values = np.zeros(shape, grad.dtype)
+        values[grad.at(np.searchsorted(index, grad.index))] = grad.values
+        grad.index, grad.values = index, values
+    return grad
 
 
 def _toposort(root):
@@ -100,11 +191,14 @@ def _toposort(root):
 
 
 def _grad_buffer(t):
-    """``t.grad``, made on first use from the zeroed array kept on the leaf,
-    or from fresh zeros when there is none."""
+    """``t.grad`` as a dense array, made on first use from the zeroed array
+    kept on the leaf, or from fresh zeros when there is none; a
+    ``SlicedGrad`` is scattered into zeros first."""
     if t.grad is None:
         kept, t._zeroed_grad = t._zeroed_grad, None
         t.grad = kept if kept is not None else np.zeros_like(t.data)
+    elif isinstance(t.grad, SlicedGrad):
+        t.grad = t.grad.dense()
     return t.grad
 
 
@@ -125,7 +219,7 @@ def _accum_product(t, x, y):
         out = kept if kept is not None else np.empty(t.data.shape, t.data.dtype)
         t.grad = np.matmul(x, y, out=out)
     else:
-        t.grad += x @ y
+        _accum(t, x @ y)
 
 
 def _unbroadcast(g, shape):
@@ -284,12 +378,26 @@ def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
 
 
 def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
-    """Row lookup ``table[idx]``; scatter-adds gradients back into the table."""
+    """Row lookup ``table[idx]``; scatter-adds gradients back into the table.
+
+    Each id must lie in ``[0, rows)``: numpy would wrap a negative one to
+    another row. A leaf table's gradient is a ``SlicedGrad`` over its rows:
+    the backward adds ``g`` into the block rows of ``idx`` with one
+    ``np.add.at``, in ``idx`` order, as it would into a dense gradient.
+    """
     idx = np.asarray(idx, dtype=np.intp)
+    rows = table.data.shape[0]
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise ValueError(f"gather_rows ids must lie in [0, {rows}), "
+                         f"got {idx.min()} to {idx.max()}")
     out_data = table.data[idx]
 
     def bw(g):
-        np.add.at(_grad_buffer(table), idx, g)
+        if _takes_slices(table):
+            grad = _sliced_grad(table, 0, _sorted_distinct(idx))
+            np.add.at(grad.values, np.searchsorted(grad.index, idx), g)
+        else:
+            np.add.at(_grad_buffer(table), idx, g)
 
     return Tensor(out_data, (table,), bw)
 
@@ -378,25 +486,39 @@ def weighted_cross_entropy_rows(logits: Tensor, counts: np.ndarray) -> Tensor:
 def sampled_logits(h: Tensor, w: Tensor, b: Tensor, ids: np.ndarray) -> Tensor:
     """Output logits over a shared candidate set: out[r, k] = h[r] . w[:, ids[k]] + b[ids[k]].
 
-    ``h`` (B, H), ``w`` (H, V), ``b`` (V,), ``ids`` distinct ints (C,). One
-    (B, H) @ (H, C) GEMM scores every row against the same C columns, and
-    ``ids = arange(V)`` is the full output layer. The gathered (H, C)
-    columns are a temporary of the forward and are gathered again in
-    backward, so the node does not hold a copy of ``w`` (for the full layer,
-    all of it) while the loss is formed. Backward adds one (H, B) @ (B, C)
-    GEMM into the candidate columns of ``w.grad``; the ids must be distinct,
-    since a repeated id would receive only one of its contributions.
+    ``h`` (B, H), ``w`` (H, V), ``b`` (V,), ``ids`` (C,) ascending distinct
+    ints in ``[0, V)``. One (B, H) @ (H, C) GEMM scores every row against
+    the same C columns, and ``ids = arange(V)`` is the full output layer.
+    The gathered (H, C) columns are a temporary of the forward and are
+    gathered again in backward, so the node does not hold a copy of ``w``
+    (for the full layer, all of it) while the loss is formed.
+
+    Backward adds one (H, B) @ (B, C) GEMM into the candidate columns of
+    ``w``'s gradient and the column sums of ``g`` into ``b``'s. For leaves
+    these are ``SlicedGrad``s over the columns (entries) of ``ids``, whose
+    values start at zeros, so each is zeros + product as in a dense
+    gradient. A repeated id would receive only one of its contributions,
+    which is why the ids must be distinct.
     """
     ids = np.asarray(ids, dtype=np.intp)
     if ids.ndim != 1:
         raise ValueError(f"sampled_logits needs 1-D candidate ids, got shape {ids.shape}")
+    if ids.size and (ids[0] < 0 or ids[-1] >= w.data.shape[1] or np.any(ids[1:] <= ids[:-1])):
+        raise ValueError(f"sampled_logits needs ascending distinct ids in [0, {w.data.shape[1]})")
     out_data = h.data @ w.data[:, ids]
     out_data += b.data[ids]
 
     def bw(g):
         _accum(h, g @ w.data[:, ids].T)
-        _grad_buffer(w)[:, ids] += h.data.T @ g
-        _grad_buffer(b)[ids] += g.sum(axis=0)
+        for leaf, axis, contribution in ((w, 1, h.data.T @ g), (b, 0, g.sum(axis=0))):
+            if _takes_slices(leaf):
+                grad = _sliced_grad(leaf, axis, ids)
+                if grad.index.size == ids.size:   # the index is ids
+                    grad.values += contribution
+                else:
+                    grad.values[grad.at(np.searchsorted(grad.index, ids))] += contribution
+            else:
+                _grad_buffer(leaf)[(slice(None),) * axis + (ids,)] += contribution
 
     return Tensor(out_data, (h, w, b), bw)
 

@@ -547,7 +547,7 @@ def _loss_and_gradients(batch, params, hp, mode, rng=None, **kwargs):
     params.zero_grads()
     loss, _ = total_loss(batch, params, hp, 1.0, mode, rng, **kwargs)
     loss.backward()
-    return loss.data.tobytes(), {name: t.grad.tobytes() for name, t in params.items()}
+    return loss.data.tobytes(), {name: t.dense_grad().tobytes() for name, t in params.items()}
 
 
 def test_training_reconstruction_equals_eval_with_all_negatives():
@@ -706,13 +706,13 @@ def test_gradcheck_loss_fn_draws_the_same_noise_every_call():
     params, loss_fn = tiny_gradcheck_instance(0)
     first = loss_fn(params)
     first.backward()
-    grads = [t.grad.copy() for _, t in params.items()]
+    grads = [t.dense_grad().copy() for _, t in params.items()]
     params.zero_grads()
     second = loss_fn(params)
     second.backward()
     assert second.data.tobytes() == first.data.tobytes()
     for (_, t), grad in zip(params.items(), grads):
-        assert t.grad.tobytes() == grad.tobytes()
+        assert t.dense_grad().tobytes() == grad.tobytes()
     w = params["out.W"].data
     original = w[0, 0]
     w[0, 0] = original + 1e-3
@@ -726,10 +726,10 @@ def test_gradcheck_instance_meets_screening_rule(index):
     # every nonzero gradient must be resolvable by a central difference
     params, loss_fn = tiny_gradcheck_instance(index)
     loss_fn(params).backward()
-    grads = np.concatenate([np.abs(t.grad).ravel() for _, t in params.items()])
+    grads = np.concatenate([np.abs(t.dense_grad()).ravel() for _, t in params.items()])
     assert grads[grads > 0].min() >= GRADCHECK_MIN_GRADIENT
     # the candidate set is a proper subset: 5 of the 7 output biases take part
-    assert np.count_nonzero(params["out.b"].grad) == 5
+    assert np.count_nonzero(params["out.b"].dense_grad()) == 5
 
 
 @pytest.mark.parametrize("index", range(1, len(GRADCHECK_SEEDS)))
@@ -748,7 +748,7 @@ def test_full_model_gradient_check_other_shapes(changes, index):
     # index is the first whose changed instance meets the screening rule
     params, loss_fn = tiny_gradcheck_instance(index, **changes)
     loss_fn(params).backward()
-    grads = np.concatenate([np.abs(t.grad).ravel() for _, t in params.items()])
+    grads = np.concatenate([np.abs(t.dense_grad()).ravel() for _, t in params.items()])
     assert grads[grads > 0].min() >= GRADCHECK_MIN_GRADIENT
     assert grad_check(loss_fn, params, eps=1e-5) < 1e-4
 

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lenvae.numerics import (
-    AdamState, MissingGradientError, NonFiniteLossError, ParamStore, Tensor, add,
-    row_blocks,
+    AdamState, MissingGradientError, NonFiniteLossError, ParamStore, SlicedGrad, Tensor,
+    add, row_blocks,
     adam_step, clip_grad_norm, cross_entropy_rows, gather_rows, grad_check,
     log_softmax_rows, lstm_cell, lstm_sequence, matmul, mul, mul_const,
     sampled_logits, sum_all, tanh_, zeros,
@@ -477,6 +477,66 @@ def test_clip_grad_norm_at_paper_output_shape(max_norm):
     assert np.array_equal(t.grad.view(np.uint64), grad.view(np.uint64))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_on_a_sliced_gradient_equals_the_dense_walk_bit_for_bit(dtype):
+    # rows of an embedding and columns of an output layer, each larger than
+    # a walk block, and a table whose index is every column; some m entries
+    # are -0.0, touched and untouched, which a zero gradient turns to +0.0
+    # (b1 * -0.0 + 0.0), and the clip factor is not 1. Every value and
+    # moment equals a dense gradient's walk bit for bit.
+    rng = np.random.default_rng(41)
+    sliced, dense = ParamStore(), ParamStore()
+    for name, axis, shape, touched in (("embed", 0, (3000, 40), 150),
+                                       ("out", 1, (40, 3000), 150),
+                                       ("full", 1, (40, 300), 300)):
+        value = rng.standard_normal(shape).astype(dtype)
+        sliced.add(name, value.copy())
+        dense.add(name, value.copy())
+        index = np.sort(rng.choice(shape[axis], size=touched, replace=False))
+        block = list(shape)
+        block[axis] = index.size
+        values = rng.standard_normal(block).astype(dtype)
+        values.reshape(-1)[::7] = -0.0
+        sliced[name].grad = SlicedGrad(shape, axis, index, values)
+        dense[name].grad = sliced[name].grad.dense()
+    states = [adam_for(store) for store in (sliced, dense)]
+    negative_zeros = {}
+    for name, t in sliced.items():
+        m = rng.standard_normal(t.data.shape).astype(dtype)
+        m.reshape(-1)[::5] = -0.0
+        negative_zeros[name] = np.signbit(m[m == 0]).sum()
+        v = np.abs(rng.standard_normal(t.data.shape)).astype(dtype)
+        for state in states:
+            state.m[name], state.v[name], state.step = m.copy(), v.copy(), 3
+    adam_step(sliced, states[0], 0.37)
+    adam_step(dense, states[1], 0.37)
+    for name, t in sliced.items():
+        assert t.grad is None and t._zeroed_grad is None, name
+        assert t.data.tobytes() == dense[name].data.tobytes(), name
+        assert states[0].m[name].tobytes() == states[1].m[name].tobytes(), name
+        assert states[0].v[name].tobytes() == states[1].v[name].tobytes(), name
+        m = states[0].m[name]
+        assert np.signbit(m[m == 0]).sum() < negative_zeros[name], name
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-14)])
+def test_clip_norm_of_sliced_gradients_equals_the_dense_norm_within_tolerance(dtype, rtol):
+    # the dot skips the zeros of a dense gradient, so only the summation
+    # order, and with it the last bits, differ; tolerance fixed before the run
+    rng = np.random.default_rng(5)
+    sliced, dense = ParamStore(), ParamStore()
+    for name, axis, shape in (("embed", 0, (4000, 64)), ("out", 1, (64, 4000))):
+        index = np.sort(rng.choice(4000, size=300, replace=False))
+        block = list(shape)
+        block[axis] = index.size
+        values = rng.standard_normal(block).astype(dtype)
+        sliced.add(name, np.zeros(shape, dtype)).grad = SlicedGrad(shape, axis, index, values)
+        dense.add(name, np.zeros(shape, dtype)).grad = sliced[name].grad.dense()
+    norm, factor = clip_grad_norm(sliced, 1.0)
+    assert norm == pytest.approx(clip_grad_norm(dense, 1.0)[0], rel=rtol, abs=0)
+    assert factor == 1.0 / norm
+
+
 def _reuse_loss(store):
     # a row gather, plain matmuls and a sampled output layer: each way a
     # backward makes a leaf's gradient
@@ -491,11 +551,14 @@ def test_backward_accumulates_into_the_gradients_adam_zeroed():
     for name, shape in (("embed", (5, 3)), ("proj", (3, 4)), ("out", (4, 6)), ("bias", (6,))):
         store.add(name, rng.standard_normal(shape))
     state = adam_for(store)
+    sliced = {"embed", "out", "bias"}   # gathered or sampled tables keep no array
     _reuse_loss(store).backward()
+    assert {name for name, t in store.items() if isinstance(t.grad, SlicedGrad)} == sliced
     arrays = {name: t.grad for name, t in store.items()}
     adam_step(store, state)
     assert all(t.grad is None for _, t in store.items())
-    assert not any(g.any() for g in arrays.values())
+    assert not arrays["proj"].any()
+    assert all(store[name]._zeroed_grad is None for name in sliced)
 
     _reuse_loss(store).backward()
     fresh = ParamStore()
@@ -503,8 +566,8 @@ def test_backward_accumulates_into_the_gradients_adam_zeroed():
         fresh.add(name, t.data.copy())
     _reuse_loss(fresh).backward()
     for name, t in store.items():
-        assert t.grad is arrays[name]
-        assert t.grad.tobytes() == fresh[name].grad.tobytes()
+        assert (t.grad is arrays[name]) == (name not in sliced), name
+        assert t.dense_grad().tobytes() == fresh[name].dense_grad().tobytes()
 
     adam_step(store, state)
     store.zero_grads()

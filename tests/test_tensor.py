@@ -84,6 +84,36 @@ def test_gather_rows_repeated_indices():
     fd_check(build, 1, [(4, 3)])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_three_gathers_give_a_sliced_gradient_equal_to_dense_add_at(dtype):
+    # one table gathered three times with repeated, overlapping ids, as the
+    # embedding is by the encoder's two directions and the decoder input:
+    # its gradient equals np.add.at of the three upstream gradients onto
+    # zeros, in the order the backward ran them, bit for bit
+    rng = np.random.default_rng(12)
+    table = Tensor(rng.standard_normal((50, 4)).astype(dtype))
+    gathers = [rng.integers(lo, hi, size=30) for lo, hi in ((0, 20), (10, 30), (5, 40))]
+    upstream = [rng.standard_normal((30, 4)).astype(dtype) for _ in gathers]
+    nodes = [gather_rows(table, idx) for idx in gathers]
+    ran = []
+    for k, node in enumerate(nodes):
+        node._backward = lambda g, bw=node._backward, k=k: (ran.append(k), bw(g))
+    loss = sum_all(mul_const(nodes[0], upstream[0]))
+    for node, c in zip(nodes[1:], upstream[1:]):
+        loss = add(loss, sum_all(mul_const(node, c)))
+    loss.backward()
+
+    reference = np.zeros_like(table.data)
+    for k in ran:
+        np.add.at(reference, gathers[k], upstream[k])
+    assert sorted(ran) == [0, 1, 2]
+    grad = table.grad
+    assert isinstance(grad, tensor.SlicedGrad) and grad.dtype == dtype
+    np.testing.assert_array_equal(grad.index, np.unique(np.concatenate(gathers)))
+    assert grad.values.shape == (grad.index.size, 4) and grad.index.size < 40
+    assert table.dense_grad().tobytes() == reference.tobytes()
+
+
 def test_sum_cols():
     fd_check(lambda a: sum_all(mul(sum_cols(a), sum_cols(a))), 1, [(4, 3)])
 
@@ -129,8 +159,8 @@ def test_cross_entropy_backward_holds_two_logit_sized_arrays(loss_of):
 
 
 def test_sampled_logits():
-    ids = np.array([4, 0, 2])  # shared candidate columns, not in id order
-    targets = np.array([1, 0])
+    ids = np.array([0, 2, 4])  # shared candidate columns, a proper subset
+    targets = np.array([2, 0])
 
     def build(h, w, b):
         return cross_entropy_rows(sampled_logits(h, w, b, ids), targets, np.ones(2))
@@ -143,12 +173,32 @@ def test_sampled_logits_matches_full_gather():
     h = Tensor(rng.standard_normal((2, 3)))
     w = Tensor(rng.standard_normal((3, 6)))
     b = Tensor(rng.standard_normal(6))
-    ids = np.array([5, 0, 3])
+    ids = np.array([0, 3, 5])
     got = sampled_logits(h, w, b, ids).data
     full = h.data @ w.data + b.data
     np.testing.assert_allclose(got, full[:, ids], rtol=1e-12)
     with pytest.raises(ValueError, match="1-D"):
-        sampled_logits(h, w, b, np.array([[5, 0], [3, 1]]))
+        sampled_logits(h, w, b, np.array([[0, 1], [3, 5]]))
+
+
+@pytest.mark.parametrize("ids", [[5, 0, 3], [0, 3, 3, 5], [-1, 0, 3], [0, 3, 6]],
+                         ids=["unsorted", "repeated", "negative", "past-the-end"])
+def test_sampled_logits_rejects_ids_that_are_not_ascending_distinct_columns(ids):
+    # a repeated id would silently lose one of its gradient contributions,
+    # and a sliced gradient needs its ids sorted
+    rng = np.random.default_rng(1)
+    h, w, b = (Tensor(rng.standard_normal(shape)) for shape in ((2, 3), (3, 6), (6,)))
+    with pytest.raises(ValueError, match="ascending distinct ids in \\[0, 6\\)"):
+        sampled_logits(h, w, b, np.array(ids))
+
+
+@pytest.mark.parametrize("idx", [[0, -1], [4, 0], [[1, 2], [3, 4]]],
+                         ids=["negative", "past-the-end", "2-D"])
+def test_gather_rows_rejects_ids_outside_the_table(idx):
+    # numpy would wrap -1 to the last row, in the forward and the gradient
+    table = Tensor(np.arange(12.0).reshape(4, 3))
+    with pytest.raises(ValueError, match="ids must lie in \\[0, 4\\)"):
+        gather_rows(table, np.array(idx))
 
 
 def test_backward_requires_scalar():

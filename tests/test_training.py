@@ -9,7 +9,7 @@ import pytest
 from lenvae import training
 from lenvae.checkpoint import checkpoint_load
 from lenvae.model import HyperParams, init_params, total_loss, word_dropout
-from lenvae.numerics import optim
+from lenvae.numerics import SlicedGrad, optim
 from lenvae.textpipe import (
     BOS_ID, PAD_ID, UNK_ID, Vocabulary, build_vocab, default_toy_grammar, encode_batch,
     encode_sentences, generate_toy_corpus, make_batch, normalize,
@@ -157,10 +157,12 @@ def test_train_is_bit_deterministic():
 
 
 def _textbook_train(sentences, vocab, hp, config):
-    """train() as a plain loop over fresh gradient arrays, with the clip norm
-    from a dot of each gradient, flattened in memory order, with itself
-    (the order ``clip_grad_norm`` walks) and Adam as the textbook
-    formula; returns the parameters and each step's pre-clip gradient norm."""
+    """train() as a plain loop over fresh dense gradient arrays, with the
+    clip norm from a dot of each gradient's touched entries, flattened in
+    memory order, with itself (the order ``clip_grad_norm`` walks: all of a
+    dense gradient, the index rows or columns of a sliced one) and Adam as
+    the textbook formula on every entry; returns the parameters and each
+    step's pre-clip gradient norm."""
     rng = np.random.default_rng(config.seed)
     params = init_params(hp, rng)
     m = {name: np.zeros_like(t.data) for name, t in params.items()}
@@ -176,8 +178,10 @@ def _textbook_train(sentences, vocab, hp, config):
                              word_drop_p=config.word_drop_p)
         params.zero_grads()
         loss.backward()
-        grads = {name: t.grad for name, t in params.items()}
-        norm = float(np.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads.values())))
+        grads = {name: t.dense_grad() for name, t in params.items()}
+        touched = [grads[name].reshape(-1)[t.grad.flat_index()]
+                   if isinstance(t.grad, SlicedGrad) else grads[name] for name, t in params.items()]
+        norm = float(np.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in touched)))
         if norm > config.grad_clip:
             grads = {name: g * (config.grad_clip / norm) for name, g in grads.items()}
         norms.append(norm)
@@ -236,7 +240,8 @@ def test_every_value_gradient_and_moment_is_c_contiguous(tmp_path, monkeypatch):
     adam_step = training.adam_step
 
     def watched(params, state, grad_scale):
-        arrays["gradients"] = [t.grad for _, t in params.items()]
+        arrays["gradients"] = [t.grad.values if isinstance(t.grad, SlicedGrad) else t.grad
+                               for _, t in params.items()]
         arrays["moments"] = [*state.m.values(), *state.v.values()]
         adam_step(params, state, grad_scale)
 
@@ -271,6 +276,40 @@ def test_train_memory_does_not_grow_with_corpus_size():
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 16 * vocab.size * 4
+
+
+def test_vocabulary_tables_hold_no_vocabulary_sized_gradient():
+    # a batch touches a few hundred of V = 20,000 embedding rows and output
+    # columns; their gradients hold those slices, never a (V, ...) array
+    vocab = Vocabulary([f"w{i}" for i in range(20000 - 5)])
+    hp = HyperParams(vocab_size=vocab.size)   # the desk shape at V = 20,000
+    rng = np.random.default_rng(31)
+    corpus = [rng.integers(5, vocab.size, size=10).tolist() for _ in range(8 * 16)]
+    params = init_params(hp, np.random.default_rng(3))
+    loss, _ = total_loss(make_batch(corpus[:16], vocab.size), params, hp, 0.5, "train", rng,
+                         dropout_keep=0.87, word_drop_p=0.2)
+    loss.backward()
+    for name in ("embed.W", "len_table.W", "out.W", "out.b"):
+        grad = params[name].grad
+        assert isinstance(grad, SlicedGrad) and params[name]._zeroed_grad is None, name
+        assert grad.values.flags.c_contiguous, name
+        assert hp.vocab_size not in (*grad.values.shape, *grad.index.shape), name
+    assert params["out.W"].grad.index.size <= 16 * 11 + hp.softmax_samples
+
+    # a 2-step train(): values, both Adam moments and the bag-of-words head's
+    # (B, V) arrays peak near 4.5 times the parameter bytes here; dense
+    # embed.W and out.W gradients would add two tables, 0.64 times more
+    config = TrainConfig(batch_size=16, total_steps=2, anneal_horizon=2, seed=3)
+    param_bytes = sum(t.data.nbytes for _, t in params.items())
+    bound = 4.75 * param_bytes
+    train(corpus, vocab, hp, config)   # one-time imports and caches
+    tracemalloc.start()
+    try:
+        train(corpus, vocab, hp, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_train_kl_value_rises_after_annealing_engages():
@@ -309,7 +348,7 @@ def test_train_stops_on_a_nonfinite_gradient_norm_before_the_update(tmp_path, mo
     def injecting(params, max_norm):
         entering.append((params, {name: t.data.copy() for name, t in params.items()}))
         if len(entering) == 3:
-            params["out.W"].grad[0, 0] = 1e20
+            params["out.W"].grad.values[0, 0] = 1e20
         return clip_grad_norm(params, max_norm)
 
     monkeypatch.setattr(training, "clip_grad_norm", injecting)
