@@ -57,6 +57,7 @@ from .numerics import (
     sub, sum_all, sum_cols, tanh_, weighted_cross_entropy_rows,
     weighted_step_sum, zeros,
 )
+from .numerics.tensor import _sorted_distinct
 from .textpipe import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Batch, make_batch
 
 INIT_SCALE = 0.08  # fresh weights are uniform in +-INIT_SCALE
@@ -367,7 +368,7 @@ def draw_negatives(rng, vocab_size: int, sample_count: int, targets: np.ndarray)
     """
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
-    distinct = np.unique(targets)
+    distinct = _sorted_distinct(targets)
     keys = rng.random(vocab_size)
     keys[distinct] = 2.0  # above every uniform key: targets are never drawn
     extra = min(sample_count, vocab_size - distinct.size)

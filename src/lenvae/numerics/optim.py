@@ -1,8 +1,5 @@
 """Adam with bias correction, plus global-norm gradient clipping."""
 
-import functools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,11 +41,10 @@ def _adam_blocks(blocks, dtype, m_corr: float, v_corr: float,
                  learning_rate: float, grad_scale: float) -> None:
     """The Adam update of each (gradient, m, v, value) block of flat views,
     in place, through two scratch blocks of its own in ``dtype``; scales
-    each gradient block by ``grad_scale`` first (unless it is 1) and zeroes
-    it last. A block whose gradient is None has a zero gradient: its
-    moments become ``b1*m + 0.0`` and ``b2*v + 0.0``, as a block of zeros
-    would make them, sign of zero included. Calls only numpy, so it can run
-    on a worker thread."""
+    each gradient block by ``grad_scale`` first (unless it is 1). A block
+    whose gradient is None has a zero gradient: its moments become
+    ``b1*m + 0.0`` and ``b2*v + 0.0``, as a block of zeros would make them,
+    sign of zero included."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     size = max((mb.size for _, mb, *_ in blocks), default=0)
     scratch1, scratch2 = np.empty(size, dtype), np.empty(size, dtype)
@@ -69,7 +65,6 @@ def _adam_blocks(blocks, dtype, m_corr: float, v_corr: float,
             np.multiply(s1, 1.0 - b2, out=s1)
             np.multiply(vb, b2, out=vb)
             np.add(vb, s1, out=vb)
-            gb.fill(0.0)
         np.divide(mb, m_corr, out=s1)
         np.multiply(s1, learning_rate, out=s1)
         np.divide(vb, v_corr, out=s2)
@@ -90,19 +85,20 @@ def _flat_blocks(*arrays):
 
 def adam_step(params: ParamStore, state: AdamState, grad_scale: float = 1.0) -> None:
     """In-place update of every parameter from its gradient times
-    ``grad_scale``; zeroes gradients after.
+    ``grad_scale``; drops every gradient after.
 
     Every gradient is checked first (present, and of its parameter's shape
     and dtype), so a bad one raises before any state changes. A dense
     gradient that is not C-contiguous (a caller's transposed or strided
-    array) is then copied into C order and replaces ``t.grad``; the
-    caller's array is left as it was. Each parameter's (gradient, m, v,
-    value) is walked through flat views (``reshape(-1)``; ``ParamStore``
-    keeps each value C-contiguous, so the views write through) in blocks of
-    ``BLOCK`` values, so memory is read once per step. Each block makes the
-    textbook expression's operations in the textbook order, so the result
-    is bit-identical to evaluating ``g = g * grad_scale``,
-    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)`` and
+    array) is walked through a copy in C order, so that array is left as
+    it was; a C-contiguous one is scaled in place. Each parameter's
+    (gradient, m, v, value) is walked through flat views (``reshape(-1)``;
+    ``ParamStore`` keeps each value C-contiguous, so the views write
+    through) in blocks of ``BLOCK`` values, so memory is read once per
+    step. Each block makes the textbook expression's operations in the
+    textbook order, so the result is bit-identical to evaluating
+    ``g = g * grad_scale``, ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + (1-b2)*(g*g)`` and
     ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` with fresh arrays. The scale
     is how a clip (``clip_grad_norm``'s factor) reaches the gradients: each
     block is multiplied while it is in cache, not in a pass of its own.
@@ -120,18 +116,9 @@ def adam_step(params: ParamStore, state: AdamState, grad_scale: float = 1.0) -> 
     column (eval's full candidate set; a small vocabulary) is laid out as
     the dense gradient and is walked as one.
 
-    When the store spans more than one block and more than one core is
-    usable (``os.sched_getaffinity``), the blocks are dealt round-robin to
-    one thread per core, each with its own two scratch blocks; the blocks
-    are disjoint and each is updated exactly as in a serial walk, so the
-    split does not change a bit.
-
-    The walk zeroes each dense gradient block while it is in cache, so those
-    arrays are all zeros afterwards. Each ``t.grad`` is then ``None``, and
-    a dense zeroed array stays on its leaf: the next backward accumulates
-    into it instead of allocating fresh zeros (``ParamStore.zero_grads``
-    drops it). A ``SlicedGrad`` is dropped; the next backward makes a new
-    one.
+    The walk runs on the calling thread. Afterwards every ``t.grad`` is
+    ``None``, so a gradient lives for one step and the next backward makes
+    new ones.
     """
     for name, t in params.items():
         if t.grad is None:
@@ -151,30 +138,14 @@ def adam_step(params: ParamStore, state: AdamState, grad_scale: float = 1.0) -> 
             touched.append(([m, v, t.data], flat, copies))
             blocks += _flat_blocks(t.grad.values, *copies) + _flat_blocks(None, m, v, t.data)
         else:
-            if not t.grad.flags.c_contiguous:
-                t.grad = np.ascontiguousarray(t.grad)
-            blocks += _flat_blocks(t.grad, m, v, t.data)
+            blocks += _flat_blocks(np.ascontiguousarray(t.grad), m, v, t.data)
     largest = max((t.data for _, t in params.items()), key=np.size, default=np.empty(0))
-    walk = functools.partial(_adam_blocks, dtype=largest.dtype,
-                             m_corr=1.0 - ADAM_BETA1 ** state.step,
-                             v_corr=1.0 - ADAM_BETA2 ** state.step,
-                             learning_rate=state.learning_rate,
-                             grad_scale=float(grad_scale))
-    workers = 1 if params.num_values() <= BLOCK \
-        else min(len(os.sched_getaffinity(0)), len(blocks))
-    if workers == 1:
-        walk(blocks)
-    else:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            futures = [pool.submit(walk, blocks[i::workers]) for i in range(1, workers)]
-            walk(blocks[0::workers])
-            for future in futures:
-                future.result()
+    _adam_blocks(blocks, largest.dtype, 1.0 - ADAM_BETA1 ** state.step,
+                 1.0 - ADAM_BETA2 ** state.step, state.learning_rate, float(grad_scale))
     for arrays, flat, copies in touched:
         for a, c in zip(arrays, copies):
             a.reshape(-1)[flat] = c
-    for _, t in params.items():
-        t.keep_zeroed_grad()
+    params.zero_grads()
 
 
 def clip_grad_norm(params: ParamStore, max_norm: float) -> tuple[float, float]:

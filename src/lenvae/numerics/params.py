@@ -36,13 +36,9 @@ class ParamStore:
         return self._entries.items()
 
     def zero_grads(self):
-        """Drop every gradient, dense or ``SlicedGrad``, and the zeroed
-        dense arrays ``adam_step`` kept."""
+        """Drop every gradient, dense or ``SlicedGrad``."""
         for t in self._entries.values():
-            t.zero_grad()
-
-    def num_values(self) -> int:
-        return sum(t.data.size for t in self._entries.values())
+            t.grad = None
 
 
 def row_blocks(a: np.ndarray, values: int = BLOCK):

@@ -47,7 +47,7 @@ __all__ = [
 class Tensor:
     """Value plus gradient slot plus a record of where the value came from."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward", "_zeroed_grad", "__weakref__")
+    __slots__ = ("data", "grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, _parents=(), _backward=None):
         # a 0-d op result comes back as a numpy scalar and keeps its dtype;
@@ -58,21 +58,9 @@ class Tensor:
         self.grad = None
         self._parents = _parents
         self._backward = _backward
-        self._zeroed_grad = None  # all-zero array the next backward accumulates into
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, leaf={self._backward is None})"
-
-    def zero_grad(self):
-        self.grad = self._zeroed_grad = None
-
-    def keep_zeroed_grad(self):
-        """Set ``grad`` to None, keeping a dense array for the next backward
-        to accumulate into; a ``SlicedGrad`` is dropped. The caller has
-        zeroed a dense ``grad`` and checked that it is C-contiguous, of the
-        value's shape and dtype."""
-        kept = self.grad if isinstance(self.grad, np.ndarray) else None
-        self.grad, self._zeroed_grad = None, kept
 
     def dense_grad(self) -> np.ndarray:
         """The gradient as one array of the value's shape: zeros when there
@@ -135,9 +123,8 @@ class SlicedGrad:
 
 def _takes_slices(t) -> bool:
     """Whether a gathered or sampled contribution to ``t`` goes into a
-    ``SlicedGrad``: ``t`` is a leaf holding no dense gradient or kept array."""
-    return t._backward is None and t._zeroed_grad is None \
-        and (t.grad is None or isinstance(t.grad, SlicedGrad))
+    ``SlicedGrad``: ``t`` is a leaf holding no dense gradient."""
+    return t._backward is None and (t.grad is None or isinstance(t.grad, SlicedGrad))
 
 
 def _sorted_distinct(ids: np.ndarray) -> np.ndarray:
@@ -191,12 +178,10 @@ def _toposort(root):
 
 
 def _grad_buffer(t):
-    """``t.grad`` as a dense array, made on first use from the zeroed array
-    kept on the leaf, or from fresh zeros when there is none; a
+    """``t.grad`` as a dense array, made from zeros on first use; a
     ``SlicedGrad`` is scattered into zeros first."""
     if t.grad is None:
-        kept, t._zeroed_grad = t._zeroed_grad, None
-        t.grad = kept if kept is not None else np.zeros_like(t.data)
+        t.grad = np.zeros_like(t.data)
     elif isinstance(t.grad, SlicedGrad):
         t.grad = t.grad.dense()
     return t.grad
@@ -209,15 +194,12 @@ def _accum(t, g):
 
 def _accum_product(t, x, y):
     """Add ``x @ y`` into ``t.grad``. The first contribution is written
-    straight into the zeroed array kept on the leaf, or into a fresh
-    C-contiguous array of the value's shape and dtype, and that array
-    becomes ``t.grad``; later ones are added. Writing a product where
-    ``_accum`` would add it to zeros changes only the sign of a zero
-    (``0 + -0.0`` is ``+0.0``)."""
+    straight into a fresh C-contiguous array of the value's shape and
+    dtype, and that array becomes ``t.grad``; later ones are added. Writing
+    a product where ``_accum`` would add it to zeros changes only the sign
+    of a zero (``0 + -0.0`` is ``+0.0``)."""
     if t.grad is None:
-        kept, t._zeroed_grad = t._zeroed_grad, None
-        out = kept if kept is not None else np.empty(t.data.shape, t.data.dtype)
-        t.grad = np.matmul(x, y, out=out)
+        t.grad = np.matmul(x, y, out=np.empty(t.data.shape, t.data.dtype))
     else:
         _accum(t, x @ y)
 

@@ -149,7 +149,6 @@ def train(sentences, vocab: Vocabulary, hp: HyperParams, config: TrainConfig,
             ckpt.checkpoint_save(path, params, hp, vocab, step)
             checkpoint_paths.append(path)
 
-    params.zero_grads()  # the result keeps no gradient arrays
     if out_dir is not None:
         path = os.path.join(out_dir, "final.lvae")
         ckpt.checkpoint_save(path, params, hp, vocab, step)

@@ -2,8 +2,9 @@
 
 import importlib
 import math
-import sys
+import threading
 import tracemalloc
+import weakref
 
 import mpmath
 import numpy as np
@@ -260,7 +261,7 @@ def test_adam_first_step_hand_value():
     t.grad = np.array([1.0])
     adam_step(store, state)
     np.testing.assert_allclose(t.data, [0.5 - lr / (1.0 + eps)], rtol=1e-15)
-    assert t.grad is None  # zeroed afterwards
+    assert t.grad is None  # dropped afterwards
 
 
 def test_adam_two_steps_descend_quadratic():
@@ -335,14 +336,8 @@ def _textbook_adam(store, state, grads):
     return out
 
 
-@pytest.mark.parametrize("cores", [None, {0}, {0, 1, 2, 3, 4}],
-                         ids=["usable cores", "one core", "five cores"])
-def test_adam_threaded_block_walk_bit_identical_to_textbook(monkeypatch, cores):
-    # an output-layer-shaped weight of many blocks beside smaller ones: the
-    # walk is split across threads unless one core is usable, and five
-    # threads switching often still give the serial bytes
-    if cores is not None:
-        monkeypatch.setattr("lenvae.numerics.optim.os.sched_getaffinity", lambda pid: cores)
+def test_adam_block_walk_bit_identical_to_textbook():
+    # an output-layer-shaped weight of many blocks beside smaller ones
     rng = np.random.default_rng(31)
     store = ParamStore()
     for name, shape in (("out.W", (243, 4000)), ("embed.W", (4000, 40)), ("out.b", (4000,)),
@@ -350,27 +345,43 @@ def test_adam_threaded_block_walk_bit_identical_to_textbook(monkeypatch, cores):
         store.add(name, rng.standard_normal(shape))
     values = {name: t.data for name, t in store.items()}
     state = adam_for(store, learning_rate=0.002)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            grads = {}
-            for name, t in store.items():
-                t.grad = rng.standard_normal(t.data.shape)
-                grads[name] = t.grad.copy()
-            arrays = {name: t.grad for name, t in store.items()}
-            expected = _textbook_adam(store, state, grads)
-            adam_step(store, state)
-            for name, t in store.items():
-                p, m, v = expected[name]
-                assert t.data.tobytes() == p.tobytes(), name
-                assert state.m[name].tobytes() == m.tobytes(), name
-                assert state.v[name].tobytes() == v.tobytes(), name
-                assert t.grad is None and t._zeroed_grad is arrays[name], name
-                assert not arrays[name].any(), name
-    finally:
-        sys.setswitchinterval(interval)
+    for _ in range(3):
+        grads = {}
+        for name, t in store.items():
+            t.grad = rng.standard_normal(t.data.shape)
+            grads[name] = t.grad.copy()
+        expected = _textbook_adam(store, state, grads)
+        adam_step(store, state)
+        for name, t in store.items():
+            p, m, v = expected[name]
+            assert t.data.tobytes() == p.tobytes(), name
+            assert state.m[name].tobytes() == m.tobytes(), name
+            assert state.v[name].tobytes() == v.tobytes(), name
+            assert t.grad is None, name
     assert all(t.data is values[name] for name, t in store.items())  # updated in place
+
+
+def test_adam_step_starts_no_thread_and_keeps_no_gradient(monkeypatch):
+    # a store of several walk blocks: the walk runs on the calling thread,
+    # and no gradient array outlives the step
+    started, start = [], threading.Thread.start
+
+    def recorded_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded_start)
+    rng = np.random.default_rng(33)
+    store = ParamStore()
+    for name, shape in (("w", (300, 1000)), ("b", (BLOCK + 3,))):
+        store.add(name, rng.standard_normal(shape))
+    for _, t in store.items():
+        t.grad = rng.standard_normal(t.data.shape)
+    grads = [weakref.ref(t.grad) for _, t in store.items()]
+    adam_step(store, adam_for(store))
+    assert started == []
+    assert all(t.grad is None for _, t in store.items())
+    assert all(ref() is None for ref in grads)
 
 
 def test_adam_copies_a_gradient_of_another_memory_order():
@@ -385,8 +396,7 @@ def test_adam_copies_a_gradient_of_another_memory_order():
     adam_step(store, state)
     assert store["w"].data.tobytes() == expected["w"][0].tobytes()
     np.testing.assert_array_equal(given, before)  # the caller's array is left as it was
-    kept = store["w"]._zeroed_grad
-    assert kept is not given and kept.flags.c_contiguous and not kept.any()
+    assert store["w"].grad is None
 
 
 @pytest.mark.parametrize("max_norm", [1e6, 1.0])
@@ -404,13 +414,10 @@ def test_clip_grad_norm_in_scratch_matches_fresh_squares(max_norm):
         assert t.grad.tobytes() == grads[name].tobytes()
 
 
-@pytest.mark.parametrize("cores", [None, {0}], ids=["usable cores", "one core"])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_adam_with_the_clip_factor_equals_clip_then_adam_bit_for_bit(monkeypatch, dtype, cores):
+def test_adam_with_the_clip_factor_equals_clip_then_adam_bit_for_bit(dtype):
     # adam_step(grad_scale=factor) multiplies each gradient block in its
     # walk; clipping first scales every gradient in a pass of its own
-    if cores is not None:
-        monkeypatch.setattr("lenvae.numerics.optim.os.sched_getaffinity", lambda pid: cores)
     rng = np.random.default_rng(26)
     fused, separate = ParamStore(), ParamStore()
     for name, t in _random_store(rng).items():
@@ -433,7 +440,7 @@ def test_adam_with_the_clip_factor_equals_clip_then_adam_bit_for_bit(monkeypatch
             assert t.data.tobytes() == separate[name].data.tobytes(), name
             assert fused_state.m[name].tobytes() == separate_state.m[name].tobytes(), name
             assert fused_state.v[name].tobytes() == separate_state.v[name].tobytes(), name
-            assert t.grad is None and not t._zeroed_grad.any(), name
+            assert t.grad is None, name
     assert all(f < 1.0 for f in factors)   # every step clipped
 
 
@@ -511,7 +518,7 @@ def test_adam_on_a_sliced_gradient_equals_the_dense_walk_bit_for_bit(dtype):
     adam_step(sliced, states[0], 0.37)
     adam_step(dense, states[1], 0.37)
     for name, t in sliced.items():
-        assert t.grad is None and t._zeroed_grad is None, name
+        assert t.grad is None, name
         assert t.data.tobytes() == dense[name].data.tobytes(), name
         assert states[0].m[name].tobytes() == states[1].m[name].tobytes(), name
         assert states[0].v[name].tobytes() == states[1].v[name].tobytes(), name
@@ -546,19 +553,19 @@ def _reuse_loss(store):
 
 
 def test_backward_accumulates_into_the_gradients_adam_zeroed():
+    # adam_step drops every gradient, so the next backward starts each one
+    # from zeros in new arrays, as a fresh store's backward does
     rng = np.random.default_rng(23)
     store = ParamStore()
     for name, shape in (("embed", (5, 3)), ("proj", (3, 4)), ("out", (4, 6)), ("bias", (6,))):
         store.add(name, rng.standard_normal(shape))
     state = adam_for(store)
-    sliced = {"embed", "out", "bias"}   # gathered or sampled tables keep no array
+    sliced = {"embed", "out", "bias"}   # gathered or sampled tables
     _reuse_loss(store).backward()
     assert {name for name, t in store.items() if isinstance(t.grad, SlicedGrad)} == sliced
     arrays = {name: t.grad for name, t in store.items()}
     adam_step(store, state)
     assert all(t.grad is None for _, t in store.items())
-    assert not arrays["proj"].any()
-    assert all(store[name]._zeroed_grad is None for name in sliced)
 
     _reuse_loss(store).backward()
     fresh = ParamStore()
@@ -566,13 +573,8 @@ def test_backward_accumulates_into_the_gradients_adam_zeroed():
         fresh.add(name, t.data.copy())
     _reuse_loss(fresh).backward()
     for name, t in store.items():
-        assert (t.grad is arrays[name]) == (name not in sliced), name
+        assert t.grad is not arrays[name], name
         assert t.dense_grad().tobytes() == fresh[name].dense_grad().tobytes()
-
-    adam_step(store, state)
-    store.zero_grads()
-    _reuse_loss(store).backward()
-    assert all(t.grad is not arrays[name] for name, t in store.items())
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lenvae.numerics import (
-    AdamState, ParamStore, Tensor, adam_step, add, add_scalar, affine, concat_cols,
+    ParamStore, Tensor, add, add_scalar, affine, concat_cols,
     cross_entropy_rows, exp_, gather_rows, grad_check, log_softmax_rows,
     matmul, mul, mul_const, neg, sampled_logits, scale, sigmoid, slice_cols,
     sub, sum_all, sum_cols, tanh_, weighted_cross_entropy_rows,
@@ -266,37 +266,16 @@ def test_matmul_backward_equals_products_added_to_zeros(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_matmul_backward_writes_into_the_kept_zeroed_gradient(dtype):
-    rng = np.random.default_rng(8)
-    store = ParamStore()
-    w = store.add("w", rng.standard_normal((4, 3)).astype(dtype))
-    x = Tensor(rng.standard_normal((5, 4)).astype(dtype))
-    c = rng.standard_normal((5, 3)).astype(dtype)
-    state = AdamState.for_params(store, 0.01)
-    sum_all(mul_const(matmul(x, w), c)).backward()
-    adam_step(store, state)
-    kept = w._zeroed_grad
-    assert w.grad is None and kept is not None
-    sum_all(mul_const(matmul(x, w), c)).backward()
-    assert w.grad is kept   # the product was written into it: no new array
-    assert np.array_equal(w.grad, x.data.T @ c)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_matmul_backward_gives_a_fresh_leaf_a_c_contiguous_gradient(dtype):
     # x's value is column-major; its gradient is still a C-contiguous array
-    # of the value's shape and dtype, which adam_step keeps as it is
+    # of the value's shape and dtype
     rng = np.random.default_rng(9)
-    store = ParamStore()
-    w = store.add("w", rng.standard_normal((4, 3)).astype(dtype))
+    w = Tensor(rng.standard_normal((4, 3)).astype(dtype))
     x = Tensor(np.asfortranarray(rng.standard_normal((5, 4)).astype(dtype)))
     sum_all(mul_const(matmul(x, w), rng.standard_normal((5, 3)))).backward()
     for leaf in (x, w):
         assert leaf.grad.flags.c_contiguous
         assert leaf.grad.shape == leaf.data.shape and leaf.grad.dtype == dtype
-    grad = w.grad
-    adam_step(store, AdamState.for_params(store, 0.01))
-    assert w._zeroed_grad is grad
 
 
 def test_log_softmax_rows_matches_softmax():

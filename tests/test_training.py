@@ -204,7 +204,7 @@ def test_train_equals_textbook_clip_and_adam_on_fresh_arrays():
     params, norms = _textbook_train(sentences, vocab, hp, cfg)
     for name, t in result.params.items():
         assert t.data.tobytes() == params[name].data.tobytes(), name
-        assert t.grad is None and t._zeroed_grad is None, name
+        assert t.grad is None, name
     assert [rec[6] for rec in result.metrics.records] == norms
     clipped = [rec[7] for rec in result.metrics.records]
     assert clipped == [norm > cfg.grad_clip for norm in norms]
@@ -291,7 +291,7 @@ def test_vocabulary_tables_hold_no_vocabulary_sized_gradient():
     loss.backward()
     for name in ("embed.W", "len_table.W", "out.W", "out.b"):
         grad = params[name].grad
-        assert isinstance(grad, SlicedGrad) and params[name]._zeroed_grad is None, name
+        assert isinstance(grad, SlicedGrad), name
         assert grad.values.flags.c_contiguous, name
         assert hp.vocab_size not in (*grad.values.shape, *grad.index.shape), name
     assert params["out.W"].grad.index.size <= 16 * 11 + hp.softmax_samples
