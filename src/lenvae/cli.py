@@ -2,7 +2,7 @@
 
 Subcommands: preprocess, train, summarize, evaluate, probe, gradcheck,
 toy-corpus. Exit codes: 0 success, 1 generic failure (incl. a failing
-gradcheck), 2 usage/config errors, 3 missing file, 4 incompatible
+gradcheck), 2 usage/config errors, 3 missing or unusable file, 4 incompatible
 checkpoint, 5 corrupt/unreadable checkpoint. The effective configuration is
 echoed into each command's output directory.
 """
@@ -19,8 +19,8 @@ from .model import tiny_gradcheck_instance
 from .numerics import grad_check
 from .probe import probe_experiment
 from .textpipe import (
-    Vocabulary, build_vocab, default_toy_grammar, encode_sentences,
-    filter_by_length, generate_toy_corpus, normalize,
+    Vocabulary, build_vocab, default_toy_grammar, filter_by_length,
+    generate_toy_corpus, normalize,
 )
 from .training import train
 
@@ -50,9 +50,10 @@ def _echo_config(cfg, out_dir):
 
 
 def _load_corpus(corpus_path, vocab):
-    token_lines = [line.split() for line in _read_lines(corpus_path)]
-    token_lines = [t for t in token_lines if t]
-    return encode_sentences(token_lines, vocab)
+    """One id list per non-blank line, each line encoded as it is read, so
+    no line or token string outlives its own encoding."""
+    with open(corpus_path, encoding="utf-8") as f:
+        return [vocab.encode(tokens) for tokens in map(str.split, f) if tokens]
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +273,9 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args, cfg)
     except FileNotFoundError as e:
         print(f"error: missing file: {e.filename or e}", file=sys.stderr)
+        return EXIT_MISSING_FILE
+    except OSError as e:
+        print(f"error: unusable file: {e}", file=sys.stderr)
         return EXIT_MISSING_FILE
     except ckpt.IncompatibleCheckpointError as e:
         print(f"error: incompatible checkpoint: {e}", file=sys.stderr)

@@ -105,16 +105,14 @@ def adam_step(params: ParamStore, state: AdamState, grad_scale: float = 1.0) -> 
     Every constant is a python float, so a float32 store is updated in
     float32 (numpy's scalar promotion).
 
-    A ``SlicedGrad`` (a gathered or sampled table's gradient) is walked in
-    two parts. Its touched entries' m, v and value are gathered into
-    copies, which take the walk above with the compact block as the
-    gradient. The whole table takes the zero-gradient walk
-    (``m = b1*m + 0.0``, ``v = b2*v + 0.0``, the same value update), and
-    the copies are then written back over the touched entries. So every
-    entry is updated bit for bit as a dense gradient, zero outside the
-    index, would update it. A ``SlicedGrad`` whose index is every row or
-    column (eval's full candidate set; a small vocabulary) is laid out as
-    the dense gradient and is walked as one.
+    Every ``SlicedGrad`` (a gathered or sampled table's gradient), also one
+    whose index is every row or column, is walked in two parts. Its touched
+    entries' m, v and value are gathered into copies, which take the walk
+    above with the compact block as the gradient. The whole table takes the
+    zero-gradient walk (``m = b1*m + 0.0``, ``v = b2*v + 0.0``, the same
+    value update), and the copies are then written back over the touched
+    entries. So every entry is updated bit for bit as a dense gradient,
+    zero outside the index, would update it.
 
     The walk runs on the calling thread. Afterwards every ``t.grad`` is
     ``None``, so a gradient lives for one step and the next backward makes
@@ -130,9 +128,7 @@ def adam_step(params: ParamStore, state: AdamState, grad_scale: float = 1.0) -> 
     blocks, touched = [], []
     for name, t in params.items():
         m, v = state.m[name], state.v[name]
-        if isinstance(t.grad, SlicedGrad) and t.grad.index.size == t.data.shape[t.grad.axis]:
-            blocks += _flat_blocks(t.grad.values, m, v, t.data)   # every index: the dense layout
-        elif isinstance(t.grad, SlicedGrad):
+        if isinstance(t.grad, SlicedGrad):
             flat = t.grad.flat_index()
             copies = [a.reshape(-1)[flat] for a in (m, v, t.data)]
             touched.append(([m, v, t.data], flat, copies))

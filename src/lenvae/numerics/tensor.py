@@ -9,15 +9,19 @@ its gradient; constants (masks, noise, index arrays) enter through
 ``mul_const`` or plain numpy arguments and are never leaves. A zero start
 (``zeros``) is an ordinary leaf whose gradient is dropped with the graph.
 
-A leaf table that gets its gradient only through ``gather_rows`` (the
-embedding and length tables: rows) or ``sampled_logits`` (the output weight:
-columns; the output bias: entries) holds it as a ``SlicedGrad``: the sorted
-indices the backward touched and a compact block of their values, never an
-array with a vocabulary-sized axis. Each touched entry is accumulated in the
-same order as a dense gradient would be, so it is bit-identical to it.
-``Tensor.dense_grad`` gives any gradient as one array of the value's shape;
-training never calls it. Interior nodes (such as the latent rows the decoder
-gathers) and leaves that also get a dense contribution keep dense gradients.
+The vocabulary tables hold their gradients as ``SlicedGrad``s: the sorted
+indices a backward touched and a compact block of their values, never an
+array with a vocabulary-sized axis. ``gather_rows`` accumulates into a row
+``SlicedGrad`` of a leaf table (the embedding and length tables) that holds
+no dense gradient, in a dense gradient's order, so it is bit-identical to
+one. ``sampled_logits`` is the one maker of its weight's column and its
+bias's entry ``SlicedGrad``: it stores its product and column sums as their
+values, and raises unless both are leaves with no gradient yet. A table both
+gathered and sampled raises, and so does a dense contribution to a table
+that holds a ``SlicedGrad``. Interior nodes (such as the latent rows the
+decoder gathers) and leaves whose first contribution is dense keep dense
+gradients. ``Tensor.dense_grad`` gives any gradient as one array of the
+value's shape; training never calls it.
 
 float32 is the compute type of training and decoding; float64 is the
 reference that the gradient check and the exactness tests ask for. Every op
@@ -59,9 +63,6 @@ class Tensor:
         self._parents = _parents
         self._backward = _backward
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, leaf={self._backward is None})"
-
     def dense_grad(self) -> np.ndarray:
         """The gradient as one array of the value's shape: zeros when there
         is none, a dense ``grad`` itself, a ``SlicedGrad`` scattered into
@@ -77,7 +78,10 @@ class Tensor:
 
         ``self`` must be a scalar (size-1) tensor. Each interior node's
         ``grad`` is dropped as soon as its ``_backward`` has passed it on, so
-        only the leaves hold gradients afterwards.
+        only the leaves hold gradients afterwards. It adds to the gradients
+        leaves already hold, except that ``sampled_logits`` raises on a
+        weight or bias that holds one: drop them (``adam_step`` or
+        ``ParamStore.zero_grads``) before a second backward.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar loss, got shape {self.data.shape}")
@@ -103,10 +107,6 @@ class SlicedGrad:
     def dtype(self):
         return self.values.dtype
 
-    def at(self, positions):
-        """The index tuple that selects ``positions`` along ``axis``."""
-        return (slice(None),) * self.axis + (positions,)
-
     def flat_index(self) -> np.ndarray:
         """Where each entry of ``values``, in C order, sits in the flat view
         of an array of the full gradient's shape. One scatter through it is
@@ -117,13 +117,13 @@ class SlicedGrad:
 
     def dense(self) -> np.ndarray:
         full = np.zeros(self.shape, self.dtype)
-        full[self.at(self.index)] = self.values
+        np.put(full, self.flat_index(), self.values)
         return full
 
 
 def _takes_slices(t) -> bool:
-    """Whether a gathered or sampled contribution to ``t`` goes into a
-    ``SlicedGrad``: ``t`` is a leaf holding no dense gradient."""
+    """Whether a gathered contribution to ``t`` goes into a ``SlicedGrad``:
+    ``t`` is a leaf holding no dense gradient."""
     return t._backward is None and (t.grad is None or isinstance(t.grad, SlicedGrad))
 
 
@@ -138,21 +138,20 @@ def _sorted_distinct(ids: np.ndarray) -> np.ndarray:
     return ids[keep]
 
 
-def _sliced_grad(t, axis: int, ids: np.ndarray) -> SlicedGrad:
-    """``t.grad`` as a ``SlicedGrad`` along ``axis`` whose index covers the
-    sorted distinct ``ids``: made with zero values on first use; widened by
-    copying its values into a new block that is zero at the ids it lacked."""
-    shape = list(t.data.shape)
-    grad = t.grad
+def _sliced_rows(t, ids: np.ndarray) -> SlicedGrad:
+    """``t.grad`` as a row ``SlicedGrad`` whose index covers the sorted
+    distinct ``ids``: made with zero values on first use; widened by copying
+    its values into a new block that is zero at the rows it lacked."""
+    grad, width = t.grad, t.data.shape[1:]
     if grad is None:
-        shape[axis] = ids.size
-        t.grad = SlicedGrad(t.data.shape, axis, ids, np.zeros(shape, t.data.dtype))
+        t.grad = SlicedGrad(t.data.shape, 0, ids, np.zeros((ids.size, *width), t.data.dtype))
         return t.grad
+    if grad.axis != 0:
+        raise ValueError("a table sampled by columns cannot also be gathered by rows")
     index = _sorted_distinct(np.concatenate([grad.index, ids]))
     if index.size != grad.index.size:
-        shape[axis] = index.size
-        values = np.zeros(shape, grad.dtype)
-        values[grad.at(np.searchsorted(index, grad.index))] = grad.values
+        values = np.zeros((index.size, *width), grad.dtype)
+        values[np.searchsorted(index, grad.index)] = grad.values
         grad.index, grad.values = index, values
     return grad
 
@@ -178,12 +177,9 @@ def _toposort(root):
 
 
 def _grad_buffer(t):
-    """``t.grad`` as a dense array, made from zeros on first use; a
-    ``SlicedGrad`` is scattered into zeros first."""
+    """``t.grad`` as a dense array, made from zeros on first use."""
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    elif isinstance(t.grad, SlicedGrad):
-        t.grad = t.grad.dense()
     return t.grad
 
 
@@ -205,12 +201,11 @@ def _accum_product(t, x, y):
 
 
 def _unbroadcast(g, shape):
-    """Sum ``g`` down to ``shape`` (reverse of numpy broadcasting)."""
+    """Sum ``g`` over its leading axes down to the rank of ``shape``: the
+    reverse of numpy broadcasting a bias over rows. A size-1 axis is not
+    summed (no op broadcasts one), so adding such a ``g`` raises."""
     while g.ndim > len(shape):
         g = g.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
     return g
 
 
@@ -376,7 +371,7 @@ def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
 
     def bw(g):
         if _takes_slices(table):
-            grad = _sliced_grad(table, 0, _sorted_distinct(idx))
+            grad = _sliced_rows(table, _sorted_distinct(idx))
             np.add.at(grad.values, np.searchsorted(grad.index, idx), g)
         else:
             np.add.at(_grad_buffer(table), idx, g)
@@ -414,10 +409,11 @@ def weighted_step_sum(a: Tensor, weights: np.ndarray) -> Tensor:
     """
     weights = np.asarray(weights, dtype=a.data.dtype)[:, :, None]
     steps, rows, _ = weights.shape
-    out_data = (a.data.reshape(steps, rows, -1) * weights).sum(axis=0)
+    width = a.data.shape[1]
+    out_data = (a.data.reshape(steps, rows, width) * weights).sum(axis=0)
 
     def bw(g):
-        _accum(a, (weights * g).reshape(steps * rows, -1))
+        _accum(a, (weights * g).reshape(steps * rows, width))
 
     return Tensor(out_data, (a,), bw)
 
@@ -475,12 +471,13 @@ def sampled_logits(h: Tensor, w: Tensor, b: Tensor, ids: np.ndarray) -> Tensor:
     gathered again in backward, so the node does not hold a copy of ``w``
     (for the full layer, all of it) while the loss is formed.
 
-    Backward adds one (H, B) @ (B, C) GEMM into the candidate columns of
-    ``w``'s gradient and the column sums of ``g`` into ``b``'s. For leaves
-    these are ``SlicedGrad``s over the columns (entries) of ``ids``, whose
-    values start at zeros, so each is zeros + product as in a dense
-    gradient. A repeated id would receive only one of its contributions,
-    which is why the ids must be distinct.
+    Backward makes the whole gradients of ``w`` and ``b``: ``SlicedGrad``s
+    over the columns (entries) of ``ids`` whose values are the
+    (H, B) @ (B, C) GEMM (the column sums of ``g``), equal to the dense
+    gradient there up to the sign of a zero. So ``w`` and ``b`` must be
+    leaves that hold no gradient yet: it raises ``ValueError`` on an
+    interior node, on a second use in one graph, and on a second backward
+    with no ``adam_step`` or ``zero_grads`` between.
     """
     ids = np.asarray(ids, dtype=np.intp)
     if ids.ndim != 1:
@@ -491,16 +488,12 @@ def sampled_logits(h: Tensor, w: Tensor, b: Tensor, ids: np.ndarray) -> Tensor:
     out_data += b.data[ids]
 
     def bw(g):
+        if any(p._backward is not None or p.grad is not None for p in (w, b)):
+            raise ValueError("sampled_logits makes the whole gradient of its weight "
+                             "and bias: each must be a leaf that holds no gradient")
         _accum(h, g @ w.data[:, ids].T)
-        for leaf, axis, contribution in ((w, 1, h.data.T @ g), (b, 0, g.sum(axis=0))):
-            if _takes_slices(leaf):
-                grad = _sliced_grad(leaf, axis, ids)
-                if grad.index.size == ids.size:   # the index is ids
-                    grad.values += contribution
-                else:
-                    grad.values[grad.at(np.searchsorted(grad.index, ids))] += contribution
-            else:
-                _grad_buffer(leaf)[(slice(None),) * axis + (ids,)] += contribution
+        w.grad = SlicedGrad(w.data.shape, 1, ids, h.data.T @ g)
+        b.grad = SlicedGrad(b.data.shape, 0, ids, g.sum(axis=0))
 
     return Tensor(out_data, (h, w, b), bw)
 

@@ -7,21 +7,23 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lenvae.checkpoint import checkpoint_load, checkpoint_save
 from lenvae.cli import (
     EXIT_CORRUPT, EXIT_FAIL, EXIT_INCOMPATIBLE, EXIT_MISSING_FILE, EXIT_OK,
-    EXIT_USAGE, build_parser, main,
+    EXIT_USAGE, _load_corpus, build_parser, main,
 )
 from lenvae.config import (
     KEYS, PAPER_PRESET, ConfigError, RunConfig, load_run_config, parse_config_text,
 )
 from lenvae.model import HyperParams
-from lenvae.textpipe import Vocabulary
+from lenvae.textpipe import Vocabulary, encode_sentences
 from lenvae.training import TrainConfig
 
 
@@ -105,6 +107,22 @@ def test_config_line_that_does_not_parse_is_rejected(line, message):
     with pytest.raises(ConfigError) as excinfo:
         parse_config_text(line + "\n")
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("text", ["false", "0", "No", "off "])
+def test_config_file_turns_the_length_input_off(tmp_path, text):
+    # --no-lenemb is a store_const, so only a config file parses a false bool
+    path = tmp_path / "run.cfg"
+    path.write_text(f"lenemb = {text}\n")
+    assert load_run_config(path).hyperparams(57).lenemb is False
+
+
+def test_config_file_bool_that_does_not_parse_is_exit_2(tmp_path, capsys):
+    (tmp_path / "run.cfg").write_text("lenemb = maybe\n")
+    code = run("--config", str(tmp_path / "run.cfg"), "train", "--corpus", "absent.txt",
+               "--vocab", "absent.vocab", "--out-dir", str(tmp_path / "out"))
+    assert code == EXIT_USAGE
+    assert "cannot parse 'maybe' as bool" in capsys.readouterr().err
 
 
 def test_unknown_preset_and_override_key_rejected():
@@ -198,6 +216,42 @@ def test_missing_input_file_is_exit_3(tmp_path):
     code = run("preprocess", "--input", str(tmp_path / "nope.txt"),
                "--output", str(tmp_path / "c.txt"), "--vocab", str(tmp_path / "v.txt"))
     assert code == EXIT_MISSING_FILE
+
+
+def test_preprocess_output_that_is_a_directory_is_exit_3(tmp_path, capsys):
+    (tmp_path / "in.txt").write_text("the cat sat .\n")
+    code = run("preprocess", "--input", str(tmp_path / "in.txt"),
+               "--output", str(tmp_path), "--vocab", str(tmp_path / "v.txt"))
+    assert code == EXIT_MISSING_FILE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path) in err[0]
+
+
+def test_corpus_load_peaks_under_24_bytes_per_token(tmp_path):
+    # 30,000 lines of 5 to 24 Zipf-ranked words over 20,000 word types, and
+    # blank lines, which are skipped. Holding every line and token string
+    # beside the id lists peaked at 81 bytes per token here; encoding each
+    # line as it is read peaks at 14, little more than the lists' 8-byte slots.
+    rng = np.random.default_rng(0)
+    words = [f"w{rank}" for rank in range(20_000)]
+    lengths = rng.integers(5, 25, 30_000)
+    ranks = np.minimum(rng.zipf(1.2, lengths.sum()), len(words)) - 1
+    lines = [" ".join(words[r] for r in chunk)
+             for chunk in np.split(ranks, np.cumsum(lengths)[:-1])]
+    lines[::1000] = [""] * len(lines[::1000])
+    lines[1::1000] = [" \t "] * len(lines[1::1000])
+    path = tmp_path / "corpus.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    vocab = Vocabulary(words)
+    tracemalloc.start()
+    try:
+        sentences = _load_corpus(path, vocab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    token_lines = [line.split() for line in lines if line.split()]
+    assert sentences == encode_sentences(token_lines, vocab)
+    assert peak / sum(map(len, token_lines)) < 24
 
 
 def test_unknown_flag_is_exit_2(capsys):
@@ -322,6 +376,23 @@ def test_train_outputs(trained):
     assert hp_with.lenemb and step == 40
     _, hp_without, _, _ = checkpoint_load(out_without / "final.lvae")
     assert not hp_without.lenemb
+
+
+@pytest.mark.parametrize("command", ["train", "summarize"])
+def test_unusable_output_dir_or_checkpoint_is_exit_3(trained, tmp_path, capsys, command):
+    # train --out-dir names an existing file; summarize --checkpoint a directory
+    root, corpus, vocab, cfg, _, _ = trained
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "in.txt").write_text("the cat sat .\n")
+    path, argv = {
+        "train": (tmp_path / "taken", ["train", "--corpus", str(corpus), "--vocab", str(vocab),
+                                       "--out-dir", str(tmp_path / "taken")]),
+        "summarize": (root, ["summarize", "--checkpoint", str(root), "--input",
+                             str(tmp_path / "in.txt"), "--output", str(tmp_path / "o.txt")]),
+    }[command]
+    assert run("--config", str(cfg), *argv) == EXIT_MISSING_FILE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
 
 
 def test_train_on_empty_corpus_is_exit_1_without_out_dir(trained, tmp_path, capsys):

@@ -80,6 +80,16 @@ def test_rouge_l_empty_candidate_scores_zero():
     assert (score.recall, score.precision, score.f1) == (0.0, 0.0, 0.0)
 
 
+def test_rouge_l_against_an_empty_reference():
+    # alone, an empty reference scores zero; beside a non-empty one, each
+    # field takes the maximum, which the empty reference never raises
+    score = rouge_l(["a", "b"], [[]])
+    assert (score.recall, score.precision, score.f1) == (0.0, 0.0, 0.0)
+    score = rouge_l(["a", "b", "c"], [[], ["a", "c"]])
+    assert (score.recall, score.precision, score.f1) == (1.0, 2 / 3, 0.8)
+    assert rouge_l(["a", "b", "c"], [["a", "c"], []]) == score
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.sampled_from("abcd"), min_size=1, max_size=8),
        st.lists(st.sampled_from("abcd"), min_size=1, max_size=8))

@@ -12,7 +12,8 @@ from lenvae.model import (
     GRADCHECK_MIN_GRADIENT, GRADCHECK_SEEDS, INIT_SCALE, HyperParams,
     LatentParams, bow_loss, decode_step, decoder_states, decoder_targets, draw_negatives, encode,
     encoder_mean, init_decoder_state, init_params, kl_divergence,
-    length_input, param_shapes, reparameterize, tiny_gradcheck_instance, total_loss,
+    length_input, param_shapes, posterior_means, reparameterize, tiny_gradcheck_instance,
+    total_loss,
 )
 from lenvae.numerics import (
     Tensor, affine, cross_entropy_rows, grad_check, sampled_logits, zeros,
@@ -82,6 +83,14 @@ def test_encode_zero_affines_return_biases():
     latent = encode(one_sentence_batch([5, 6, 5]), params, hp)
     np.testing.assert_allclose(latent.mu.data, np.full((1, hp.latent_dim), 1.5))
     np.testing.assert_allclose(latent.logvar.data, np.full((1, hp.latent_dim), -0.5))
+
+
+def test_posterior_means_of_an_empty_sentence_is_mu_at_a_zero_mean():
+    # an empty sentence has no step to average, so its encoder mean is zero
+    hp, params = TINY, tiny_params(2)
+    params["mu.b"].data[:] = np.random.default_rng(0).standard_normal(hp.latent_dim)
+    expected = np.zeros((1, 2 * hp.cell_size)) @ params["mu.W"].data + params["mu.b"].data
+    assert posterior_means([[]], params, hp).tobytes() == expected.tobytes()
 
 
 def _unrolled_direction(ids, params, hp, prefix):

@@ -192,6 +192,55 @@ def test_sampled_logits_rejects_ids_that_are_not_ascending_distinct_columns(ids)
         sampled_logits(h, w, b, np.array(ids))
 
 
+def _sampled_loss(h, w, b, ids=(0, 2, 4)):
+    logits = sampled_logits(h, w, b, np.array(ids))
+    return cross_entropy_rows(logits, np.array([2, 0]), np.ones(2))
+
+
+def _sampled_leaves(seed, vocab=5):
+    rng = np.random.default_rng(seed)
+    return (Tensor(rng.standard_normal(shape)) for shape in ((2, 3), (3, vocab), (vocab,)))
+
+
+def test_sampled_logits_rejects_a_weight_or_bias_that_is_not_a_leaf():
+    # its backward makes the whole gradient, so there is nothing to pass on
+    h, w, b = _sampled_leaves(1)
+    for loss in (_sampled_loss(h, scale(w, 2.0), b), _sampled_loss(h, w, scale(b, 2.0))):
+        with pytest.raises(ValueError, match="each must be a leaf that holds no gradient"):
+            loss.backward()
+
+
+def test_sampled_logits_rejects_a_weight_or_bias_that_already_holds_a_gradient():
+    h, w, b = _sampled_leaves(1)
+    _sampled_loss(h, w, b).backward()
+    first = w.dense_grad().copy()
+    # a second backward with no zero_grads or adam_step between
+    with pytest.raises(ValueError, match="each must be a leaf that holds no gradient"):
+        _sampled_loss(h, w, b).backward()
+    assert w.dense_grad().tobytes() == first.tobytes()
+    w.grad = None
+    with pytest.raises(ValueError, match="each must be a leaf that holds no gradient"):
+        _sampled_loss(h, w, b).backward()   # only the bias holds one
+    # a second use in one graph
+    w.grad = b.grad = None
+    with pytest.raises(ValueError, match="each must be a leaf that holds no gradient"):
+        add(_sampled_loss(h, w, b), _sampled_loss(h, w, b, ids=(0, 1, 2))).backward()
+
+
+@pytest.mark.parametrize("sampled_first", [True, False], ids=["sampled-first", "gathered-first"])
+def test_a_table_both_gathered_and_sampled_raises_in_either_backward_order(sampled_first):
+    h, table, b = _sampled_leaves(2, vocab=7)
+    sampled = _sampled_loss(h, table, b, ids=(0, 2, 4, 5))
+    gathered = sum_all(gather_rows(table, np.array([0, 2])))
+    ran = []
+    for node, name in ((sampled._parents[0], "sampled"), (gathered._parents[0], "gathered")):
+        node._backward = lambda g, bw=node._backward, name=name: (ran.append(name), bw(g))
+    loss = add(sampled, gathered) if sampled_first else add(gathered, sampled)
+    with pytest.raises(ValueError, match="sampled"):
+        loss.backward()
+    assert ran == (["sampled", "gathered"] if sampled_first else ["gathered", "sampled"])
+
+
 @pytest.mark.parametrize("idx", [[0, -1], [4, 0], [[1, 2], [3, 4]]],
                          ids=["negative", "past-the-end", "2-D"])
 def test_gather_rows_rejects_ids_outside_the_table(idx):

@@ -312,6 +312,15 @@ def test_vocabulary_tables_hold_no_vocabulary_sized_gradient():
     assert peak < bound
 
 
+def test_train_on_a_corpus_of_empty_sentences_logs_finite_losses():
+    # every batch has no encoder step; the decoder still scores EOS
+    _, vocab, hp = _toy_setup(50)
+    cfg = TrainConfig(batch_size=4, total_steps=3, anneal_horizon=1, seed=0)
+    records = train([[]], vocab, hp, cfg).metrics.records
+    assert [rec[0] for rec in records] == [0, 1, 2]
+    assert np.isfinite([rec[1:7] for rec in records]).all()
+
+
 def test_train_kl_value_rises_after_annealing_engages():
     # qualitative curve shape: near zero while the weight is tiny, then a
     # clear rise once annealing engages
