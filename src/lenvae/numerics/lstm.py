@@ -36,7 +36,7 @@ sequence forward.
 
 import numpy as np
 
-from .tensor import Tensor, _accum, _grad_buffer
+from .tensor import Tensor, _accum
 
 
 def _gate_scale(hidden: int, dtype) -> np.ndarray:
@@ -147,9 +147,10 @@ def lstm_sequence(x: Tensor, c0: Tensor, w: Tensor, b: Tensor, steps: int) -> Te
         dgates = dgates.reshape(steps * rows, 4 * hidden)
         _accum(x, dgates @ w.data[:in_dim].T)
         _accum(c0, dc_next)
-        gw = _grad_buffer(w)
-        gw[:in_dim] += x.data.T @ dgates
-        gw[in_dim:] += hs[:-1].reshape(steps * rows, hidden).T @ dgates
-        _grad_buffer(b)[:] += dgates.sum(axis=0)
+        gw = np.empty_like(w.data)
+        np.matmul(x.data.T, dgates, out=gw[:in_dim])
+        np.matmul(hs[:-1].reshape(steps * rows, hidden).T, dgates, out=gw[in_dim:])
+        _accum(w, gw)
+        _accum(b, dgates.sum(axis=0))
 
     return Tensor(hs[1:].reshape(steps * rows, hidden), (x, c0, w, b), bw)

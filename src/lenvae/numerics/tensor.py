@@ -9,19 +9,23 @@ its gradient; constants (masks, noise, index arrays) enter through
 ``mul_const`` or plain numpy arguments and are never leaves. A zero start
 (``zeros``) is an ordinary leaf whose gradient is dropped with the graph.
 
+A backward hands each gradient array to one slot: ``_accum`` is the one way
+a dense contribution reaches a slot, the first becoming ``t.grad`` itself
+and later ones being added into it in place. So no op hands one array to two
+parents (``add`` copies ``g`` for its second parent when neither side
+reduces it; ``concat_cols`` hands out disjoint column views).
+
 The vocabulary tables hold their gradients as ``SlicedGrad``s: the sorted
 indices a backward touched and a compact block of their values, never an
-array with a vocabulary-sized axis. ``gather_rows`` accumulates into a row
-``SlicedGrad`` of a leaf table (the embedding and length tables) that holds
-no dense gradient, in a dense gradient's order, so it is bit-identical to
-one. ``sampled_logits`` is the one maker of its weight's column and its
-bias's entry ``SlicedGrad``: it stores its product and column sums as their
-values, and raises unless both are leaves with no gradient yet. A table both
-gathered and sampled raises, and so does a dense contribution to a table
-that holds a ``SlicedGrad``. Interior nodes (such as the latent rows the
-decoder gathers) and leaves whose first contribution is dense keep dense
-gradients. ``Tensor.dense_grad`` gives any gradient as one array of the
-value's shape; training never calls it.
+array with a vocabulary-sized axis. A table takes one kind of gradient, and
+mixing kinds raises ``ValueError`` in either backward order. A gathered leaf
+(the embedding and length tables) takes a row ``SlicedGrad``, accumulated in
+a dense gradient's order and so bit-identical to one. ``sampled_logits``
+stores its product and column sums as the values of its weight's column and
+its bias's entry ``SlicedGrad``s, and raises unless both are leaves with no
+gradient yet. Interior nodes (such as the latent rows the decoder gathers)
+keep dense gradients. ``Tensor.dense_grad`` gives any gradient as one array
+of the value's shape; training never calls it.
 
 float32 is the compute type of training and decoding; float64 is the
 reference that the gradient check and the exactness tests ask for. Every op
@@ -78,10 +82,12 @@ class Tensor:
 
         ``self`` must be a scalar (size-1) tensor. Each interior node's
         ``grad`` is dropped as soon as its ``_backward`` has passed it on, so
-        only the leaves hold gradients afterwards. It adds to the gradients
-        leaves already hold, except that ``sampled_logits`` raises on a
-        weight or bias that holds one: drop them (``adam_step`` or
-        ``ParamStore.zero_grads``) before a second backward.
+        only the leaves hold gradients afterwards. Every gradient array goes
+        to one slot (``_accum``), and a table takes one kind of gradient. It
+        adds to the gradients leaves already hold, except that
+        ``sampled_logits`` raises on a weight or bias that holds one: drop
+        them (``adam_step`` or ``ParamStore.zero_grads``) before a second
+        backward.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar loss, got shape {self.data.shape}")
@@ -121,12 +127,6 @@ class SlicedGrad:
         return full
 
 
-def _takes_slices(t) -> bool:
-    """Whether a gathered contribution to ``t`` goes into a ``SlicedGrad``:
-    ``t`` is a leaf holding no dense gradient."""
-    return t._backward is None and (t.grad is None or isinstance(t.grad, SlicedGrad))
-
-
 def _sorted_distinct(ids: np.ndarray) -> np.ndarray:
     """The distinct values of ``ids``, ascending, as ``np.unique`` gives
     them, from one sort; ``np.unique`` takes several times as long for the
@@ -146,8 +146,9 @@ def _sliced_rows(t, ids: np.ndarray) -> SlicedGrad:
     if grad is None:
         t.grad = SlicedGrad(t.data.shape, 0, ids, np.zeros((ids.size, *width), t.data.dtype))
         return t.grad
-    if grad.axis != 0:
-        raise ValueError("a table sampled by columns cannot also be gathered by rows")
+    if not isinstance(grad, SlicedGrad) or grad.axis != 0:
+        raise ValueError("a table with a dense gradient or sampled by columns cannot also "
+                         "be gathered by rows: a table takes one kind of gradient")
     index = _sorted_distinct(np.concatenate([grad.index, ids]))
     if index.size != grad.index.size:
         values = np.zeros((index.size, *width), grad.dtype)
@@ -176,28 +177,17 @@ def _toposort(root):
     return order
 
 
-def _grad_buffer(t):
-    """``t.grad`` as a dense array, made from zeros on first use."""
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    return t.grad
-
-
 def _accum(t, g):
-    grad = _grad_buffer(t)
-    grad += g
-
-
-def _accum_product(t, x, y):
-    """Add ``x @ y`` into ``t.grad``. The first contribution is written
-    straight into a fresh C-contiguous array of the value's shape and
-    dtype, and that array becomes ``t.grad``; later ones are added. Writing
-    a product where ``_accum`` would add it to zeros changes only the sign
-    of a zero (``0 + -0.0`` is ``+0.0``)."""
+    """Hand ``g`` to ``t``: the first contribution becomes ``t.grad``,
+    later ones are added in place, so the caller must not hand ``g`` on."""
+    if g.shape != t.data.shape or isinstance(t.grad, SlicedGrad):
+        raise ValueError(f"a dense gradient (shape {g.shape}) must have its value's shape "
+                         f"{t.data.shape} and reach no table gathered by rows or sampled "
+                         f"by columns: a table takes one kind of gradient")
     if t.grad is None:
-        t.grad = np.matmul(x, y, out=np.empty(t.data.shape, t.data.dtype))
+        t.grad = g
     else:
-        _accum(t, x @ y)
+        t.grad += g
 
 
 def _unbroadcast(g, shape):
@@ -225,8 +215,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def bw(g):
-        _accum_product(a, g, b.data.T)
-        _accum_product(b, a.data.T, g)
+        _accum(a, g @ b.data.T)
+        _accum(b, a.data.T @ g)
 
     return Tensor(out_data, (a, b), bw)
 
@@ -235,8 +225,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        ga, gb = _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        _accum(a, ga)
+        _accum(b, gb.copy() if gb is ga else gb)
 
     return Tensor(out_data, (a, b), bw)
 
@@ -360,7 +351,9 @@ def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
     Each id must lie in ``[0, rows)``: numpy would wrap a negative one to
     another row. A leaf table's gradient is a ``SlicedGrad`` over its rows:
     the backward adds ``g`` into the block rows of ``idx`` with one
-    ``np.add.at``, in ``idx`` order, as it would into a dense gradient.
+    ``np.add.at``, in ``idx`` order, as it would into a dense gradient; a
+    leaf holding a dense or column gradient raises (one kind per table). An
+    interior table keeps a dense gradient, zeros on first use.
     """
     idx = np.asarray(idx, dtype=np.intp)
     rows = table.data.shape[0]
@@ -370,11 +363,13 @@ def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
     out_data = table.data[idx]
 
     def bw(g):
-        if _takes_slices(table):
+        if table._backward is None:
             grad = _sliced_rows(table, _sorted_distinct(idx))
             np.add.at(grad.values, np.searchsorted(grad.index, idx), g)
         else:
-            np.add.at(_grad_buffer(table), idx, g)
+            if table.grad is None:
+                table.grad = np.zeros_like(table.data)
+            np.add.at(table.grad, idx, g)
 
     return Tensor(out_data, (table,), bw)
 
@@ -435,7 +430,8 @@ def cross_entropy_rows(logits: Tensor, targets: np.ndarray, weights: np.ndarray)
     out_data = np.asarray(-(weights * log_probs[rows, targets]).sum())
 
     def bw(g):
-        gl = np.exp(log_probs) * weights[:, None]
+        gl = np.exp(log_probs)
+        gl *= weights[:, None]
         gl[rows, targets] -= weights
         gl *= float(g)
         _accum(logits, gl)
@@ -454,7 +450,9 @@ def weighted_cross_entropy_rows(logits: Tensor, counts: np.ndarray) -> Tensor:
     out_data = np.asarray(-(counts * log_probs).sum())
 
     def bw(g):
-        gl = np.exp(log_probs) * n[:, None] - counts
+        gl = np.exp(log_probs)
+        gl *= n[:, None]
+        gl -= counts
         gl *= float(g)
         _accum(logits, gl)
 

@@ -153,6 +153,11 @@ def test_byte_cap_zero_and_oversized_first_token():
     assert byte_cap("x" * 100 + " y", 75) == ""
 
 
+def test_byte_cap_rejects_a_negative_limit():
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        byte_cap("any text", -1)
+
+
 def test_byte_cap_counts_utf8_bytes():
     word = "半导体"  # 9 UTF-8 bytes
     assert byte_cap(f"{word} ok", 9) == word
@@ -218,6 +223,11 @@ def test_score_system_identity_lines():
     assert scores.rouge2.recall == 1.0
     assert scores.rougel.recall == 1.0
     assert scores.extractive == 100.0
+
+
+def test_score_system_rejects_misaligned_references():
+    with pytest.raises(ValueError, match="align line by line"):
+        score_system("short", ["a b", "c d"], [["a b"]])
 
 
 def test_score_system_aggregates_mean():

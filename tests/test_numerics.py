@@ -143,6 +143,8 @@ def test_lstm_shape_mismatch_names_offender():
         lstm_sequence(x, c, Tensor(np.zeros((5, 8))), Tensor(np.zeros(7)), 1)
     with pytest.raises(ValueError, match="lstm input x"):
         lstm_sequence(x, c, Tensor(np.zeros((5, 8))), Tensor(np.zeros(8)), 2)
+    with pytest.raises(ValueError, match="rank-2 x and c0"):
+        lstm_sequence(Tensor(np.zeros(3)), c, Tensor(np.zeros((5, 8))), Tensor(np.zeros(8)), 1)
 
 
 def test_lstm_forget_bias_initialized_to_one():
@@ -633,6 +635,20 @@ def test_grad_check_nonfinite_loss_errors():
 
     with pytest.raises(NonFiniteLossError):
         grad_check(bad_loss, store, eps=1e-5)
+
+
+def test_grad_check_loss_nonfinite_while_perturbing_errors():
+    # finite at the given value, NaN at any other
+    store = ParamStore()
+    store.add("p", np.array([1.0, 2.0]))
+
+    def loss_fn(s):
+        if s["p"].data[1] != 2.0:
+            return Tensor(np.asarray(np.nan))
+        return sum_all(mul(s["p"], s["p"]))
+
+    with pytest.raises(NonFiniteLossError, match="while perturbing p\\[1\\]"):
+        grad_check(loss_fn, store, eps=1e-5)
 
 
 def test_param_store_rejects_duplicates_and_tracks_order():

@@ -77,6 +77,11 @@ def test_r_squared_constant_targets_error():
         r_squared(np.array([1.0]), np.array([2.0]))
 
 
+def test_r_squared_length_mismatch_error():
+    with pytest.raises(ValueError, match="equal length"):
+        r_squared(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0]))
+
+
 def test_ols_training_r2_nonnegative():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((80, 6))

@@ -1,5 +1,6 @@
 """Finite-difference checks for every op in the differentiable core, the
-backward's memory, and a check that every exported op has a caller."""
+backward's memory, and checks that every exported op has a caller and that
+only the listed functions write a gradient slot."""
 
 import ast
 import importlib
@@ -137,15 +138,16 @@ def test_weighted_cross_entropy_rows():
     lambda lg, t, c: cross_entropy_rows(lg, t, np.linspace(0.5, 1.5, t.size)),
     lambda lg, t, c: weighted_cross_entropy_rows(lg, c),
 ], ids=["cross_entropy_rows", "weighted_cross_entropy_rows"])
-def test_cross_entropy_backward_holds_two_logit_sized_arrays(loss_of):
-    # the scaled gradient and the leaf's grad buffer; a scaled copy on top
-    # of them would make three
-    rows, cols = 64, 4096
+def test_cross_entropy_backward_holds_one_logit_sized_array(loss_of):
+    # the gradient is built in place from the softmax and handed to the
+    # leaf as its grad, so the backward allocates at most 1.25x one (N, C)
+    # array; a zeroed buffer or a scaled copy beside it would make 2x
+    rows, cols = 256, 4096
     rng = np.random.default_rng(4)
     targets = rng.integers(0, cols, rows)
-    counts = np.zeros((rows, cols))
+    counts = np.zeros((rows, cols), np.float32)
     counts[np.arange(rows), targets] = 2.0
-    logits = Tensor(rng.standard_normal((rows, cols)))
+    logits = Tensor(rng.standard_normal((rows, cols)).astype(np.float32))
     tracemalloc.start()
     try:
         loss = loss_of(logits, targets, counts)
@@ -155,7 +157,8 @@ def test_cross_entropy_backward_holds_two_logit_sized_arrays(loss_of):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * rows * cols * 8
+    assert logits.grad.dtype == np.float32
+    assert peak <= 1.25 * logits.data.nbytes
 
 
 def test_sampled_logits():
@@ -241,6 +244,24 @@ def test_a_table_both_gathered_and_sampled_raises_in_either_backward_order(sampl
     assert ran == (["sampled", "gathered"] if sampled_first else ["gathered", "sampled"])
 
 
+@pytest.mark.parametrize("gathered_first", [True, False], ids=["gathered-first", "dense-first"])
+def test_a_table_both_gathered_and_reached_by_a_dense_op_raises_in_either_backward_order(
+        gathered_first):
+    # a table takes one kind of gradient: a row SlicedGrad or a dense array
+    rng = np.random.default_rng(6)
+    table = Tensor(rng.standard_normal((5, 3)))
+    x = Tensor(rng.standard_normal((2, 5)))
+    gathered = sum_all(gather_rows(table, np.array([0, 3, 3])))
+    dense = sum_all(matmul(x, table))
+    ran = []
+    for node, name in ((gathered._parents[0], "gathered"), (dense._parents[0], "dense")):
+        node._backward = lambda g, bw=node._backward, name=name: (ran.append(name), bw(g))
+    loss = add(gathered, dense) if gathered_first else add(dense, gathered)
+    with pytest.raises(ValueError, match="one kind of gradient"):
+        loss.backward()
+    assert ran == (["gathered", "dense"] if gathered_first else ["dense", "gathered"])
+
+
 @pytest.mark.parametrize("idx", [[0, -1], [4, 0], [[1, 2], [3, 4]]],
                          ids=["negative", "past-the-end", "2-D"])
 def test_gather_rows_rejects_ids_outside_the_table(idx):
@@ -248,6 +269,47 @@ def test_gather_rows_rejects_ids_outside_the_table(idx):
     table = Tensor(np.arange(12.0).reshape(4, 3))
     with pytest.raises(ValueError, match="ids must lie in \\[0, 4\\)"):
         gather_rows(table, np.array(idx))
+
+
+def test_one_upstream_gradient_handed_to_two_parents_that_each_accumulate_again():
+    # add hands one g to p and q, and mul(p, q) adds a second contribution
+    # to each; were p and q to hold the same array, each addition would
+    # land in both gradients
+    def build(x):
+        p, q = scale(x, 2.0), tanh_(x)
+        u = add(p, q)
+        return sum_all(add(mul(u, u), mul(p, q)))
+    fd_check(build, 1, [(3, 4)])
+
+
+def test_a_tensor_on_both_sides_of_add_sub_and_concat_cols():
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.standard_normal((3, 4)))
+    c = rng.standard_normal((3, 4))
+    sum_all(mul_const(add(x, x), c)).backward()
+    assert np.array_equal(x.grad, c + c)
+    x.grad = None
+    sum_all(mul_const(sub(x, x), c)).backward()
+    assert np.array_equal(x.grad, np.zeros((3, 4)))
+    x.grad = None
+    wide = rng.standard_normal((3, 8))
+    sum_all(mul_const(concat_cols([x, x]), wide)).backward()
+    assert np.array_equal(x.grad, wide[:, :4] + wide[:, 4:])
+
+
+def test_a_gradient_of_another_shape_is_never_taken_as_a_slot():
+    # no op broadcasts a size-1 axis, so add's gradient for it keeps the
+    # output's shape; taking it as the (1, 3) value's gradient would be wrong
+    a, b = Tensor(np.ones((1, 3))), Tensor(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="must have its value's shape \\(1, 3\\)"):
+        sum_all(add(a, b)).backward()
+    assert a.grad is None
+
+
+def test_dense_grad_of_a_tensor_with_no_gradient_is_zeros():
+    t = Tensor(np.ones((2, 3), np.float32))
+    grad = t.dense_grad()
+    assert grad.dtype == np.float32 and np.array_equal(grad, np.zeros((2, 3)))
 
 
 def test_backward_requires_scalar():
@@ -455,3 +517,54 @@ def test_every_exported_op_has_a_caller(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     assert KEPT_FOR_TRACER <= set(tracing.OPS)
+
+
+# every function under src/ that assigns a gradient slot, by file and
+# qualified name; every other op hands its gradients to ``_accum``
+GRAD_WRITERS = {
+    ("numerics/tensor.py", "Tensor.__init__"),
+    ("numerics/tensor.py", "Tensor.backward"),
+    ("numerics/tensor.py", "_accum"),
+    ("numerics/tensor.py", "_sliced_rows"),
+    ("numerics/tensor.py", "gather_rows.bw"),       # an interior table's zeros
+    ("numerics/tensor.py", "sampled_logits.bw"),
+    ("numerics/params.py", "ParamStore.zero_grads"),
+}
+
+
+def _writes_grad(target):
+    """Whether an assignment target is ``x.grad``, or a subscript or an
+    attribute of it, or holds one in a tuple."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return any(_writes_grad(t) for t in target.elts)
+    while isinstance(target, (ast.Subscript, ast.Attribute)):
+        if isinstance(target, ast.Attribute) and target.attr == "grad":
+            return True
+        target = target.value
+    return False
+
+
+def _grad_writers():
+    """(file, qualified function name) of every assignment, augmented or
+    annotated, that writes a gradient slot in code under src/."""
+    found = set()
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path, scope + (child.name,))
+                continue
+            targets = (child.targets if isinstance(child, ast.Assign)
+                       else [child.target] if isinstance(child, (ast.AugAssign, ast.AnnAssign))
+                       else [])
+            if any(_writes_grad(t) for t in targets):
+                found.add((path, ".".join(scope)))
+            visit(child, path, scope)
+
+    for path in SRC.rglob("*.py"):
+        visit(ast.parse(path.read_text()), path.relative_to(SRC).as_posix(), ())
+    return found
+
+
+def test_only_the_listed_functions_write_a_gradient_slot():
+    assert _grad_writers() == GRAD_WRITERS

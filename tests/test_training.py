@@ -82,6 +82,12 @@ def test_word_dropout_all_at_one_protects_bos_and_pad():
     assert content.size > 0
 
 
+@pytest.mark.parametrize("p", [-0.1, 1.5])
+def test_word_dropout_rejects_a_probability_outside_0_1(p):
+    with pytest.raises(ValueError, match="must be in \\[0, 1\\]"):
+        word_dropout(_decoder_inputs(), p, np.random.default_rng(0))
+
+
 def test_word_dropout_rate_matches_probability():
     rng = np.random.default_rng(123)
     ids = np.full((1000, 100), 7, dtype=np.intp)
