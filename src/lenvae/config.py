@@ -20,7 +20,7 @@ rejected. Lines starting with `#` (and trailing ` #` comments) are ignored.
 
 from dataclasses import asdict, dataclass, field, fields
 
-from .inference import NATURAL, DecodeRequest
+from .inference import DecodeRequest, requested_length
 from .metrics import DUC_BYTE_CAP
 from .model import HyperParams
 from .training import TrainConfig
@@ -58,15 +58,7 @@ class RunConfig:
         for name in ("top_k", "max_words"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.desired_length == NATURAL:
-            return
-        try:
-            words = int(self.desired_length)
-        except ValueError:
-            words = -1
-        if words < 0:
-            raise ConfigError(f"desired_length must be a word count >= 0 or "
-                              f"{NATURAL!r}, got {self.desired_length!r}")
+        requested_length(self.desired_length)
 
     def hyperparams(self, vocab_size: int) -> HyperParams:
         return HyperParams(vocab_size=vocab_size, **self.architecture)

@@ -33,6 +33,16 @@ from .textpipe import BOS_ID, EOS_ID, PAD_ID, Vocabulary, normalize
 NATURAL = "natural"
 
 
+def requested_length(value):
+    """``value``, a word count (an int >= 0 or its decimal string) or
+    NATURAL, as an int or NATURAL; anything else raises ``ValueError``."""
+    if value == NATURAL or (type(value) is int and value >= 0):
+        return value
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    raise ValueError(f"desired_length must be a word count >= 0 or {NATURAL!r}, got {value!r}")
+
+
 @dataclass
 class DecodeRequest:
     """How wide and how long to search; the countdown's start is passed to
@@ -199,23 +209,20 @@ def summarize(sentence: str, desired_length, params: ParamStore, hp: HyperParams
               max_tokens: int = DecodeRequest.max_tokens) -> str:
     """Decode a shortened (or same-length) version of one sentence.
 
-    ``desired_length`` is a word count (an int or its decimal string), or
+    ``desired_length`` is read by ``requested_length``: a word count, or
     NATURAL for the input's own count.
     Requesting a specific length from a model trained without the length
     table is an incompatibility error.
     """
+    length = requested_length(desired_length)
     tokens = normalize(sentence)
     if not tokens:
         raise ValueError("cannot summarize an empty sentence")
-    if desired_length == NATURAL:
+    if length == NATURAL:
         length = len(tokens)
-    else:
-        length = int(desired_length)
-        if length < 0:
-            raise ValueError("desired_length must be >= 0 or 'natural'")
-        if not hp.lenemb:
-            raise IncompatibleCheckpointError(
-                "checkpoint was trained without length embeddings; use --length natural")
+    elif not hp.lenemb:
+        raise IncompatibleCheckpointError(
+            "checkpoint was trained without length embeddings; use --length natural")
     request = DecodeRequest(beam_width=beam_width, max_tokens=max_tokens)
     mu = posterior_means([vocab.encode(tokens)], params, hp)[0]
     result = beam_search(mu, request, params, hp, initial_length=length)

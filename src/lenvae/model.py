@@ -21,12 +21,12 @@ batch's distinct targets plus ``softmax_samples`` uniform non-target draws.
 Other rows' and steps' targets serve as negatives, so the whole term is one
 GEMM against the candidate columns of the output layer. The set is sorted
 and eval mode's set is every id, so a training set that covers the
-vocabulary is eval's full softmax bit for bit. Each of the T*B rows is
-scored against all U + K candidates, U being the batch's distinct targets,
-where a set per step would score it against that step's U_t + K. So the
-term's work and memory grow with U: about the same as per-step sets while U
-is small next to K, four times their logits at the paper preset's batch of
-512 sentences over a Zipf 40k vocabulary (U near 3,900 against K = 1,000).
+vocabulary is eval's full softmax bit for bit. Each real (step, row), a
+word or EOS, is scored against all U + K candidates, U being the batch's
+distinct targets (a set per step would give U_t + K). So the term's work
+and memory grow with U: about the same as per-step sets while U is small
+next to K, four times their logits at the paper preset's batch of 512
+sentences over a Zipf 40k vocabulary (U near 3,900 against K = 1,000).
 
 So a training step touches few of the vocabulary's rows and columns. The
 output weight's and bias's gradients hold only the candidate columns and
@@ -40,8 +40,8 @@ Training runs each LSTM layer over the whole sequence as one autograd node
 step, a hand-written backward through time). Its inputs and states are
 time-major rows, step t of batch row r at row t*B + r. Under teacher forcing
 every decoder input is known up front, so the decoder's layers run that way
-too (``decoder_states``), and the loss reads all (T*B, cell) states at
-once: one hidden-state dropout mask, one candidate draw, one cross-entropy.
+too (``decoder_states``); the loss gathers the real rows of the (T*B, cell)
+states once for one dropout mask, candidate draw and cross-entropy.
 Inference steps the decoder on plain arrays with no graph (``decode_step``),
 through the packed [x, h] @ W + b GEMM and the same cell nonlinearity.
 """
@@ -358,10 +358,10 @@ def bow_loss(z: Tensor, bow_counts: np.ndarray, params: ParamStore, hp: HyperPar
 def draw_negatives(rng, vocab_size: int, sample_count: int, targets: np.ndarray):
     """One candidate set for a batch, shared by every decoder step and row.
 
-    ``targets`` holds every (step, row) target of the batch. Returns
-    ``(ids, target_pos)``: ``ids`` holds, ascending, the U distinct targets
-    and ``min(sample_count, V - U)`` non-target ids drawn uniformly without
-    replacement; ``ids[target_pos[r]] == targets[r]``. The draw is one
+    ``targets`` holds every (step, row) target, PAD too (see ``total_loss``).
+    Returns ``(ids, target_pos)``: ``ids`` holds, ascending, the U distinct
+    targets and ``min(sample_count, V - U)`` non-target ids drawn uniformly
+    without replacement; ``ids[target_pos[r]] == targets[r]``. The draw is one
     ``rng.random(V)`` whose smallest non-target keys win, so the draws
     depend on the batch's shape, never on parameter values. Once
     ``sample_count >= V - U`` the set is ``arange(V)``, eval mode's set.
@@ -395,17 +395,18 @@ def word_dropout(decoder_input_ids: np.ndarray, p: float, rng) -> np.ndarray:
 
 def decoder_targets(batch: Batch):
     """Teacher-forcing arrays: inputs (B, T+1) starting with BOS, targets
-    (B, T+1) ending with EOS, and the (B, T+1) loss mask."""
+    ((T+1)*B,) time-major as the decoder's states, each sentence's words
+    then EOS then PAD, and ``live``, the ascending indices of words and EOS."""
     ids, lengths = batch.ids, batch.lengths
     n, width = ids.shape
     dec_in = np.full((n, width + 1), PAD_ID, dtype=np.intp)
     dec_in[:, 0] = BOS_ID
     dec_in[:, 1:] = ids
-    targets = np.full((n, width + 1), PAD_ID, dtype=np.intp)
-    targets[:, :width] = ids
-    targets[np.arange(n), lengths] = EOS_ID
-    mask = (np.arange(width + 1)[None, :] <= lengths[:, None]).astype(np.float64)
-    return dec_in, targets, mask
+    targets = np.full((width + 1, n), PAD_ID, dtype=np.intp)
+    targets[:width] = ids.T
+    targets[lengths, np.arange(n)] = EOS_ID
+    live = np.flatnonzero(np.arange(width + 1)[:, None] <= lengths[None, :])
+    return dec_in, targets.ravel(), live
 
 
 def tiny_gradcheck_instance(index: int, **changes):
@@ -463,7 +464,10 @@ def total_loss(batch: Batch, params: ParamStore, hp: HyperParams, kl_weight: flo
     inputs (the targets stay clean), hidden-state dropout at
     ``dropout_keep``, candidates from ``draw_negatives``, noise drawn from
     ``rng`` unless ``eps`` is supplied. mode "eval": every id a candidate
-    (the full softmax), no dropout of either kind, eps defaults to 0.
+    (the full softmax), no dropout of either kind, eps defaults to 0. Only
+    the real decoder rows (``live``) reach the dropout and the output layer,
+    but each draw keeps the padded shape, and ``draw_negatives`` gets PAD
+    targets too: without them the loss and ``GRADCHECK_SEEDS`` would move.
 
     Returns (loss Tensor, components dict with reconstruction / kl / bow /
     total floats; kl is the unweighted batch-mean KL value).
@@ -475,7 +479,7 @@ def total_loss(batch: Batch, params: ParamStore, hp: HyperParams, kl_weight: flo
     training = mode == "train"
     n = batch.ids.shape[0]
 
-    dec_in, targets, mask = decoder_targets(batch)
+    dec_in, targets, live = decoder_targets(batch)
     if training:
         dec_in = word_dropout(dec_in, word_drop_p, rng)
     latent = encode(batch, params, hp)
@@ -485,19 +489,16 @@ def total_loss(batch: Batch, params: ParamStore, hp: HyperParams, kl_weight: flo
     z = reparameterize(latent, eps)
     kl_mean = scale(sum_all(kl_divergence(latent)), 1.0 / n)
 
-    states = decoder_states(z, dec_in, batch.lengths, params, hp)
-    targets, mask = targets.T.ravel(), mask.T.ravel()   # time-major, as ``states``
+    states = gather_rows(decoder_states(z, dec_in, batch.lengths, params, hp), live)
     if training:
         if dropout_keep < 1.0:
-            keep_mask = (rng.random(states.data.shape) < dropout_keep).astype(states.data.dtype)
-            keep_mask /= dropout_keep
-            states = mul_const(states, keep_mask)
+            keep_mask = rng.random((targets.size, hp.cell_size))[live] < dropout_keep
+            states = mul_const(states, keep_mask.astype(states.data.dtype) / dropout_keep)
         ids, target_pos = draw_negatives(rng, hp.vocab_size, hp.softmax_samples, targets)
     else:
         ids, target_pos = np.arange(hp.vocab_size), targets
     logits = sampled_logits(states, params["out.W"], params["out.b"], ids)
-    recon_sum = cross_entropy_rows(logits, target_pos, mask)
-    reconstruction = scale(recon_sum, 1.0 / n)
+    reconstruction = scale(cross_entropy_rows(logits, target_pos[live]), 1.0 / n)
 
     bow = bow_loss(z, batch.bow, params, hp)
     total = add(add(reconstruction, scale(kl_mean, kl_weight)), bow)

@@ -417,22 +417,21 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return add(matmul(x, w), b)
 
 
-def cross_entropy_rows(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
-    """-sum_b weights[b] * log_softmax(logits[b])[targets[b]].
+def cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """-sum_b log_softmax(logits[b])[targets[b]].
 
-    ``targets`` int (B,), ``weights`` float (B,) constants. The node keeps
-    the log-probabilities; its backward exponentiates them as the softmax.
+    ``targets`` int (B,) constants; every row is scored, so a caller passes
+    only the rows it means to score. The node keeps the log-probabilities;
+    its backward exponentiates them as the softmax.
     """
     targets = np.asarray(targets, dtype=np.intp)
-    weights = np.asarray(weights, dtype=logits.data.dtype)
     rows = np.arange(logits.data.shape[0])
     log_probs = log_softmax_rows(logits.data)
-    out_data = np.asarray(-(weights * log_probs[rows, targets]).sum())
+    out_data = np.asarray(-log_probs[rows, targets].sum())
 
     def bw(g):
         gl = np.exp(log_probs)
-        gl *= weights[:, None]
-        gl[rows, targets] -= weights
+        gl[rows, targets] -= 1.0
         gl *= float(g)
         _accum(logits, gl)
 

@@ -9,8 +9,10 @@ import pytest
 
 from lenvae import inference
 from lenvae.checkpoint import checkpoint_load
+from lenvae.config import ConfigError, load_run_config
 from lenvae.inference import (
-    NATURAL, DecodeRequest, beam_search, best_entries, detokenize, summarize,
+    NATURAL, DecodeRequest, beam_search, best_entries, detokenize, requested_length,
+    summarize,
 )
 from lenvae.model import HyperParams, init_params
 from lenvae.numerics import Tensor, gather_rows, log_softmax_rows, zeros
@@ -496,6 +498,33 @@ def test_summarize_rejects_negative_length(toy_model):
     params, hp, vocab = toy_model
     with pytest.raises(ValueError):
         summarize("the cat runs", -1, params, hp, vocab)
+
+
+LENGTH_MESSAGE = "desired_length must be a word count >= 0 or 'natural'"
+
+
+@pytest.mark.parametrize("value", [4.7, 4.0, True, False, "4.7", "abc", "", " 3", "-2", -1],
+                         ids=repr)
+def test_a_length_that_is_no_word_count_is_rejected_by_config_and_summarize(toy_model, value):
+    # one parser: neither path truncates a float, reads a bool as a count
+    # or raises int()'s bare message
+    params, hp, vocab = toy_model
+    with pytest.raises(ConfigError, match=LENGTH_MESSAGE):
+        load_run_config(overrides={"desired_length": value})
+    with pytest.raises(ValueError, match=LENGTH_MESSAGE):
+        summarize("the cat runs", value, params, hp, vocab, beam_width=3, max_tokens=8)
+
+
+@pytest.mark.parametrize("value, words", [(0, 0), ("0", 0), (3, 3), ("3", 3),
+                                          (NATURAL, NATURAL)], ids=repr)
+def test_a_word_count_or_natural_is_read_alike_by_config_and_summarize(toy_model, value, words):
+    params, hp, vocab = toy_model
+    assert requested_length(value) == words
+    assert load_run_config(overrides={"desired_length": value}).desired_length == value
+    expected = summarize("the cat runs", 3 if words == NATURAL else words, params, hp, vocab,
+                         beam_width=3, max_tokens=8)
+    assert summarize("the cat runs", value, params, hp, vocab, beam_width=3,
+                     max_tokens=8) == expected
 
 
 @pytest.mark.parametrize("lenemb", [True, False])

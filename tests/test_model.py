@@ -390,7 +390,7 @@ def sampled_loss(out_w, out_b, hidden, targets, sample_count, rng):
     targets = np.asarray(targets)
     ids, target_pos = draw_negatives(rng, out_w.data.shape[1], sample_count, targets)
     logits = sampled_logits(hidden, out_w, out_b, ids)
-    return cross_entropy_rows(logits, target_pos, np.ones(targets.size))
+    return cross_entropy_rows(logits, target_pos)
 
 
 def full_loss(out_w, out_b, hidden, targets):
@@ -552,6 +552,64 @@ def test_eval_loss_does_not_hold_a_copy_of_the_output_weight():
     assert peak < 3.0 * weight_bytes
 
 
+def _padded_batch(hp=TINY):
+    # lengths 5, 1, 0 and 2: 12 real rows (words and EOS) of 4 * 6
+    return make_batch([[5, 6, 5, 4, 3], [6], [], [4, 5]], hp.vocab_size)
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_only_the_real_decoder_rows_reach_the_output_layer(monkeypatch, mode):
+    scored = []
+
+    def counted(h, w, b, ids):
+        scored.append(h.data.shape[0])
+        return sampled_logits(h, w, b, ids)
+
+    monkeypatch.setattr("lenvae.model.sampled_logits", counted)
+    hp, params = TINY, tiny_params(30)
+    batch = _padded_batch()
+    total_loss(batch, params, hp, 1.0, mode, np.random.default_rng(31),
+               dropout_keep=0.87, word_drop_p=0.2)
+    assert scored == [int((batch.lengths + 1).sum())] == [12]
+
+
+def test_eval_loss_memory_follows_the_real_rows_not_the_padded_ones():
+    # one 30-word sentence and fifteen 2-word ones: 76 of 496 rows are real.
+    # The bound is six (real rows, V) float32 arrays; the padded (496, V)
+    # logits alone are 6.5 of them
+    hp = HyperParams(vocab_size=5000)
+    params = init_params(hp, np.random.default_rng(32))
+    rng = np.random.default_rng(33)
+    sentences = [rng.integers(4, hp.vocab_size, size=n).tolist() for n in [30] + [2] * 15]
+    batch = make_batch(sentences, hp.vocab_size)
+    real_rows = int((batch.lengths + 1).sum())
+    assert (real_rows, batch.ids.size + batch.ids.shape[0]) == (76, 496)
+    tracemalloc.start()
+    try:
+        total_loss(batch, params, hp, 1.0, "eval")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.0 * real_rows * hp.vocab_size * 4
+
+
+def test_training_draws_each_random_array_at_the_padded_batch_shape():
+    # word dropout, eps, the hidden-state dropout mask and the candidate keys
+    # are drawn in this order at the shapes of the whole padded batch, so
+    # each sentence sees the same noise whichever rows are computed
+    hp, params = TINY, tiny_params(34)
+    batch = _padded_batch()
+    rows, width = batch.ids.shape
+    rng = np.random.default_rng(35)
+    total_loss(batch, params, hp, 1.0, "train", rng, dropout_keep=0.87, word_drop_p=0.2)
+    reference = np.random.default_rng(35)
+    reference.random((rows, width + 1))
+    reference.standard_normal((rows, hp.latent_dim))
+    reference.random(((width + 1) * rows, hp.cell_size))
+    reference.random(hp.vocab_size)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
 def _loss_and_gradients(batch, params, hp, mode, rng=None, **kwargs):
     params.zero_grads()
     loss, _ = total_loss(batch, params, hp, 1.0, mode, rng, **kwargs)
@@ -618,11 +676,12 @@ def _log_softmax(logits):
 
 
 def _recon_inputs(hp, params, batch, eps):
-    """Time-major (T*B, cell) teacher-forced states, flat targets and mask."""
-    dec_in, targets, mask = decoder_targets(batch)
+    """Time-major (T*B, cell) teacher-forced states, their targets and the
+    indices of the real rows."""
+    dec_in, targets, live = decoder_targets(batch)
     z = reparameterize(encode(batch, params, hp), eps)
     states = decoder_states(z, dec_in, batch.lengths, params, hp).data
-    return states, targets, mask
+    return states, targets, live
 
 
 def test_training_reconstruction_is_one_sampled_softmax_over_one_shared_set():
@@ -639,9 +698,8 @@ def test_training_reconstruction_is_one_sampled_softmax_over_one_shared_set():
     reference = np.random.default_rng(21)
     keys = reference.random(hp.vocab_size)
     assert rng.bit_generator.state == reference.bit_generator.state
-    states, targets, mask = _recon_inputs(hp, params, batch, eps)
-    targets, mask = targets.T.ravel(), mask.T.ravel()
-    distinct = np.unique(targets)
+    states, targets, live = _recon_inputs(hp, params, batch, eps)
+    distinct = np.unique(targets)   # every row's target, PAD included
     keys[distinct] = 2.0
     negatives = np.argsort(keys)[:hp.softmax_samples]
     in_set = np.isin(np.arange(hp.vocab_size), distinct) | \
@@ -649,9 +707,9 @@ def test_training_reconstruction_is_one_sampled_softmax_over_one_shared_set():
     ids = np.flatnonzero(in_set)   # the set, ascending
     assert len(ids) < hp.vocab_size   # a proper subset of the vocabulary
     w, b = params["out.W"].data, params["out.b"].data
-    log_probs = _log_softmax(states @ w[:, ids] + b[ids])
-    target_pos = np.cumsum(in_set)[targets] - 1
-    expected = -(mask * log_probs[np.arange(len(targets)), target_pos]).sum() / 3
+    log_probs = _log_softmax(states[live] @ w[:, ids] + b[ids])
+    target_pos = np.cumsum(in_set)[targets[live]] - 1
+    expected = -log_probs[np.arange(live.size), target_pos].sum() / 3
     np.testing.assert_allclose(comps["reconstruction"], expected, rtol=1e-12)
 
 
@@ -678,12 +736,13 @@ def test_eval_reconstruction_equals_per_step_sum():
     eps = np.random.default_rng(25).standard_normal((3, hp.latent_dim))
     _, comps = total_loss(batch, params, hp, 1.0, "eval", eps=eps)
 
-    states, targets, mask = _recon_inputs(hp, params, batch, eps)
-    n, steps = targets.shape
+    states, targets, live = _recon_inputs(hp, params, batch, eps)
+    n = batch.ids.shape[0]
     per_step = 0.0
-    for t in range(steps):
-        logits = affine(Tensor(states[t * n:(t + 1) * n]), params["out.W"], params["out.b"])
-        per_step += float(cross_entropy_rows(logits, targets[:, t], mask[:, t]).data)
+    for t in range(targets.size // n):
+        rows = live[(live >= t * n) & (live < (t + 1) * n)]
+        logits = affine(Tensor(states[rows]), params["out.W"], params["out.b"])
+        per_step += float(cross_entropy_rows(logits, targets[rows]).data)
     np.testing.assert_allclose(comps["reconstruction"], per_step / n, rtol=1e-12)
 
 
@@ -698,12 +757,13 @@ def test_total_loss_rejects_bad_mode_and_weight():
 
 def test_decoder_targets_layout():
     batch = _two_sentence_batch()
-    dec_in, targets, mask = decoder_targets(batch)
+    dec_in, targets, live = decoder_targets(batch)
     np.testing.assert_array_equal(dec_in[0], [2, 5, 6, 5])   # BOS then words
-    np.testing.assert_array_equal(targets[0], [5, 6, 5, EOS_ID])
     np.testing.assert_array_equal(dec_in[1], [2, 6, 5, PAD_ID])
-    np.testing.assert_array_equal(targets[1], [6, 5, EOS_ID, PAD_ID])
-    np.testing.assert_array_equal(mask, [[1, 1, 1, 1], [1, 1, 1, 0]])
+    # time-major: step t of sentence r at t*B + r
+    np.testing.assert_array_equal(targets[0::2], [5, 6, 5, EOS_ID])
+    np.testing.assert_array_equal(targets[1::2], [6, 5, EOS_ID, PAD_ID])
+    np.testing.assert_array_equal(live, [0, 1, 2, 3, 4, 5, 6])   # all but the PAD
 
 
 def test_full_model_gradient_check_single_instance():

@@ -125,8 +125,7 @@ def test_affine():
 
 def test_cross_entropy_rows():
     targets = np.array([1, 3, 0])
-    weights = np.array([1.0, 0.5, 0.0])  # zero weight must kill that row's grad
-    fd_check(lambda lg: cross_entropy_rows(lg, targets, weights), 1, [(3, 5)])
+    fd_check(lambda lg: cross_entropy_rows(lg, targets), 1, [(3, 5)])
 
 
 def test_weighted_cross_entropy_rows():
@@ -135,7 +134,7 @@ def test_weighted_cross_entropy_rows():
 
 
 @pytest.mark.parametrize("loss_of", [
-    lambda lg, t, c: cross_entropy_rows(lg, t, np.linspace(0.5, 1.5, t.size)),
+    lambda lg, t, c: cross_entropy_rows(lg, t),
     lambda lg, t, c: weighted_cross_entropy_rows(lg, c),
 ], ids=["cross_entropy_rows", "weighted_cross_entropy_rows"])
 def test_cross_entropy_backward_holds_one_logit_sized_array(loss_of):
@@ -166,7 +165,7 @@ def test_sampled_logits():
     targets = np.array([2, 0])
 
     def build(h, w, b):
-        return cross_entropy_rows(sampled_logits(h, w, b, ids), targets, np.ones(2))
+        return cross_entropy_rows(sampled_logits(h, w, b, ids), targets)
     # seed 1: every nonzero gradient is >= 0.02, well above central-difference noise
     fd_check(build, 3, [(2, 3), (3, 5), (5,)], seed=1)
 
@@ -197,7 +196,7 @@ def test_sampled_logits_rejects_ids_that_are_not_ascending_distinct_columns(ids)
 
 def _sampled_loss(h, w, b, ids=(0, 2, 4)):
     logits = sampled_logits(h, w, b, np.array(ids))
-    return cross_entropy_rows(logits, np.array([2, 0]), np.ones(2))
+    return cross_entropy_rows(logits, np.array([2, 0]))
 
 
 def _sampled_leaves(seed, vocab=5):
@@ -451,20 +450,19 @@ def test_cross_entropy_ops_are_log_softmax_rows(shape, scale_by):
     x = scale_by * rng.standard_normal(shape)
     rows = np.arange(shape[0])
     targets = rng.integers(0, shape[1], shape[0])
-    weights = rng.uniform(0.0, 2.0, shape[0])
     counts = rng.integers(0, 3, shape) * (rng.random(shape) < 0.05)
     counts[:, 0] += 1  # every row has a word
     lp = log_softmax_rows(x)
     n = counts.sum(axis=1)
 
     logits = Tensor(x.copy())
-    ce = cross_entropy_rows(logits, targets, weights)
+    ce = cross_entropy_rows(logits, targets)
     ce.backward()
-    assert ce.data.tobytes() == np.asarray(-(weights * lp[rows, targets]).sum()).tobytes()
-    old = (weights * (_logsumexp_reference(x) - x[rows, targets])).sum()
+    assert ce.data.tobytes() == np.asarray(-lp[rows, targets].sum()).tobytes()
+    old = (_logsumexp_reference(x) - x[rows, targets]).sum()
     np.testing.assert_allclose(ce.data, old, rtol=1e-14)
-    old_grad = _softmax_reference(x) * weights[:, None]
-    old_grad[rows, targets] -= weights
+    old_grad = _softmax_reference(x)
+    old_grad[rows, targets] -= 1.0
     np.testing.assert_allclose(logits.grad, old_grad, rtol=0,
                                atol=1e-14 * np.abs(old_grad).max())
 
