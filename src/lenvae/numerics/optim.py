@@ -37,18 +37,22 @@ class AdamState:
         return state
 
 
-def _adam_blocks(blocks, dtype, m_corr: float, v_corr: float,
-                 learning_rate: float, grad_scale: float) -> None:
-    """The Adam update of each (gradient, m, v, value) block of flat views,
-    in place, through two scratch blocks of its own in ``dtype``; scales
-    each gradient block by ``grad_scale`` first (unless it is 1). A block
-    whose gradient is None has a zero gradient: its moments become
-    ``b1*m + 0.0`` and ``b2*v + 0.0``, as a block of zeros would make them,
-    sign of zero included."""
+def _adam_walk(g, m, v, p, m_corr: float, v_corr: float,
+               learning_rate: float, grad_scale: float) -> None:
+    """The Adam update of one parameter's value ``p`` and moments ``m`` and
+    ``v``, in place, walked through their flat views in slices of ``BLOCK``
+    values with two scratch blocks of ``p``'s dtype; scales each gradient
+    block by ``grad_scale`` first (unless it is 1). A None ``g`` is a zero
+    gradient: the moments become ``b1*m + 0.0`` and ``b2*v + 0.0``, as a
+    gradient of zeros would make them, sign of zero included."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    size = max((mb.size for _, mb, *_ in blocks), default=0)
-    scratch1, scratch2 = np.empty(size, dtype), np.empty(size, dtype)
-    for gb, mb, vb, pb in blocks:
+    scratch1, scratch2 = np.empty((2, min(p.size, BLOCK)), p.dtype)
+    # the slices row_blocks gives a flat view, cut here: a row_blocks call
+    # per array took about a sixth of a desk-shaped step's walk (22 small
+    # parameters)
+    flats = [None if a is None else a.reshape(-1) for a in (g, m, v, p)]
+    for lo in range(0, p.size, BLOCK):
+        gb, mb, vb, pb = [None if f is None else f[lo:lo + BLOCK] for f in flats]
         s1, s2 = scratch1[:mb.size], scratch2[:mb.size]
         if gb is None:
             np.multiply(mb, b1, out=mb)
@@ -74,45 +78,38 @@ def _adam_blocks(blocks, dtype, m_corr: float, v_corr: float,
         np.subtract(pb, s1, out=pb)
 
 
-def _flat_blocks(*arrays):
-    """Consecutive ``BLOCK``-value slices of the arrays' flat views, one
-    list per slice; a None array gives None in each."""
-    flats = [None if a is None else a.reshape(-1) for a in arrays]
-    size = next(f.size for f in flats if f is not None)
-    return [[None if f is None else f[lo:lo + BLOCK] for f in flats]
-            for lo in range(0, size, BLOCK)]
-
-
 def adam_step(params: ParamStore, state: AdamState, grad_scale: float = 1.0) -> None:
     """In-place update of every parameter from its gradient times
     ``grad_scale``; drops every gradient after.
 
     Every gradient is checked first (present, and of its parameter's shape
-    and dtype), so a bad one raises before any state changes. A dense
-    gradient that is not C-contiguous (a caller's transposed or strided
-    array) is walked through a copy in C order, so that array is left as
-    it was; a C-contiguous one is scaled in place. Each parameter's
-    (gradient, m, v, value) is walked through flat views (``reshape(-1)``;
-    ``ParamStore`` keeps each value C-contiguous, so the views write
-    through) in blocks of ``BLOCK`` values, so memory is read once per
-    step. Each block makes the textbook expression's operations in the
-    textbook order, so the result is bit-identical to evaluating
-    ``g = g * grad_scale``, ``m = b1*m + (1-b1)*g``,
+    and dtype), so a bad one raises before any state changes. Then the
+    parameters are walked one at a time. A dense gradient that is not
+    C-contiguous (a caller's transposed or strided array) is walked through
+    a copy in C order, so that array is left as it was; a C-contiguous one
+    is scaled in place. A parameter's (gradient, m, v, value) are walked
+    through flat views (``reshape(-1)``; ``ParamStore`` keeps each value
+    C-contiguous, so the views write through) in blocks of ``BLOCK``
+    values, so memory is read once per step, with scratch in the
+    parameter's own dtype. Each block makes the textbook expression's
+    operations in the textbook order, so the result is bit-identical to
+    evaluating ``g = g * grad_scale``, ``m = b1*m + (1-b1)*g``,
     ``v = b2*v + (1-b2)*(g*g)`` and
     ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` with fresh arrays. The scale
     is how a clip (``clip_grad_norm``'s factor) reaches the gradients: each
     block is multiplied while it is in cache, not in a pass of its own.
-    Every constant is a python float, so a float32 store is updated in
+    Every constant is a python float, so a float32 parameter is updated in
     float32 (numpy's scalar promotion).
 
-    Every ``SlicedGrad`` (a gathered or sampled table's gradient), also one
-    whose index is every row or column, is walked in two parts. Its touched
-    entries' m, v and value are gathered into copies, which take the walk
-    above with the compact block as the gradient. The whole table takes the
-    zero-gradient walk (``m = b1*m + 0.0``, ``v = b2*v + 0.0``, the same
-    value update), and the copies are then written back over the touched
-    entries. So every entry is updated bit for bit as a dense gradient,
-    zero outside the index, would update it.
+    A ``SlicedGrad`` (a gathered or sampled table's gradient), also one
+    whose index is every row or column, is walked in three parts before the
+    next parameter. Its touched entries' m, v and value are gathered into
+    copies, which take the walk above with the compact block as the
+    gradient. The whole table takes the zero-gradient walk
+    (``m = b1*m + 0.0``, ``v = b2*v + 0.0``, the same value update), and
+    the copies are then written back over the touched entries. So every
+    entry is updated bit for bit as a dense gradient, zero outside the
+    index, would update it.
 
     The walk runs on the calling thread. Afterwards every ``t.grad`` is
     ``None``, so a gradient lives for one step and the next backward makes
@@ -125,22 +122,19 @@ def adam_step(params: ParamStore, state: AdamState, grad_scale: float = 1.0) -> 
             raise ValueError(f"gradient of {name!r} is {t.grad.dtype}{t.grad.shape}, "
                              f"parameter is {t.data.dtype}{t.data.shape}")
     state.step += 1
-    blocks, touched = [], []
+    walk = (1.0 - ADAM_BETA1 ** state.step, 1.0 - ADAM_BETA2 ** state.step,
+            state.learning_rate, float(grad_scale))
     for name, t in params.items():
         m, v = state.m[name], state.v[name]
         if isinstance(t.grad, SlicedGrad):
             flat = t.grad.flat_index()
             copies = [a.reshape(-1)[flat] for a in (m, v, t.data)]
-            touched.append(([m, v, t.data], flat, copies))
-            blocks += _flat_blocks(t.grad.values, *copies) + _flat_blocks(None, m, v, t.data)
+            _adam_walk(t.grad.values, *copies, *walk)
+            _adam_walk(None, m, v, t.data, *walk)
+            for a, c in zip((m, v, t.data), copies):
+                a.reshape(-1)[flat] = c
         else:
-            blocks += _flat_blocks(np.ascontiguousarray(t.grad), m, v, t.data)
-    largest = max((t.data for _, t in params.items()), key=np.size, default=np.empty(0))
-    _adam_blocks(blocks, largest.dtype, 1.0 - ADAM_BETA1 ** state.step,
-                 1.0 - ADAM_BETA2 ** state.step, state.learning_rate, float(grad_scale))
-    for arrays, flat, copies in touched:
-        for a, c in zip(arrays, copies):
-            a.reshape(-1)[flat] = c
+            _adam_walk(np.ascontiguousarray(t.grad), m, v, t.data, *walk)
     params.zero_grads()
 
 

@@ -41,8 +41,8 @@ class ParamStore:
             t.grad = None
 
 
-def row_blocks(a: np.ndarray, values: int = BLOCK):
+def row_blocks(a: np.ndarray):
     """Views of ``a`` in consecutive slices along its first axis, each of
-    as many whole rows as fit in ``values`` values, but at least one."""
-    rows = max(1, values // max(1, math.prod(a.shape[1:])))
+    as many whole rows as fit in ``BLOCK`` values, but at least one."""
+    rows = max(1, BLOCK // max(1, math.prod(a.shape[1:])))
     return [a[lo:lo + rows] for lo in range(0, a.shape[0], rows)]

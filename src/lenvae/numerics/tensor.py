@@ -30,9 +30,9 @@ of the value's shape; training never calls it.
 float32 is the compute type of training and decoding; float64 is the
 reference that the gradient check and the exactness tests ask for. Every op
 computes in the dtype of the tensors it differentiates: a constant array
-(mask, noise, step weights, target weights, counts) is cast to it, and a
-python scalar does not widen an array (numpy's scalar promotion), so a
-float32 store gives float32 values, gradients and loss throughout.
+(mask, noise, step weights, counts) is cast to it, and a python scalar
+does not widen an array (numpy's scalar promotion), so a float32 store
+gives float32 values, gradients and loss throughout.
 """
 
 import numpy as np
@@ -367,6 +367,10 @@ def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
             grad = _sliced_rows(table, _sorted_distinct(idx))
             np.add.at(grad.values, np.searchsorted(grad.index, idx), g)
         else:
+            # added in place, not handed to ``_accum`` as a scatter of its
+            # own: the decoder's gather of z runs after z's other consumers
+            # have given it a gradient, and summing the rows into that
+            # gradient one by one is the order the trained parameters keep
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
             np.add.at(table.grad, idx, g)

@@ -223,15 +223,15 @@ def test_lstm_sequence_matches_unrolled_cell(steps, zero_start):
 
 
 def test_row_blocks_cover_the_rows_in_order_at_least_one_row_each():
-    # whole rows up to ``values`` values per view, one row when a row is
+    # whole rows up to ``BLOCK`` values per view, one row when a row is
     # wider; the views cover the rows in order and write through
-    a = np.zeros((5, 7))
-    assert [b.shape[0] for b in row_blocks(a, values=15)] == [2, 2, 1]
-    blocks = row_blocks(a, values=3)
+    assert [b.shape[0] for b in row_blocks(np.zeros((5, 30000)))] == [2, 2, 1]
+    a = np.zeros((5, 70000))
+    blocks = row_blocks(a)
     assert [b.shape[0] for b in blocks] == [1] * 5
     for i, b in enumerate(blocks):
         b[...] = i
-    np.testing.assert_array_equal(a, np.arange(5.0)[:, None] * np.ones(7))
+    np.testing.assert_array_equal(a, np.arange(5.0)[:, None] * np.ones(70000))
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +338,24 @@ def _textbook_adam(store, state, grads):
     return out
 
 
-def test_adam_block_walk_bit_identical_to_textbook():
-    # an output-layer-shaped weight of many blocks beside smaller ones
+# an output-layer-shaped weight of many blocks beside smaller ones, and a
+# float32 weight beside a float64 one, each walked in its own dtype
+@pytest.mark.parametrize("shapes", [
+    (("out.W", (243, 4000), np.float64), ("embed.W", (4000, 40), np.float64),
+     ("out.b", (4000,), np.float64), ("ragged", (BLOCK + 7,), np.float64)),
+    (("w", (300, 300), np.float32), ("b", (7, 5), np.float64)),
+], ids=["paper", "mixed"])
+def test_adam_block_walk_bit_identical_to_textbook(shapes):
     rng = np.random.default_rng(31)
     store = ParamStore()
-    for name, shape in (("out.W", (243, 4000)), ("embed.W", (4000, 40)), ("out.b", (4000,)),
-                        ("ragged", (BLOCK + 7,))):
-        store.add(name, rng.standard_normal(shape))
+    for name, shape, dtype in shapes:
+        store.add(name, rng.standard_normal(shape).astype(dtype))
     values = {name: t.data for name, t in store.items()}
     state = adam_for(store, learning_rate=0.002)
     for _ in range(3):
         grads = {}
         for name, t in store.items():
-            t.grad = rng.standard_normal(t.data.shape)
+            t.grad = rng.standard_normal(t.data.shape).astype(t.data.dtype)
             grads[name] = t.grad.copy()
         expected = _textbook_adam(store, state, grads)
         adam_step(store, state)
@@ -517,10 +522,13 @@ def test_adam_on_a_sliced_gradient_equals_the_dense_walk_bit_for_bit(dtype):
         v = np.abs(rng.standard_normal(t.data.shape)).astype(dtype)
         for state in states:
             state.m[name], state.v[name], state.step = m.copy(), v.copy(), 3
+    arrays = {name: (t.data, states[0].m[name], states[0].v[name]) for name, t in sliced.items()}
     adam_step(sliced, states[0], 0.37)
     adam_step(dense, states[1], 0.37)
     for name, t in sliced.items():
         assert t.grad is None, name
+        p, m, v = arrays[name]   # updated in place
+        assert t.data is p and states[0].m[name] is m and states[0].v[name] is v, name
         assert t.data.tobytes() == dense[name].data.tobytes(), name
         assert states[0].m[name].tobytes() == states[1].m[name].tobytes(), name
         assert states[0].v[name].tobytes() == states[1].v[name].tobytes(), name

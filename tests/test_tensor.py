@@ -524,7 +524,10 @@ GRAD_WRITERS = {
     ("numerics/tensor.py", "Tensor.backward"),
     ("numerics/tensor.py", "_accum"),
     ("numerics/tensor.py", "_sliced_rows"),
-    ("numerics/tensor.py", "gather_rows.bw"),       # an interior table's zeros
+    # an interior table's zeros: its rows are added into the gradient in
+    # place, since z already holds one when the decoder's gather of it runs
+    # its backward, and a scatter handed to ``_accum`` sums in another order
+    ("numerics/tensor.py", "gather_rows.bw"),
     ("numerics/tensor.py", "sampled_logits.bw"),
     ("numerics/params.py", "ParamStore.zero_grads"),
 }
