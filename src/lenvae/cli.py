@@ -19,7 +19,7 @@ from .model import tiny_gradcheck_instance
 from .numerics import grad_check
 from .probe import probe_experiment
 from .textpipe import (
-    Vocabulary, build_vocab, default_toy_grammar, filter_by_length,
+    BOS, EOS, PAD, Vocabulary, build_vocab, default_toy_grammar, filter_by_length,
     generate_toy_corpus, normalize,
 )
 from .training import train
@@ -50,10 +50,17 @@ def _echo_config(cfg, out_dir):
 
 
 def _load_corpus(corpus_path, vocab):
-    """One id list per non-blank line, each line encoded as it is read, so
-    no line or token string outlives its own encoding."""
+    """One id list per non-blank line, each line encoded as it is read, so no
+    line or token string outlives its encoding. A literal PAD, BOS or EOS is refused."""
+    sentences = []
     with open(corpus_path, encoding="utf-8") as f:
-        return [vocab.encode(tokens) for tokens in map(str.split, f) if tokens]
+        for number, tokens in enumerate(map(str.split, f), start=1):
+            control = next((t for t in tokens if t in (PAD, BOS, EOS)), None)
+            if control is not None:
+                raise ValueError(f"{corpus_path} line {number} holds the control token {control}")
+            if tokens:
+                sentences.append(vocab.encode(tokens))
+    return sentences
 
 
 # ---------------------------------------------------------------------------

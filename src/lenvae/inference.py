@@ -145,9 +145,8 @@ def beam_search(z: np.ndarray, request: DecodeRequest, params: ParamStore,
     dtype = params["out.W"].data.dtype
     z = np.asarray(z, dtype=dtype)
     state = init_decoder_state(z[None, :], params, hp)
-    # every row shares the countdown, so one row per step serves the beam
-    len_rows = length_input(np.array([initial_length]), np.arange(request.max_tokens)[:, None],
-                            params, hp).data
+    # every beam row shares the countdown, so step t's one row serves them all
+    len_rows = length_input(initial_length - np.arange(request.max_tokens), params, hp).data
     embed = params["embed.W"].data
     ids = np.zeros((1, 0), dtype=np.intp)
     log_prob = np.zeros(1, dtype)

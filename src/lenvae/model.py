@@ -38,15 +38,17 @@ the one dense (bow_width, V) array of a step.
 Training runs each LSTM layer over the whole sequence as one autograd node
 (``numerics.lstm_sequence``: one input GEMM against w[:I], h @ w[I:] per
 step, a hand-written backward through time). Its inputs and states are
-time-major rows, step t of batch row r at row t*B + r. Under teacher forcing
-every decoder input is known up front, so the decoder's layers run that way
-too (``decoder_states``); the loss gathers the real rows of the (T*B, cell)
+time-major rows, step t of batch row r at row t*B + r; ``batch_rows``, the
+one reader of a batch's ids and lengths, owns that layout. Under teacher
+forcing every decoder input is known up front, so the decoder's layers run
+that way too (``decoder_states``); the loss gathers the real rows of the (T*B, cell)
 states once for one dropout mask, candidate draw and cross-entropy.
 Inference steps the decoder on plain arrays with no graph (``decode_step``),
 through the packed [x, h] @ W + b GEMM and the same cell nonlinearity.
 """
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,41 +176,53 @@ def init_params(hp: HyperParams, rng: np.random.Generator, dtype=np.float32) -> 
 # encoder
 # ---------------------------------------------------------------------------
 
-def _reverse_within_length(ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Per row, reverse the first ``length`` entries and keep PAD at the end."""
-    n, width = ids.shape
-    cols = lengths[:, None] - 1 - np.arange(width)[None, :]
-    valid = cols >= 0
-    out = np.full_like(ids, PAD_ID)
-    rows = np.repeat(np.arange(n)[:, None], width, axis=1)
-    out[valid] = ids[rows[valid], cols[valid]]
-    return out
+class BatchRows(NamedTuple):
+    """A batch's rows as the model reads them; time-major arrays hold step t
+    of sentence r at row t*B + r."""
+
+    enc_ids: tuple           # (T*B,) forward ids, then reversed within length; PAD after
+    enc_weights: np.ndarray  # (T, B): 1/length on the words, 0 after
+    dec_in: np.ndarray       # (B, T+1): BOS, the words, PAD
+    targets: np.ndarray      # ((T+1)*B,): the words, EOS, PAD
+    live: np.ndarray         # ascending indices of the word and EOS targets
+    countdown: np.ndarray    # ((T+1)*B,): length - step for every decoder row
 
 
-def encoder_mean(batch: Batch, params: ParamStore, hp: HyperParams) -> Tensor:
-    """(B, 2*cell) mean over true steps of the concatenated bi-LSTM states.
-
-    Each direction is one ``lstm_sequence`` node over the time-major
-    embeddings, and one ``weighted_step_sum`` takes the masked mean of its
-    (T*B, cell) states.
-    """
+def batch_rows(batch: Batch) -> BatchRows:
+    """Every index array the model reads from ``batch``, built once."""
     ids, lengths = batch.ids, batch.lengths
     n, width = ids.shape
-    step_mask = (np.arange(width)[None, :] < lengths[:, None]).astype(np.float64)
-    inv_len = (1.0 / np.maximum(lengths, 1)).astype(np.float64)
-    step_weights = (step_mask * inv_len[:, None]).T   # (T, B)
+    steps, sentence = np.arange(width + 1)[:, None], np.arange(n)
+    words = steps[:width] < lengths
+    reversed_ids = ids.T[np.where(words, lengths - 1 - steps[:width], 0), sentence]
+    enc_ids = (ids.T.ravel(), np.where(words, reversed_ids, PAD_ID).ravel())
+    enc_weights = np.where(words, 1.0 / np.maximum(lengths, 1), 0.0)
+    dec_in = np.concatenate([np.full((n, 1), BOS_ID), ids], axis=1)
+    targets = np.concatenate([ids.T, np.full((1, n), PAD_ID)])
+    targets[lengths, sentence] = EOS_ID
+    return BatchRows(enc_ids, enc_weights, dec_in, targets.ravel(),
+                     np.flatnonzero(steps <= lengths), (lengths - steps).ravel())
 
+
+def encoder_mean(rows: BatchRows, params: ParamStore, hp: HyperParams) -> Tensor:
+    """(B, 2*cell) mean over true steps of the concatenated bi-LSTM states.
+
+    Each direction is one ``lstm_sequence`` node over the embeddings of its
+    ``rows.enc_ids``, and one ``weighted_step_sum`` with ``rows.enc_weights``
+    takes the mean of its (T*B, cell) states over the words.
+    """
+    width, n = rows.enc_weights.shape
     means = []
-    for direction, dir_ids in (("enc_fwd", ids), ("enc_bwd", _reverse_within_length(ids, lengths))):
-        emb = gather_rows(params["embed.W"], dir_ids.T.ravel())
+    for direction, dir_ids in zip(("enc_fwd", "enc_bwd"), rows.enc_ids):
+        emb = gather_rows(params["embed.W"], dir_ids)
         states = lstm_sequence(emb, zeros((n, hp.cell_size), emb.data.dtype),
                                params[f"{direction}.W"], params[f"{direction}.b"], width)
-        means.append(weighted_step_sum(states, step_weights))
+        means.append(weighted_step_sum(states, rows.enc_weights))
     return concat_cols(means)
 
 
-def encode(batch: Batch, params: ParamStore, hp: HyperParams) -> LatentParams:
-    mean = encoder_mean(batch, params, hp)
+def encode(rows: BatchRows, params: ParamStore, hp: HyperParams) -> LatentParams:
+    mean = encoder_mean(rows, params, hp)
     mu = affine(mean, params["mu.W"], params["mu.b"])
     logvar = affine(mean, params["logvar.W"], params["logvar.b"])
     return LatentParams(mu=mu, logvar=logvar)
@@ -226,7 +240,7 @@ def posterior_means(sentences, params: ParamStore, hp: HyperParams,
     rows = [np.empty((0, hp.latent_dim), params["mu.b"].data.dtype)]
     for start in range(0, len(sentences), batch_size):
         batch = make_batch(sentences[start:start + batch_size], hp.vocab_size)
-        rows.append(encode(batch, params, hp).mu.data)
+        rows.append(encode(batch_rows(batch), params, hp).mu.data)
     return np.concatenate(rows, axis=0)
 
 
@@ -247,18 +261,15 @@ def kl_divergence(latent: LatentParams) -> Tensor:
 # length countdown
 # ---------------------------------------------------------------------------
 
-def length_input(start: np.ndarray, t, params: ParamStore, hp: HyperParams) -> Tensor:
-    """Length input for countdowns that start at the (B,) ints ``start`` and
-    fall by one per decoder step: (B, len_embed_size) at step ``t`` (an int),
-    or, for a (T, 1) array of steps, the T blocks stacked time-major into
-    (T*B, len_embed_size).
+def length_input(countdown: np.ndarray, params: ParamStore, hp: HyperParams) -> Tensor:
+    """(N, len_embed_size) length input for the flat (N,) ints ``countdown``.
 
-    With ``lenemb``: the ``len_table`` row at min(max(start - t, 0),
-    max_len_index) for each row, so the countdown floors at 0 and values
+    With ``lenemb``: the ``len_table`` row at min(max(countdown, 0),
+    max_len_index) for each entry, so the countdown floors at 0 and values
     beyond the table clamp to its last row. Without it: a zero leaf of the
     parameters' dtype.
     """
-    index = np.minimum(np.maximum(start - t, 0), hp.max_len_index).ravel()
+    index = np.minimum(np.maximum(countdown, 0), hp.max_len_index)
     if not hp.lenemb:
         return zeros((index.size, hp.len_embed_size), params["embed.W"].data.dtype)
     return gather_rows(params["len_table.W"], index)
@@ -312,10 +323,10 @@ def decode_step(z: np.ndarray, prev_emb: np.ndarray, len_emb: np.ndarray, state:
     return logits, new_state
 
 
-def decoder_states(z: Tensor, dec_in: np.ndarray, start: np.ndarray,
+def decoder_states(z: Tensor, dec_in: np.ndarray, countdown: np.ndarray,
                    params: ParamStore, hp: HyperParams) -> Tensor:
     """Teacher-forced top-layer states, (T*B, cell) time-major, for the
-    (B, T) decoder input ids ``dec_in`` and countdowns starting at ``start``.
+    (B, T) decoder input ids ``dec_in`` and the rows' (T*B,) ``countdown``.
 
     Every step's input [previous-token embedding, z, length embedding] is
     known up front, so each layer is one ``lstm_sequence`` node: layer 0
@@ -326,7 +337,7 @@ def decoder_states(z: Tensor, dec_in: np.ndarray, start: np.ndarray,
     step_input = concat_cols([
         gather_rows(params["embed.W"], dec_in.T.ravel()),
         gather_rows(z, np.tile(np.arange(n), steps)),
-        length_input(start, np.arange(steps)[:, None], params, hp),
+        length_input(countdown, params, hp),
     ])
     c0 = affine(z, params["dec_init.W"], params["dec_init.b"])
     below = None
@@ -391,22 +402,6 @@ def word_dropout(decoder_input_ids: np.ndarray, p: float, rng) -> np.ndarray:
     out = decoder_input_ids.copy()
     out[drop & ~protected] = UNK_ID
     return out
-
-
-def decoder_targets(batch: Batch):
-    """Teacher-forcing arrays: inputs (B, T+1) starting with BOS, targets
-    ((T+1)*B,) time-major as the decoder's states, each sentence's words
-    then EOS then PAD, and ``live``, the ascending indices of words and EOS."""
-    ids, lengths = batch.ids, batch.lengths
-    n, width = ids.shape
-    dec_in = np.full((n, width + 1), PAD_ID, dtype=np.intp)
-    dec_in[:, 0] = BOS_ID
-    dec_in[:, 1:] = ids
-    targets = np.full((width + 1, n), PAD_ID, dtype=np.intp)
-    targets[:width] = ids.T
-    targets[lengths, np.arange(n)] = EOS_ID
-    live = np.flatnonzero(np.arange(width + 1)[:, None] <= lengths[None, :])
-    return dec_in, targets.ravel(), live
 
 
 def tiny_gradcheck_instance(index: int, **changes):
@@ -477,19 +472,17 @@ def total_loss(batch: Batch, params: ParamStore, hp: HyperParams, kl_weight: flo
     if not 0.0 <= kl_weight <= 1.0:
         raise ValueError(f"kl_weight must be in [0, 1], got {kl_weight}")
     training = mode == "train"
-    n = batch.ids.shape[0]
-
-    dec_in, targets, live = decoder_targets(batch)
-    if training:
-        dec_in = word_dropout(dec_in, word_drop_p, rng)
-    latent = encode(batch, params, hp)
+    rows = batch_rows(batch)
+    targets, live, n = rows.targets, rows.live, rows.dec_in.shape[0]
+    dec_in = word_dropout(rows.dec_in, word_drop_p, rng) if training else rows.dec_in
+    latent = encode(rows, params, hp)
     if eps is None:
         eps = rng.standard_normal((n, hp.latent_dim)) if training \
             else np.zeros((n, hp.latent_dim))
     z = reparameterize(latent, eps)
     kl_mean = scale(sum_all(kl_divergence(latent)), 1.0 / n)
 
-    states = gather_rows(decoder_states(z, dec_in, batch.lengths, params, hp), live)
+    states = gather_rows(decoder_states(z, dec_in, rows.countdown, params, hp), live)
     if training:
         if dropout_keep < 1.0:
             keep_mask = rng.random((targets.size, hp.cell_size))[live] < dropout_keep

@@ -254,6 +254,24 @@ def test_corpus_load_peaks_under_24_bytes_per_token(tmp_path):
     assert peak / sum(map(len, token_lines)) < 24
 
 
+@pytest.mark.parametrize("token", ["<pad>", "<s>", "</s>"])
+@pytest.mark.parametrize("command", ["train", "probe"])
+def test_corpus_line_with_a_control_token_is_exit_1(trained, tmp_path, capsys, command, token):
+    # read as a word, the token would be trained as the PAD, BOS or EOS id
+    _, _, vocab, _, out_with, out_without = trained
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(f"the cat runs\n\nthe {token} cat runs\n")
+    argv = {
+        "train": ["train", "--corpus", str(corpus), "--vocab", str(vocab),
+                  "--out-dir", str(tmp_path / "run")],
+        "probe": ["probe", "--checkpoint-lenemb", str(out_with / "final.lvae"),
+                  "--checkpoint-no-lenemb", str(out_without / "final.lvae"),
+                  "--corpus", str(corpus), "--out-dir", str(tmp_path / "probe")],
+    }[command]
+    assert run(*argv) == EXIT_FAIL
+    assert capsys.readouterr().err == f"error: {corpus} line 3 holds the control token {token}\n"
+
+
 def test_unknown_flag_is_exit_2(capsys):
     assert run("toy-corpus", "--frobnicate", "1", "--output", "x") == EXIT_USAGE
     capsys.readouterr()

@@ -1,16 +1,21 @@
 """Encoder, latent ops, countdown, decoder and loss oracles."""
 
+import ast
 import itertools
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lenvae import model
 from lenvae.model import (
     GRADCHECK_MIN_GRADIENT, GRADCHECK_SEEDS, INIT_SCALE, HyperParams,
-    LatentParams, bow_loss, decode_step, decoder_states, decoder_targets, draw_negatives, encode,
+    LatentParams, batch_rows, bow_loss, decode_step, decoder_states, draw_negatives, encode,
     encoder_mean, init_decoder_state, init_params, kl_divergence,
     length_input, param_shapes, posterior_means, reparameterize, tiny_gradcheck_instance,
     total_loss,
@@ -19,7 +24,7 @@ from lenvae.numerics import (
     Tensor, affine, cross_entropy_rows, grad_check, sampled_logits, zeros,
 )
 from lenvae.numerics.tensor import _toposort
-from lenvae.textpipe import EOS_ID, PAD_ID, Batch, make_batch
+from lenvae.textpipe import BOS_ID, EOS_ID, PAD_ID, Batch, make_batch
 
 import lstm_reference
 from lstm_reference import lstm_cell_forward
@@ -64,7 +69,7 @@ def test_init_params_draws_each_weight_as_one_uniform_draw():
 def test_encoder_mean_single_token_equals_state():
     hp, params = TINY, tiny_params(1)
     batch = one_sentence_batch([5])
-    mean = encoder_mean(batch, params, hp).data[0]
+    mean = encoder_mean(batch_rows(batch), params, hp).data[0]
 
     emb = Tensor(params["embed.W"].data[[5]])
     h0 = zeros((1, hp.cell_size), np.float64)
@@ -80,7 +85,7 @@ def test_encode_zero_affines_return_biases():
     params["mu.b"].data[:] = 1.5
     params["logvar.W"].data[:] = 0.0
     params["logvar.b"].data[:] = -0.5
-    latent = encode(one_sentence_batch([5, 6, 5]), params, hp)
+    latent = encode(batch_rows(one_sentence_batch([5, 6, 5])), params, hp)
     np.testing.assert_allclose(latent.mu.data, np.full((1, hp.latent_dim), 1.5))
     np.testing.assert_allclose(latent.logvar.data, np.full((1, hp.latent_dim), -0.5))
 
@@ -108,7 +113,7 @@ def _unrolled_direction(ids, params, hp, prefix):
 def test_encoder_mean_matches_hand_unrolled_two_step_cell():
     hp, params = TINY, tiny_params(3)
     t1, t2 = 5, 6
-    mean = encoder_mean(one_sentence_batch([t1, t2]), params, hp).data[0]
+    mean = encoder_mean(batch_rows(one_sentence_batch([t1, t2])), params, hp).data[0]
     fwd = _unrolled_direction([t1, t2], params, hp, "enc_fwd")
     bwd = _unrolled_direction([t2, t1], params, hp, "enc_bwd")  # reads reversed
     expected = np.concatenate([(fwd[0] + fwd[1]) / 2, (bwd[0] + bwd[1]) / 2])
@@ -117,8 +122,8 @@ def test_encoder_mean_matches_hand_unrolled_two_step_cell():
 
 def test_encoder_reversal_swaps_directions():
     hp, params = TINY, tiny_params(4)
-    fwd_half = encoder_mean(one_sentence_batch([5, 6]), params, hp).data[0]
-    rev_half = encoder_mean(one_sentence_batch([6, 5]), params, hp).data[0]
+    fwd_half = encoder_mean(batch_rows(one_sentence_batch([5, 6])), params, hp).data[0]
+    rev_half = encoder_mean(batch_rows(one_sentence_batch([6, 5])), params, hp).data[0]
     h = hp.cell_size
     # backward states over [5,6] are the forward pass of the reversed order,
     # computed by the other direction's weights; only the mean is compared
@@ -136,8 +141,8 @@ def test_encoder_invariant_to_extra_padding():
         lengths=base.lengths.copy(),
         vocab_size=base.vocab_size,
     )
-    latent_a = encode(base, params, hp)
-    latent_b = encode(padded, params, hp)
+    latent_a = encode(batch_rows(base), params, hp)
+    latent_b = encode(batch_rows(padded), params, hp)
     np.testing.assert_allclose(latent_a.mu.data, latent_b.mu.data, atol=1e-14)
     np.testing.assert_allclose(latent_a.logvar.data, latent_b.logvar.data, atol=1e-14)
 
@@ -221,8 +226,7 @@ COUNTDOWN_HP = HyperParams(vocab_size=7, cell_size=3, embed_size=4, latent_dim=2
 def countdown(start, steps, hp=COUNTDOWN_HP):
     params = init_params(hp, np.random.default_rng(0))
     params["len_table.W"].data[:] = np.arange(hp.max_len_index + 1)[:, None]
-    return [int(length_input(np.array([start]), t, params, hp).data[0, 0])
-            for t in range(steps)]
+    return [int(value) for value in length_input(start - np.arange(steps), params, hp).data[:, 0]]
 
 
 def test_countdown_sequence_from_three():
@@ -243,12 +247,12 @@ def test_countdown_exact_for_all_starts_up_to_fifty():
 
 def test_length_embed_lookup_and_clamp():
     hp, params = TINY, tiny_params(6)
-    first = length_input(np.array([2, 2]), 0, params, hp).data
+    first = length_input(np.array([2, 2]), params, hp).data
     np.testing.assert_array_equal(first[0], first[1])  # same index, same vector
     np.testing.assert_allclose(first[0], params["len_table.W"].data[2])
-    beyond = length_input(np.array([hp.max_len_index + 5]), 0, params, hp).data
+    beyond = length_input(np.array([hp.max_len_index + 5]), params, hp).data
     np.testing.assert_allclose(beyond[0], params["len_table.W"].data[hp.max_len_index])
-    later = length_input(np.array([hp.max_len_index + 5]), 6, params, hp).data
+    later = length_input(np.array([hp.max_len_index + 5 - 6]), params, hp).data
     np.testing.assert_allclose(later[0], params["len_table.W"].data[hp.max_len_index - 1])
 
 
@@ -625,7 +629,7 @@ def test_training_reconstruction_equals_eval_with_all_negatives():
         rng = np.random.default_rng(vocab_size)
         batch = make_batch([list(rng.integers(4, vocab_size, size=n)) for n in (3, 5, 2)],
                            vocab_size)
-        distinct = np.unique(decoder_targets(batch)[1]).size
+        distinct = np.unique(batch_rows(batch).targets).size
         eps = rng.standard_normal((3, 2))
         for samples in (vocab_size - 1, vocab_size - distinct):
             hp = HyperParams(vocab_size=vocab_size, cell_size=3, embed_size=4, latent_dim=2,
@@ -678,10 +682,10 @@ def _log_softmax(logits):
 def _recon_inputs(hp, params, batch, eps):
     """Time-major (T*B, cell) teacher-forced states, their targets and the
     indices of the real rows."""
-    dec_in, targets, live = decoder_targets(batch)
-    z = reparameterize(encode(batch, params, hp), eps)
-    states = decoder_states(z, dec_in, batch.lengths, params, hp).data
-    return states, targets, live
+    rows = batch_rows(batch)
+    z = reparameterize(encode(rows, params, hp), eps)
+    states = decoder_states(z, rows.dec_in, rows.countdown, params, hp).data
+    return states, rows.targets, rows.live
 
 
 def test_training_reconstruction_is_one_sampled_softmax_over_one_shared_set():
@@ -755,15 +759,65 @@ def test_total_loss_rejects_bad_mode_and_weight():
         total_loss(batch, params, hp, 1.5, "eval")
 
 
-def test_decoder_targets_layout():
-    batch = _two_sentence_batch()
-    dec_in, targets, live = decoder_targets(batch)
-    np.testing.assert_array_equal(dec_in[0], [2, 5, 6, 5])   # BOS then words
-    np.testing.assert_array_equal(dec_in[1], [2, 6, 5, PAD_ID])
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=8), st.integers(0, 3),
+       st.integers(0, 2**32 - 1))
+def test_batch_rows_match_a_per_sentence_reference(lengths, extra_pad, seed):
+    # the batch of test_encoder_invariant_to_extra_padding, at any B and
+    # lengths; every array is rebuilt one sentence at a time
+    rng = np.random.default_rng(seed)
+    sentences = [rng.integers(4, TINY.vocab_size, size=n).tolist() for n in lengths]
+    base = make_batch(sentences, TINY.vocab_size)
+    batch = Batch(ids=np.pad(base.ids, ((0, 0), (0, extra_pad)), constant_values=PAD_ID),
+                  lengths=base.lengths, vocab_size=base.vocab_size)
+    n, width = batch.ids.shape
+    fwd, bwd = (np.full((width, n), PAD_ID) for _ in range(2))
+    weights = np.zeros((width, n))
+    dec_in = np.full((n, width + 1), PAD_ID)
+    targets = np.full((width + 1, n), PAD_ID)
+    countdown = np.zeros((width + 1, n), dtype=int)
+    for r, words in enumerate(sentences):
+        fwd[:len(words), r] = words
+        bwd[:len(words), r] = words[::-1]
+        weights[:len(words), r] = 1.0 / max(len(words), 1)
+        dec_in[r, :len(words) + 1] = [BOS_ID] + words
+        targets[:len(words) + 1, r] = words + [EOS_ID]
+        countdown[:, r] = [len(words) - t for t in range(width + 1)]
+
+    rows = batch_rows(batch)
     # time-major: step t of sentence r at t*B + r
-    np.testing.assert_array_equal(targets[0::2], [5, 6, 5, EOS_ID])
-    np.testing.assert_array_equal(targets[1::2], [6, 5, EOS_ID, PAD_ID])
-    np.testing.assert_array_equal(live, [0, 1, 2, 3, 4, 5, 6])   # all but the PAD
+    np.testing.assert_array_equal(rows.enc_ids[0], fwd.ravel())
+    np.testing.assert_array_equal(rows.enc_ids[1], bwd.ravel())
+    assert rows.enc_weights.tobytes() == weights.tobytes()
+    np.testing.assert_array_equal(rows.dec_in, dec_in)
+    np.testing.assert_array_equal(rows.targets, targets.ravel())
+    np.testing.assert_array_equal(rows.live, np.flatnonzero(targets.ravel() != PAD_ID))
+    np.testing.assert_array_equal(rows.countdown, countdown.ravel())
+
+
+def _layout_readers():
+    """Qualified names of the functions in model.py that read an ``.ids`` or
+    ``.lengths`` attribute."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in ("ids", "lengths"):
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(Path(model.__file__).read_text()), ())
+    return found
+
+
+def test_only_batch_rows_reads_a_batch_layout():
+    # batch_rows alone turns a batch's ids and lengths into the model's rows,
+    # so moving to packed sequences (sorted sentences, a live prefix per step)
+    # changes batch_rows, lstm_sequence and weighted_step_sum only
+    assert _layout_readers() == {"batch_rows"}
 
 
 def test_full_model_gradient_check_single_instance():
@@ -831,5 +885,5 @@ def test_no_lenemb_model_has_no_length_table():
                           eps=np.zeros((2, hp.latent_dim)))
     assert np.isfinite(comps["total"])
     for t in (0, 5):
-        zero = length_input(np.array([3, 9]), t, params, hp).data
+        zero = length_input(np.array([3, 9]) - t, params, hp).data
         np.testing.assert_array_equal(zero, np.zeros((2, hp.len_embed_size)))
