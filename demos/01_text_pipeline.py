@@ -35,7 +35,8 @@ print("  'zebra' is out of vocabulary ->", vocab.encode(["zebra"]))
 kept = filter_by_length(corpus, max_words=6)
 print(f"\n== length filter (max 6 words): kept {len(kept)} of {len(corpus)} ==")
 
-# Batches pad to the longest member and carry bag-of-words count targets.
+# Batches pad to the longest member; their bag-of-words counts (which
+# training does not read) sum to each sentence's word count.
 sentences = encode_sentences(kept, vocab)
 batch = make_batch(sentences, vocab.size)
 print("\n== batch ==")

@@ -10,10 +10,9 @@ embedding indexes a learned table by a per-step countdown that starts at the
 desired output length and decrements to 0. Losses: per-token reconstruction
 cross-entropy over candidate ids (sampled in training mode, every id in eval
 mode), the closed-form KL against a standard-normal prior, and a
-bag-of-words auxiliary loss predicting the input's token counts from z.
-Those counts are derived from the batch's ids each step (``Batch.bow``): a
-batch holds no (B, V) array, and encoding (``posterior_means``) never
-builds one.
+bag-of-words auxiliary loss predicting the input's words from z. That loss
+scores each word as a (sentence, word id) pair, the way the reconstruction
+scores each (row, target) pair, so training builds no (B, V) counts.
 
 The training-mode reconstruction is a sampled softmax with one candidate set
 per batch, shared by every decoder step and row (Jean et al. 2015): the
@@ -39,9 +38,9 @@ Training runs each LSTM layer over the whole sequence as one autograd node
 (``numerics.lstm_sequence``: one input GEMM against w[:I], h @ w[I:] per
 step, a hand-written backward through time). Its inputs and states are
 time-major rows, step t of batch row r at row t*B + r; ``batch_rows``, the
-one reader of a batch's ids and lengths, owns that layout. Under teacher
-forcing every decoder input is known up front, so the decoder's layers run
-that way too (``decoder_states``); the loss gathers the real rows of the (T*B, cell)
+one reader of a batch, owns that layout. Under teacher forcing every
+decoder input is known up front, so the decoder's layers run that way too
+(``decoder_states``); the loss gathers the real rows of the (T*B, cell)
 states once for one dropout mask, candidate draw and cross-entropy.
 Inference steps the decoder on plain arrays with no graph (``decode_step``),
 through the packed [x, h] @ W + b GEMM and the same cell nonlinearity.
@@ -56,8 +55,7 @@ from .numerics import (
     ParamStore, Tensor, add, add_scalar, affine, concat_cols,
     cross_entropy_rows, exp_, gather_rows, lstm_cell,
     lstm_sequence, mul, mul_const, row_blocks, sampled_logits, scale,
-    sub, sum_all, sum_cols, tanh_, weighted_cross_entropy_rows,
-    weighted_step_sum, zeros,
+    sub, sum_all, sum_cols, tanh_, weighted_step_sum, zeros,
 )
 from .numerics.tensor import _sorted_distinct
 from .textpipe import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Batch, make_batch
@@ -186,6 +184,7 @@ class BatchRows(NamedTuple):
     targets: np.ndarray      # ((T+1)*B,): the words, EOS, PAD
     live: np.ndarray         # ascending indices of the word and EOS targets
     countdown: np.ndarray    # ((T+1)*B,): length - step for every decoder row
+    bow_pairs: tuple         # ((W,), (W,)): each word's sentence and id, sentence by sentence
 
 
 def batch_rows(batch: Batch) -> BatchRows:
@@ -200,8 +199,10 @@ def batch_rows(batch: Batch) -> BatchRows:
     dec_in = np.concatenate([np.full((n, 1), BOS_ID), ids], axis=1)
     targets = np.concatenate([ids.T, np.full((1, n), PAD_ID)])
     targets[lengths, sentence] = EOS_ID
+    in_sentence = words.T
     return BatchRows(enc_ids, enc_weights, dec_in, targets.ravel(),
-                     np.flatnonzero(steps <= lengths), (lengths - steps).ravel())
+                     np.flatnonzero(steps <= lengths), (lengths - steps).ravel(),
+                     (np.nonzero(in_sentence)[0], ids[in_sentence]))
 
 
 def encoder_mean(rows: BatchRows, params: ParamStore, hp: HyperParams) -> Tensor:
@@ -353,17 +354,18 @@ def decoder_states(z: Tensor, dec_in: np.ndarray, countdown: np.ndarray,
 # losses
 # ---------------------------------------------------------------------------
 
-def bow_loss(z: Tensor, bow_counts: np.ndarray, params: ParamStore, hp: HyperParams) -> Tensor:
-    """Batch-mean of -sum_w count_w * log softmax(logits)_w from a tanh layer on z.
+def bow_loss(z: Tensor, pairs: tuple, params: ParamStore) -> Tensor:
+    """Batch-mean of -sum over words of log softmax(logits[sentence])[word id],
+    the logits from a tanh layer on z.
 
-    ``bow_counts`` is (B, V); ``total_loss`` passes the step's ``Batch.bow``,
-    built from the batch's ids for this step alone, and the loss node keeps
-    it until backward.
+    ``pairs`` is (sentences, word ids), one pair per word
+    (``BatchRows.bow_pairs``), so a word that a sentence holds c times
+    counts c times and an empty sentence adds nothing.
     """
     hidden = tanh_(affine(z, params["bow_h.W"], params["bow_h.b"]))
     logits = affine(hidden, params["bow_out.W"], params["bow_out.b"])
     n = z.data.shape[0]
-    return scale(weighted_cross_entropy_rows(logits, bow_counts), 1.0 / n)
+    return scale(cross_entropy_rows(logits, *pairs), 1.0 / n)
 
 
 def draw_negatives(rng, vocab_size: int, sample_count: int, targets: np.ndarray):
@@ -491,9 +493,10 @@ def total_loss(batch: Batch, params: ParamStore, hp: HyperParams, kl_weight: flo
     else:
         ids, target_pos = np.arange(hp.vocab_size), targets
     logits = sampled_logits(states, params["out.W"], params["out.b"], ids)
-    reconstruction = scale(cross_entropy_rows(logits, target_pos[live]), 1.0 / n)
+    reconstruction = scale(cross_entropy_rows(logits, np.arange(live.size), target_pos[live]),
+                           1.0 / n)
 
-    bow = bow_loss(z, batch.bow, params, hp)
+    bow = bow_loss(z, rows.bow_pairs, params)
     total = add(add(reconstruction, scale(kl_mean, kl_weight)), bow)
     components = {
         "reconstruction": float(reconstruction.data),

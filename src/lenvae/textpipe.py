@@ -4,8 +4,9 @@ Normalization lowercases, splits punctuation off into separate tokens and
 replaces digit runs (optionally with . or , separators, e.g. "1,000" or
 "3.14") by the "#" token. Vocabularies keep the top-k most frequent content
 tokens after five reserved entries. Batches carry a PAD-filled id matrix,
-true lengths and the vocabulary size; their bag-of-words count vectors are
-derived from the ids when read, one (B, V) array per read.
+true lengths and the vocabulary size. The model reads only the ids and
+lengths; ``Batch.bow`` derives bag-of-words count vectors from them for
+inspection, one (B, V) array per read, and training never reads it.
 """
 
 import re
@@ -115,7 +116,8 @@ class Batch:
 
     ids (B, T) int; positions at or beyond the true length are PAD.
     A batch holds no (B, V) array: ``bow`` derives the bag-of-words counts
-    from ``ids`` and ``lengths`` on every read.
+    from ``ids`` and ``lengths`` on every read. Training scores the words
+    from ``ids`` and ``lengths`` directly and never reads ``bow``.
     """
 
     ids: np.ndarray
@@ -126,7 +128,7 @@ class Batch:
     def bow(self) -> np.ndarray:
         """(B, V) float32 counts over each sentence's own ids (no
         PAD/BOS/EOS), a fresh array per read; counts below 2**24 are exact
-        in float32."""
+        in float32. For inspection: the model does not read it."""
         in_sentence = np.arange(self.ids.shape[1]) < self.lengths[:, None]
         counts = np.zeros((self.ids.shape[0], self.vocab_size), dtype=np.float32)
         np.add.at(counts, (np.nonzero(in_sentence)[0], self.ids[in_sentence]), 1.0)

@@ -335,10 +335,7 @@ def test_bow_loss_uniform_logits_is_n_log_v():
     for name in ("bow_h.W", "bow_h.b", "bow_out.W", "bow_out.b"):
         params[name].data[:] = 0.0
     z = Tensor(np.random.default_rng(0).standard_normal((1, hp.latent_dim)))
-    counts = np.zeros((1, hp.vocab_size))
-    counts[0, 5] = 2
-    counts[0, 6] = 1
-    loss = bow_loss(z, counts, params, hp)
+    loss = bow_loss(z, (np.zeros(3, int), np.array([5, 6, 5])), params)
     np.testing.assert_allclose(float(loss.data), 3 * math.log(hp.vocab_size), rtol=1e-12)
 
 
@@ -349,15 +346,14 @@ def test_bow_loss_perfect_prediction_tends_to_zero():
     params["bow_out.b"].data[:] = -50.0
     params["bow_out.b"].data[5] = 50.0
     z = Tensor(np.zeros((1, hp.latent_dim)))
-    counts = np.zeros((1, hp.vocab_size))
-    counts[0, 5] = 3
-    assert float(bow_loss(z, counts, params, hp).data) < 1e-8
+    assert float(bow_loss(z, (np.zeros(3, int), np.full(3, 5)), params).data) < 1e-8
 
 
 def test_bow_loss_empty_sentence_contributes_zero():
     hp, params = TINY, tiny_params(11)
     z = Tensor(np.random.default_rng(1).standard_normal((1, hp.latent_dim)))
-    assert float(bow_loss(z, np.zeros((1, hp.vocab_size)), params, hp).data) == 0.0
+    no_words = (np.zeros(0, int), np.zeros(0, int))
+    assert float(bow_loss(z, no_words, params).data) == 0.0
 
 
 def test_bow_loss_matches_direct_formula():
@@ -365,7 +361,9 @@ def test_bow_loss_matches_direct_formula():
     rng = np.random.default_rng(2)
     z_arr = rng.standard_normal((2, hp.latent_dim))
     counts = rng.integers(0, 3, size=(2, hp.vocab_size)).astype(float)
-    loss = float(bow_loss(Tensor(z_arr), counts, params, hp).data)
+    sentence, word = np.nonzero(counts)
+    pairs = tuple(np.repeat(a, counts[sentence, word].astype(int)) for a in (sentence, word))
+    loss = float(bow_loss(Tensor(z_arr), pairs, params).data)
 
     hidden = np.tanh(z_arr @ params["bow_h.W"].data + params["bow_h.b"].data)
     logits = hidden @ params["bow_out.W"].data + params["bow_out.b"].data
@@ -394,7 +392,7 @@ def sampled_loss(out_w, out_b, hidden, targets, sample_count, rng):
     targets = np.asarray(targets)
     ids, target_pos = draw_negatives(rng, out_w.data.shape[1], sample_count, targets)
     logits = sampled_logits(hidden, out_w, out_b, ids)
-    return cross_entropy_rows(logits, target_pos)
+    return cross_entropy_rows(logits, np.arange(targets.size), target_pos)
 
 
 def full_loss(out_w, out_b, hidden, targets):
@@ -746,7 +744,7 @@ def test_eval_reconstruction_equals_per_step_sum():
     for t in range(targets.size // n):
         rows = live[(live >= t * n) & (live < (t + 1) * n)]
         logits = affine(Tensor(states[rows]), params["out.W"], params["out.b"])
-        per_step += float(cross_entropy_rows(logits, targets[rows]).data)
+        per_step += float(cross_entropy_rows(logits, np.arange(rows.size), targets[rows]).data)
     np.testing.assert_allclose(comps["reconstruction"], per_step / n, rtol=1e-12)
 
 
@@ -776,6 +774,8 @@ def test_batch_rows_match_a_per_sentence_reference(lengths, extra_pad, seed):
     dec_in = np.full((n, width + 1), PAD_ID)
     targets = np.full((width + 1, n), PAD_ID)
     countdown = np.zeros((width + 1, n), dtype=int)
+    bow_pairs = ([r for r, words in enumerate(sentences) for _ in words],
+                 [w for words in sentences for w in words])
     for r, words in enumerate(sentences):
         fwd[:len(words), r] = words
         bwd[:len(words), r] = words[::-1]
@@ -793,11 +793,13 @@ def test_batch_rows_match_a_per_sentence_reference(lengths, extra_pad, seed):
     np.testing.assert_array_equal(rows.targets, targets.ravel())
     np.testing.assert_array_equal(rows.live, np.flatnonzero(targets.ravel() != PAD_ID))
     np.testing.assert_array_equal(rows.countdown, countdown.ravel())
+    for got, expected in zip(rows.bow_pairs, bow_pairs, strict=True):
+        np.testing.assert_array_equal(got, np.array(expected, dtype=int))
 
 
 def _layout_readers():
-    """Qualified names of the functions in model.py that read an ``.ids`` or
-    ``.lengths`` attribute."""
+    """Qualified names of the functions in model.py that read an ``.ids``,
+    ``.lengths`` or ``.bow`` attribute."""
     found = set()
 
     def visit(node, scope):
@@ -805,7 +807,7 @@ def _layout_readers():
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Attribute) and child.attr in ("ids", "lengths"):
+            if isinstance(child, ast.Attribute) and child.attr in ("ids", "lengths", "bow"):
                 found.add(".".join(scope))
             visit(child, scope)
 
@@ -814,8 +816,9 @@ def _layout_readers():
 
 
 def test_only_batch_rows_reads_a_batch_layout():
-    # batch_rows alone turns a batch's ids and lengths into the model's rows,
-    # so moving to packed sequences (sorted sentences, a live prefix per step)
+    # batch_rows alone turns a batch's ids and lengths into the model's rows
+    # and bag-of-words pairs, and nothing reads the batch's (B, V) counts, so
+    # moving to packed sequences (sorted sentences, a live prefix per step)
     # changes batch_rows, lstm_sequence and weighted_step_sum only
     assert _layout_readers() == {"batch_rows"}
 

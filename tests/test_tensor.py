@@ -14,8 +14,7 @@ from lenvae.numerics import (
     ParamStore, Tensor, add, add_scalar, affine, concat_cols,
     cross_entropy_rows, exp_, gather_rows, grad_check, log_softmax_rows,
     matmul, mul, mul_const, neg, sampled_logits, scale, sigmoid, slice_cols,
-    sub, sum_all, sum_cols, tanh_, weighted_cross_entropy_rows,
-    weighted_step_sum,
+    sub, sum_all, sum_cols, tanh_, weighted_step_sum,
 )
 from lenvae.numerics import tensor
 from lenvae.numerics.tensor import BLOCK, _toposort
@@ -124,32 +123,71 @@ def test_affine():
 
 
 def test_cross_entropy_rows():
-    targets = np.array([1, 3, 0])
-    fd_check(lambda lg: cross_entropy_rows(lg, targets), 1, [(3, 5)])
+    fd_check(lambda lg: cross_entropy_rows(lg, np.arange(3), np.array([1, 3, 0])),
+             1, [(3, 5)])
 
 
-def test_weighted_cross_entropy_rows():
-    counts = np.array([[2.0, 0, 1, 0, 0], [0, 0, 0, 0, 0], [1, 1, 1, 0, 3]])
-    fd_check(lambda lg: weighted_cross_entropy_rows(lg, counts), 1, [(3, 5)])
+def test_cross_entropy_rows_repeated_pairs():
+    # row 0 holds word 0 twice, row 1 no word, row 2 word 4 three times
+    rows = np.array([0, 2, 0, 2, 0, 2, 2, 2])
+    cols = np.array([0, 4, 2, 0, 0, 1, 4, 4])
+    fd_check(lambda lg: cross_entropy_rows(lg, rows, cols), 1, [(3, 5)])
 
 
-@pytest.mark.parametrize("loss_of", [
-    lambda lg, t, c: cross_entropy_rows(lg, t),
-    lambda lg, t, c: weighted_cross_entropy_rows(lg, c),
-], ids=["cross_entropy_rows", "weighted_cross_entropy_rows"])
-def test_cross_entropy_backward_holds_one_logit_sized_array(loss_of):
+def _count_pairs(counts):
+    """The (row, column) pairs of a count matrix, each repeated its count."""
+    rows, cols = np.nonzero(counts)
+    return tuple(np.repeat(a, counts[rows, cols]) for a in (rows, cols))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cross_entropy_rows_matches_the_one_hot_and_count_formulas(dtype):
+    # one pair per row: -lp[r, t].sum() and (exp(lp) - one-hot) * g, bit for
+    # bit; repeated pairs: (exp(lp) * n - counts) * g bit for bit, with the
+    # loss summed over pairs rather than over a dense (rows, cols) product
+    rng = np.random.default_rng(6)
+    x = (3 * rng.standard_normal((6, 40))).astype(dtype)
+    lp = log_softmax_rows(x)
+    g = dtype(0.37)
+    rows, targets = np.arange(6), rng.integers(0, 40, 6)
+    logits = Tensor(x.copy())
+    loss = scale(cross_entropy_rows(logits, rows, targets), g)
+    loss.backward()
+    expected = np.exp(lp)
+    expected[rows, targets] -= 1.0
+    expected *= g
+    assert loss.data.tobytes() == np.asarray(-lp[rows, targets].sum() * g).tobytes()
+    assert logits.grad.tobytes() == expected.tobytes()
+
+    counts = rng.integers(0, 4, x.shape) * (rng.random(x.shape) < 0.2)
+    counts[3] = 0   # an empty row
+    pair_rows, pair_cols = _count_pairs(counts)
+    order = rng.permutation(pair_rows.size)
+    logits = Tensor(x.copy())
+    loss = scale(cross_entropy_rows(logits, pair_rows[order], pair_cols[order]), g)
+    loss.backward()
+    counts = counts.astype(dtype)
+    expected = np.exp(lp) * counts.sum(axis=1)[:, None] - counts
+    expected *= g
+    assert counts.max() == 3 and logits.grad.dtype == dtype
+    assert logits.grad.tobytes() == expected.tobytes()
+    tol = 1e-6 if dtype == np.float32 else 1e-12
+    np.testing.assert_allclose(loss.data, -(counts * lp).sum() * g, rtol=tol)
+
+
+@pytest.mark.parametrize("pairs_per_row", [1, 2], ids=["one_pair_per_row", "two_pairs_per_row"])
+def test_cross_entropy_backward_holds_one_logit_sized_array(pairs_per_row):
     # the gradient is built in place from the softmax and handed to the
     # leaf as its grad, so the backward allocates at most 1.25x one (N, C)
     # array; a zeroed buffer or a scaled copy beside it would make 2x
     rows, cols = 256, 4096
     rng = np.random.default_rng(4)
     targets = rng.integers(0, cols, rows)
-    counts = np.zeros((rows, cols), np.float32)
-    counts[np.arange(rows), targets] = 2.0
     logits = Tensor(rng.standard_normal((rows, cols)).astype(np.float32))
     tracemalloc.start()
     try:
-        loss = loss_of(logits, targets, counts)
+        loss = cross_entropy_rows(logits, np.tile(np.arange(rows), pairs_per_row),
+                                  np.tile(targets, pairs_per_row))
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         loss.backward()
@@ -165,7 +203,7 @@ def test_sampled_logits():
     targets = np.array([2, 0])
 
     def build(h, w, b):
-        return cross_entropy_rows(sampled_logits(h, w, b, ids), targets)
+        return cross_entropy_rows(sampled_logits(h, w, b, ids), np.arange(2), targets)
     # seed 1: every nonzero gradient is >= 0.02, well above central-difference noise
     fd_check(build, 3, [(2, 3), (3, 5), (5,)], seed=1)
 
@@ -196,7 +234,7 @@ def test_sampled_logits_rejects_ids_that_are_not_ascending_distinct_columns(ids)
 
 def _sampled_loss(h, w, b, ids=(0, 2, 4)):
     logits = sampled_logits(h, w, b, np.array(ids))
-    return cross_entropy_rows(logits, np.array([2, 0]))
+    return cross_entropy_rows(logits, np.arange(2), np.array([2, 0]))
 
 
 def _sampled_leaves(seed, vocab=5):
@@ -444,8 +482,9 @@ def _softmax_reference(x):
 @pytest.mark.parametrize("scale_by", [1.0, 50.0])
 @pytest.mark.parametrize("shape", [(1, 1), (16, 49), (16, 1016), (3, BLOCK + 5)])
 def test_cross_entropy_ops_are_log_softmax_rows(shape, scale_by):
-    # values: bit for bit the weighted sums of log_softmax_rows; values and
-    # gradients: within 1e-14 of the logsumexp and separate-softmax formulas
+    # values: bit for bit the sums of log_softmax_rows over the pairs; values
+    # and gradients: within 1e-14 of the logsumexp and separate-softmax
+    # formulas, one pair per row and a row's pairs repeating its words
     rng = np.random.default_rng(shape[1])
     x = scale_by * rng.standard_normal(shape)
     rows = np.arange(shape[0])
@@ -456,7 +495,7 @@ def test_cross_entropy_ops_are_log_softmax_rows(shape, scale_by):
     n = counts.sum(axis=1)
 
     logits = Tensor(x.copy())
-    ce = cross_entropy_rows(logits, targets)
+    ce = cross_entropy_rows(logits, rows, targets)
     ce.backward()
     assert ce.data.tobytes() == np.asarray(-lp[rows, targets].sum()).tobytes()
     old = (_logsumexp_reference(x) - x[rows, targets]).sum()
@@ -467,9 +506,10 @@ def test_cross_entropy_ops_are_log_softmax_rows(shape, scale_by):
                                atol=1e-14 * np.abs(old_grad).max())
 
     logits = Tensor(x.copy())
-    bow = weighted_cross_entropy_rows(logits, counts)
+    pair_rows, pair_cols = _count_pairs(counts)
+    bow = cross_entropy_rows(logits, pair_rows, pair_cols)
     bow.backward()
-    assert bow.data.tobytes() == np.asarray(-(counts * lp).sum()).tobytes()
+    assert bow.data.tobytes() == np.asarray(-lp[pair_rows, pair_cols].sum()).tobytes()
     old = (n * _logsumexp_reference(x)).sum() - (counts * x).sum()
     np.testing.assert_allclose(bow.data, old, rtol=1e-14)
     old_grad = _softmax_reference(x) * n[:, None] - counts
@@ -488,20 +528,21 @@ def test_weighted_step_sum():
 
 # exported ops that only the benchmark's tracer (``perfbench/tracing.OPS``)
 # still names; each goes once the tracer stops naming it
-KEPT_FOR_TRACER = {"neg", "sigmoid", "slice_cols"}
+KEPT_FOR_TRACER = {"neg", "sigmoid", "slice_cols", "weighted_cross_entropy_rows"}
 
 
 def _referenced_names():
-    """Every name that code under src/ uses as a name, reads as an
-    attribute or imports. ``__init__.py`` imports re-export and ``__all__`` holds
-    strings, so neither export list counts; nor does prose, which a text
-    search would match."""
+    """Every name that code under src/ reads as a name or an attribute,
+    or imports. An assignment only binds its target, so an alias's own
+    line does not count as a use of it. ``__init__.py`` imports re-export
+    and ``__all__`` holds strings, so neither export list counts; nor does
+    prose, which a text search would match."""
     names = set()
     for path in SRC.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
             elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
                 names.update(alias.name for alias in node.names)
@@ -512,6 +553,9 @@ def test_every_exported_op_has_a_caller(monkeypatch):
     referenced = _referenced_names()
     unused = {name for name in tensor.__all__ if name not in referenced}
     assert unused == KEPT_FOR_TRACER
+    # the bag-of-words kernel's old name is the one cross-entropy op itself,
+    # so the tracer times both heads under ``cross_entropy_rows``
+    assert tensor.weighted_cross_entropy_rows is tensor.cross_entropy_rows
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     assert KEPT_FOR_TRACER <= set(tracing.OPS)
