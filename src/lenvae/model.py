@@ -35,13 +35,12 @@ The bag-of-words head's output layer scores every id, so its gradient is
 the one dense (bow_width, V) array of a step.
 
 Training runs each LSTM layer over the whole sequence as one autograd node
-(``numerics.lstm_sequence``: one input GEMM against w[:I], h @ w[I:] per
-step, a hand-written backward through time). Its inputs and states are
-time-major rows, step t of batch row r at row t*B + r; ``batch_rows``, the
-one reader of a batch, owns that layout. Under teacher forcing every
-decoder input is known up front, so the decoder's layers run that way too
-(``decoder_states``); the loss gathers the real rows of the (T*B, cell)
-states once for one dropout mask, candidate draw and cross-entropy.
+(``numerics.lstm_sequence``: one input GEMM per column block, h @ w[I:] per
+step, a hand-written backward through time) on time-major rows, step t of
+batch row r at row t*B + r, a layout ``batch_rows`` owns. Teacher forcing
+knows every decoder input up front, so the decoder runs that way too
+(``decoder_states``, z one row per sentence); the loss gathers the real
+top-layer rows once for one dropout mask, candidate draw and cross-entropy.
 Inference steps the decoder on plain arrays with no graph (``decode_step``),
 through the packed [x, h] @ W + b GEMM and the same cell nonlinearity.
 """
@@ -174,12 +173,17 @@ def init_params(hp: HyperParams, rng: np.random.Generator, dtype=np.float32) -> 
 # encoder
 # ---------------------------------------------------------------------------
 
-class BatchRows(NamedTuple):
-    """A batch's rows as the model reads them; time-major arrays hold step t
-    of sentence r at row t*B + r."""
+class EncoderRows(NamedTuple):
+    """The half of a batch's rows that encoding reads (``encoder_rows``)."""
 
     enc_ids: tuple           # (T*B,) forward ids, then reversed within length; PAD after
     enc_weights: np.ndarray  # (T, B): 1/length on the words, 0 after
+
+
+class BatchRows(NamedTuple):
+    """A batch's rows as the model reads them; time-major: step t of sentence r at t*B + r."""
+
+    encoder: EncoderRows     # enc_ids and enc_weights (``encoder_rows``)
     dec_in: np.ndarray       # (B, T+1): BOS, the words, PAD
     targets: np.ndarray      # ((T+1)*B,): the words, EOS, PAD
     live: np.ndarray         # ascending indices of the word and EOS targets
@@ -187,25 +191,31 @@ class BatchRows(NamedTuple):
     bow_pairs: tuple         # ((W,), (W,)): each word's sentence and id, sentence by sentence
 
 
+def encoder_rows(batch: Batch) -> EncoderRows:
+    """The encoder's index arrays from ``batch``, built once."""
+    ids, lengths = batch.ids, batch.lengths
+    steps = np.arange(ids.shape[1])[:, None]
+    words = steps < lengths
+    reversed_ids = ids.T[np.where(words, lengths - 1 - steps, 0), np.arange(ids.shape[0])]
+    return EncoderRows((ids.T.ravel(), np.where(words, reversed_ids, PAD_ID).ravel()),
+                       np.where(words, 1.0 / np.maximum(lengths, 1), 0.0))
+
+
 def batch_rows(batch: Batch) -> BatchRows:
     """Every index array the model reads from ``batch``, built once."""
     ids, lengths = batch.ids, batch.lengths
     n, width = ids.shape
     steps, sentence = np.arange(width + 1)[:, None], np.arange(n)
-    words = steps[:width] < lengths
-    reversed_ids = ids.T[np.where(words, lengths - 1 - steps[:width], 0), sentence]
-    enc_ids = (ids.T.ravel(), np.where(words, reversed_ids, PAD_ID).ravel())
-    enc_weights = np.where(words, 1.0 / np.maximum(lengths, 1), 0.0)
     dec_in = np.concatenate([np.full((n, 1), BOS_ID), ids], axis=1)
     targets = np.concatenate([ids.T, np.full((1, n), PAD_ID)])
     targets[lengths, sentence] = EOS_ID
-    in_sentence = words.T
-    return BatchRows(enc_ids, enc_weights, dec_in, targets.ravel(),
+    in_sentence = (steps[:width] < lengths).T
+    return BatchRows(encoder_rows(batch), dec_in, targets.ravel(),
                      np.flatnonzero(steps <= lengths), (lengths - steps).ravel(),
                      (np.nonzero(in_sentence)[0], ids[in_sentence]))
 
 
-def encoder_mean(rows: BatchRows, params: ParamStore, hp: HyperParams) -> Tensor:
+def encoder_mean(rows: EncoderRows, params: ParamStore, hp: HyperParams) -> Tensor:
     """(B, 2*cell) mean over true steps of the concatenated bi-LSTM states.
 
     Each direction is one ``lstm_sequence`` node over the embeddings of its
@@ -216,13 +226,13 @@ def encoder_mean(rows: BatchRows, params: ParamStore, hp: HyperParams) -> Tensor
     means = []
     for direction, dir_ids in zip(("enc_fwd", "enc_bwd"), rows.enc_ids):
         emb = gather_rows(params["embed.W"], dir_ids)
-        states = lstm_sequence(emb, zeros((n, hp.cell_size), emb.data.dtype),
+        states = lstm_sequence([emb], zeros((n, hp.cell_size), emb.data.dtype),
                                params[f"{direction}.W"], params[f"{direction}.b"], width)
         means.append(weighted_step_sum(states, rows.enc_weights))
     return concat_cols(means)
 
 
-def encode(rows: BatchRows, params: ParamStore, hp: HyperParams) -> LatentParams:
+def encode(rows: EncoderRows, params: ParamStore, hp: HyperParams) -> LatentParams:
     mean = encoder_mean(rows, params, hp)
     mu = affine(mean, params["mu.W"], params["mu.b"])
     logvar = affine(mean, params["logvar.W"], params["logvar.b"])
@@ -241,7 +251,7 @@ def posterior_means(sentences, params: ParamStore, hp: HyperParams,
     rows = [np.empty((0, hp.latent_dim), params["mu.b"].data.dtype)]
     for start in range(0, len(sentences), batch_size):
         batch = make_batch(sentences[start:start + batch_size], hp.vocab_size)
-        rows.append(encode(batch_rows(batch), params, hp).mu.data)
+        rows.append(encode(encoder_rows(batch), params, hp).mu.data)
     return np.concatenate(rows, axis=0)
 
 
@@ -330,23 +340,18 @@ def decoder_states(z: Tensor, dec_in: np.ndarray, countdown: np.ndarray,
     (B, T) decoder input ids ``dec_in`` and the rows' (T*B,) ``countdown``.
 
     Every step's input [previous-token embedding, z, length embedding] is
-    known up front, so each layer is one ``lstm_sequence`` node: layer 0
-    reads the step inputs, each higher layer [its lower layer's states, step
-    inputs]. Layer 0's cell state starts at an affine map of z.
+    known up front, so each layer is one ``lstm_sequence`` node over those
+    column blocks, z one row per sentence; each higher layer reads its lower
+    layer's states first. Layer 0's cell state starts at an affine map of z.
     """
     n, steps = dec_in.shape
-    step_input = concat_cols([
-        gather_rows(params["embed.W"], dec_in.T.ravel()),
-        gather_rows(z, np.tile(np.arange(n), steps)),
-        length_input(countdown, params, hp),
-    ])
+    step_inputs = [gather_rows(params["embed.W"], dec_in.T.ravel()), z,
+                   length_input(countdown, params, hp)]
     c0 = affine(z, params["dec_init.W"], params["dec_init.b"])
-    below = None
-    for layer in range(hp.decoder_layers):
-        layer_in = step_input if layer == 0 else concat_cols([below, step_input])
-        start_cell = c0 if layer == 0 else zeros((n, hp.cell_size), c0.data.dtype)
-        below = lstm_sequence(layer_in, start_cell, params[f"dec_l{layer}.W"],
-                              params[f"dec_l{layer}.b"], steps)
+    below = lstm_sequence(step_inputs, c0, params["dec_l0.W"], params["dec_l0.b"], steps)
+    for layer in range(1, hp.decoder_layers):
+        below = lstm_sequence([below, *step_inputs], zeros((n, hp.cell_size), c0.data.dtype),
+                              params[f"dec_l{layer}.W"], params[f"dec_l{layer}.b"], steps)
     return below
 
 
@@ -477,7 +482,7 @@ def total_loss(batch: Batch, params: ParamStore, hp: HyperParams, kl_weight: flo
     rows = batch_rows(batch)
     targets, live, n = rows.targets, rows.live, rows.dec_in.shape[0]
     dec_in = word_dropout(rows.dec_in, word_drop_p, rng) if training else rows.dec_in
-    latent = encode(rows, params, hp)
+    latent = encode(rows.encoder, params, hp)
     if eps is None:
         eps = rng.standard_normal((n, hp.latent_dim)) if training \
             else np.zeros((n, hp.latent_dim))

@@ -5,14 +5,14 @@ in the order input, forget, candidate, output; rows ``w[:I]`` read the input,
 rows ``w[I:]`` the previous hidden state. Sigmoid is computed overflow-free
 as (1 + tanh(x/2)) / 2.
 
-``lstm_sequence`` runs T steps for a batch of B rows. Its input and output
-are time-major row blocks: row ``t*B + r`` holds step t of batch row r, so
-step t is the contiguous block ``[t*B, (t+1)*B)``. Every input is known before
-the loop, so the input half of every step's gates is one (T*B, I) @ (I, 4H)
-GEMM plus the bias (Appleyard et al. 2016); only ``h @ w[I:]`` stays inside
-the loop. The hidden state starts at h_{-1} = 0, as both of the paper's LSTMs
-do, and the cell state at ``c0``. The forward caches every step's gate
-activations (i, f, g, o), cell state c and tanh(c).
+``lstm_sequence`` runs T steps for a batch of B rows. Its input is a list of
+column blocks read against consecutive row ranges of ``w[:I]``, each either
+time-major (T*B, I_k), row ``t*B + r`` holding step t of batch row r as in
+the output, or (B, I_k), one row per sentence that every step reads. All of
+it is known before the loop, so the input half of every step's gates is the
+bias plus one GEMM per block (Appleyard et al. 2016); only ``h @ w[I:]`` is
+in the loop. h_{-1} = 0, as in both of the paper's LSTMs, and c_{-1} = ``c0``;
+the forward caches every step's gates (i, f, g, o), cell state c and tanh(c).
 
 The backward is hand-written backpropagation through time. With dh_t the
 gradient reaching h_t (from the output and from step t+1) and dc_t the one
@@ -24,10 +24,10 @@ reaching c_t:
               dc_t * i_t * (1 - g_t^2),     dh_t * tanh(c_t) * o_t (1 - o_t)]
 
 with dG_T = 0 and dc_T = 0 past the last step, h_{-1} = 0 and c_{-1} = ``c0``.
-One reverse loop fills dG (T, B, 4H); after it, one GEMM each gives
-dX = dG @ w[:I].T, dw[:I] = X.T @ dG and dw[I:] = [h_{-1}, ..., h_{T-2}].T @ dG,
-and the bias gradient is dG summed over rows. The gradient of ``c0`` is
-dc_0 * f_0.
+One reverse loop fills dG (T, B, 4H); after it, one GEMM each gives block k's
+dX_k = dG @ w[rows_k].T and dw[rows_k] = X_k.T @ dG (dG summed over the steps
+for a (B, I_k) block) and dw[I:] = [h_{-1}, ..., h_{T-2}].T @ dG; the bias
+gradient is dG summed over rows, and c0's is dc_0 * f_0.
 
 ``lstm_cell`` is one step on plain arrays for inference: the packed
 [x, h] @ w + b GEMM, then the same nonlinearity (``lstm_gates``) as the
@@ -78,13 +78,14 @@ def lstm_cell(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
     return h, c
 
 
-def _check_shapes(x, c0, w, b, steps):
-    if x.ndim != 2 or c0.ndim != 2:
-        raise ValueError("lstm_sequence expects rank-2 x and c0")
+def _check_shapes(inputs, c0, w, b, steps):
+    if c0.ndim != 2 or any(x.ndim != 2 for x in inputs):
+        raise ValueError("lstm_sequence expects rank-2 input blocks and c0")
     rows, hidden = c0.shape
-    if x.shape[0] != steps * rows:
-        raise ValueError(f"lstm input x: expected {steps} * {rows} rows, got {x.shape[0]}")
-    expected_rows = x.shape[1] + hidden
+    for k, x in enumerate(inputs):
+        if x.shape[0] not in (steps * rows, rows):
+            raise ValueError(f"lstm input block {k}: expected {steps} * {rows} or {rows} rows")
+    expected_rows = sum(x.shape[1] for x in inputs) + hidden
     if w.shape != (expected_rows, 4 * hidden):
         raise ValueError(
             f"lstm weight w: expected shape {(expected_rows, 4 * hidden)}, got {w.shape}")
@@ -92,23 +93,24 @@ def _check_shapes(x, c0, w, b, steps):
         raise ValueError(f"lstm bias b: expected shape {(4 * hidden,)}, got {b.shape}")
 
 
-def lstm_sequence(x: Tensor, c0: Tensor, w: Tensor, b: Tensor, steps: int) -> Tensor:
+def lstm_sequence(inputs: list, c0: Tensor, w: Tensor, b: Tensor, steps: int) -> Tensor:
     """Every step's hidden state, (T*B, H) time-major, as one autograd node.
 
-    x (T*B, I) time-major; c0 (B, H) the initial cell state; w (I+H, 4H);
-    b (4H,); T = ``steps``. The hidden state starts at h_{-1} = 0, and
-    ``c0`` receives the gradient dc_0 * f_0.
+    ``inputs`` are column blocks, each (T*B, I_k) time-major or (B, I_k) per
+    sentence; c0 (B, H) the initial cell state; w (I+H, 4H); b (4H,); T =
+    ``steps``. h starts at 0, and ``c0`` receives the gradient dc_0 * f_0.
     """
-    _check_shapes(x.data, c0.data, w.data, b.data, steps)
+    _check_shapes([x.data for x in inputs], c0.data, w.data, b.data, steps)
     rows, hidden = c0.data.shape
-    in_dim = x.data.shape[1]
+    bounds = np.cumsum([0] + [x.data.shape[1] for x in inputs])
+    blocks, in_dim = list(zip(inputs, bounds, bounds[1:])), bounds[-1]
     scale = _gate_scale(hidden, w.data.dtype)
-    # scaling by 0.5 is exact, so scaling both halves of the gates up front
-    # equals scaling their sum
-    acts = x.data @ w.data[:in_dim]
-    acts += b.data
+    # pre-activations, then activations; scaling by 0.5 is exact, so scaling
+    # both halves of the gates up front equals scaling their sum
+    acts = np.full((steps, rows, 4 * hidden), b.data)
+    for x, lo, hi in blocks:  # a per-sentence block's term broadcasts over the steps
+        acts += (x.data @ w.data[lo:hi]).reshape(-1, rows, 4 * hidden)
     acts *= scale
-    acts = acts.reshape(steps, rows, 4 * hidden)   # pre-activations, then activations
     w_h_scaled = w.data[in_dim:] * scale
     hs = np.empty((steps + 1, rows, hidden), dtype=acts.dtype)     # h_{-1} = 0, h_0, ...
     cells = np.empty((steps + 1, rows, hidden), dtype=acts.dtype)  # c_{-1} = c0, c_0, ...
@@ -144,13 +146,15 @@ def lstm_sequence(x: Tensor, c0: Tensor, w: Tensor, b: Tensor, steps: int) -> Te
             d4[t, :, 3] *= dh
             dc_next = dc * f[t]
             dh_next = dgates[t] @ w_h_t
-        dgates = dgates.reshape(steps * rows, 4 * hidden)
-        _accum(x, dgates @ w.data[:in_dim].T)
-        _accum(c0, dc_next)
+        flat = dgates.reshape(steps * rows, 4 * hidden)
         gw = np.empty_like(w.data)
-        np.matmul(x.data.T, dgates, out=gw[:in_dim])
-        np.matmul(hs[:-1].reshape(steps * rows, hidden).T, dgates, out=gw[in_dim:])
+        for x, lo, hi in blocks:  # a per-sentence block reads dG summed over the steps
+            dg = flat if x.data.shape[0] == flat.shape[0] else dgates.sum(axis=0)
+            _accum(x, dg @ w.data[lo:hi].T)
+            np.matmul(x.data.T, dg, out=gw[lo:hi])
+        _accum(c0, dc_next)
+        np.matmul(hs[:-1].reshape(steps * rows, hidden).T, flat, out=gw[in_dim:])
         _accum(w, gw)
-        _accum(b, dgates.sum(axis=0))
+        _accum(b, flat.sum(axis=0))
 
-    return Tensor(hs[1:].reshape(steps * rows, hidden), (x, c0, w, b), bw)
+    return Tensor(hs[1:].reshape(steps * rows, hidden), (*inputs, c0, w, b), bw)

@@ -23,7 +23,7 @@ mixing kinds raises ``ValueError`` in either backward order. A gathered leaf
 a dense gradient's order and so bit-identical to one. ``sampled_logits``
 stores its product and column sums as the values of its weight's column and
 its bias's entry ``SlicedGrad``s, and raises unless both are leaves with no
-gradient yet. Interior nodes (such as the latent rows the decoder gathers)
+gradient yet. Interior nodes (such as the decoder states the loss gathers)
 keep dense gradients. ``Tensor.dense_grad`` gives any gradient as one array
 of the value's shape; training never calls it.
 
@@ -353,7 +353,7 @@ def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
     the backward adds ``g`` into the block rows of ``idx`` with one
     ``np.add.at``, in ``idx`` order, as it would into a dense gradient; a
     leaf holding a dense or column gradient raises (one kind per table). An
-    interior table keeps a dense gradient, zeros on first use.
+    interior table gets one dense scatter, handed to ``_accum``.
     """
     idx = np.asarray(idx, dtype=np.intp)
     rows = table.data.shape[0]
@@ -367,13 +367,9 @@ def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
             grad = _sliced_rows(table, _sorted_distinct(idx))
             np.add.at(grad.values, np.searchsorted(grad.index, idx), g)
         else:
-            # added in place, not handed to ``_accum`` as a scatter of its
-            # own: the decoder's gather of z runs after z's other consumers
-            # have given it a gradient, and summing the rows into that
-            # gradient one by one is the order the trained parameters keep
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx, g)
+            scatter = np.zeros_like(table.data)
+            np.add.at(scatter, idx, g)
+            _accum(table, scatter)
 
     return Tensor(out_data, (table,), bw)
 

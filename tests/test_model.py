@@ -16,7 +16,7 @@ from lenvae import model
 from lenvae.model import (
     GRADCHECK_MIN_GRADIENT, GRADCHECK_SEEDS, INIT_SCALE, HyperParams,
     LatentParams, batch_rows, bow_loss, decode_step, decoder_states, draw_negatives, encode,
-    encoder_mean, init_decoder_state, init_params, kl_divergence,
+    encoder_mean, encoder_rows, init_decoder_state, init_params, kl_divergence,
     length_input, param_shapes, posterior_means, reparameterize, tiny_gradcheck_instance,
     total_loss,
 )
@@ -69,7 +69,7 @@ def test_init_params_draws_each_weight_as_one_uniform_draw():
 def test_encoder_mean_single_token_equals_state():
     hp, params = TINY, tiny_params(1)
     batch = one_sentence_batch([5])
-    mean = encoder_mean(batch_rows(batch), params, hp).data[0]
+    mean = encoder_mean(encoder_rows(batch), params, hp).data[0]
 
     emb = Tensor(params["embed.W"].data[[5]])
     h0 = zeros((1, hp.cell_size), np.float64)
@@ -85,7 +85,7 @@ def test_encode_zero_affines_return_biases():
     params["mu.b"].data[:] = 1.5
     params["logvar.W"].data[:] = 0.0
     params["logvar.b"].data[:] = -0.5
-    latent = encode(batch_rows(one_sentence_batch([5, 6, 5])), params, hp)
+    latent = encode(encoder_rows(one_sentence_batch([5, 6, 5])), params, hp)
     np.testing.assert_allclose(latent.mu.data, np.full((1, hp.latent_dim), 1.5))
     np.testing.assert_allclose(latent.logvar.data, np.full((1, hp.latent_dim), -0.5))
 
@@ -113,7 +113,7 @@ def _unrolled_direction(ids, params, hp, prefix):
 def test_encoder_mean_matches_hand_unrolled_two_step_cell():
     hp, params = TINY, tiny_params(3)
     t1, t2 = 5, 6
-    mean = encoder_mean(batch_rows(one_sentence_batch([t1, t2])), params, hp).data[0]
+    mean = encoder_mean(encoder_rows(one_sentence_batch([t1, t2])), params, hp).data[0]
     fwd = _unrolled_direction([t1, t2], params, hp, "enc_fwd")
     bwd = _unrolled_direction([t2, t1], params, hp, "enc_bwd")  # reads reversed
     expected = np.concatenate([(fwd[0] + fwd[1]) / 2, (bwd[0] + bwd[1]) / 2])
@@ -122,8 +122,8 @@ def test_encoder_mean_matches_hand_unrolled_two_step_cell():
 
 def test_encoder_reversal_swaps_directions():
     hp, params = TINY, tiny_params(4)
-    fwd_half = encoder_mean(batch_rows(one_sentence_batch([5, 6])), params, hp).data[0]
-    rev_half = encoder_mean(batch_rows(one_sentence_batch([6, 5])), params, hp).data[0]
+    fwd_half = encoder_mean(encoder_rows(one_sentence_batch([5, 6])), params, hp).data[0]
+    rev_half = encoder_mean(encoder_rows(one_sentence_batch([6, 5])), params, hp).data[0]
     h = hp.cell_size
     # backward states over [5,6] are the forward pass of the reversed order,
     # computed by the other direction's weights; only the mean is compared
@@ -141,8 +141,8 @@ def test_encoder_invariant_to_extra_padding():
         lengths=base.lengths.copy(),
         vocab_size=base.vocab_size,
     )
-    latent_a = encode(batch_rows(base), params, hp)
-    latent_b = encode(batch_rows(padded), params, hp)
+    latent_a = encode(encoder_rows(base), params, hp)
+    latent_b = encode(encoder_rows(padded), params, hp)
     np.testing.assert_allclose(latent_a.mu.data, latent_b.mu.data, atol=1e-14)
     np.testing.assert_allclose(latent_a.logvar.data, latent_b.logvar.data, atol=1e-14)
 
@@ -324,6 +324,19 @@ def test_decode_step_byte_equal_to_tensor_step(seed, layers):
     for (h, c), (ref_h, ref_c) in zip(init_decoder_state(z, params, hp), start):
         assert h.tobytes() == ref_h.data.tobytes()
         assert c.tobytes() == ref_c.data.tobytes()
+
+
+def test_z_enters_the_teacher_forced_decoder_once_per_sentence():
+    # no concat_cols or gather_rows node copies z per row: each layer's
+    # lstm_sequence node reads it as a (B, latent) block, and dec_init's
+    # matmul maps it to layer 0's cell state
+    hp, params = TINY, tiny_params(5)
+    rows = batch_rows(make_batch([[5, 6, 5], [6]], hp.vocab_size))
+    z = Tensor(np.random.default_rng(5).standard_normal((2, hp.latent_dim)))
+    states = decoder_states(z, rows.dec_in, rows.countdown, params, hp)
+    readers = sorted(node._backward.__qualname__ for node in _toposort(states)
+                     if any(parent is z for parent in node._parents))
+    assert readers == ["lstm_sequence.<locals>.bw"] * hp.decoder_layers + ["matmul.<locals>.bw"]
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +694,7 @@ def _recon_inputs(hp, params, batch, eps):
     """Time-major (T*B, cell) teacher-forced states, their targets and the
     indices of the real rows."""
     rows = batch_rows(batch)
-    z = reparameterize(encode(rows, params, hp), eps)
+    z = reparameterize(encode(rows.encoder, params, hp), eps)
     states = decoder_states(z, rows.dec_in, rows.countdown, params, hp).data
     return states, rows.targets, rows.live
 
@@ -786,9 +799,9 @@ def test_batch_rows_match_a_per_sentence_reference(lengths, extra_pad, seed):
 
     rows = batch_rows(batch)
     # time-major: step t of sentence r at t*B + r
-    np.testing.assert_array_equal(rows.enc_ids[0], fwd.ravel())
-    np.testing.assert_array_equal(rows.enc_ids[1], bwd.ravel())
-    assert rows.enc_weights.tobytes() == weights.tobytes()
+    np.testing.assert_array_equal(rows.encoder.enc_ids[0], fwd.ravel())
+    np.testing.assert_array_equal(rows.encoder.enc_ids[1], bwd.ravel())
+    assert rows.encoder.enc_weights.tobytes() == weights.tobytes()
     np.testing.assert_array_equal(rows.dec_in, dec_in)
     np.testing.assert_array_equal(rows.targets, targets.ravel())
     np.testing.assert_array_equal(rows.live, np.flatnonzero(targets.ravel() != PAD_ID))
@@ -816,11 +829,12 @@ def _layout_readers():
 
 
 def test_only_batch_rows_reads_a_batch_layout():
-    # batch_rows alone turns a batch's ids and lengths into the model's rows
-    # and bag-of-words pairs, and nothing reads the batch's (B, V) counts, so
-    # moving to packed sequences (sorted sentences, a live prefix per step)
-    # changes batch_rows, lstm_sequence and weighted_step_sum only
-    assert _layout_readers() == {"batch_rows"}
+    # batch_rows alone, with encoder_rows as its encoder half, turns a batch's
+    # ids and lengths into the model's rows and bag-of-words pairs, and
+    # nothing reads the batch's (B, V) counts, so moving to packed sequences
+    # (sorted sentences, a live prefix per step) changes those two,
+    # lstm_sequence and weighted_step_sum only
+    assert _layout_readers() == {"batch_rows", "encoder_rows"}
 
 
 def test_full_model_gradient_check_single_instance():

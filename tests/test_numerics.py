@@ -79,7 +79,7 @@ def test_lstm_zero_weights_zero_output():
     c0 = Tensor(np.zeros((3, 2)))
     w = Tensor(np.zeros((6, 8)))
     b = Tensor(np.zeros(8))
-    np.testing.assert_array_equal(lstm_sequence(x, c0, w, b, 2).data, np.zeros((6, 2)))
+    np.testing.assert_array_equal(lstm_sequence([x], c0, w, b, 2).data, np.zeros((6, 2)))
     h, c = lstm_cell(x.data[:3], np.zeros((3, 2)), c0.data, w.data, b.data)
     np.testing.assert_array_equal(h, np.zeros((3, 2)))
     np.testing.assert_array_equal(c, np.zeros((3, 2)))
@@ -110,7 +110,7 @@ def test_lstm_hand_evaluated_two_unit_cell():
     np.testing.assert_allclose(c[0], c_expected, rtol=1e-12)
     np.testing.assert_allclose(h[0], h_expected, rtol=1e-12)
     # the sequence kernel starts from h = 0
-    h_seq = lstm_sequence(Tensor(np.array([[x_val]])), Tensor(c_val[None, :]),
+    h_seq = lstm_sequence([Tensor(np.array([[x_val]]))], Tensor(c_val[None, :]),
                           Tensor(w), Tensor(b), 1)
     np.testing.assert_allclose(h_seq.data[0], cell_by_hand(np.zeros(2))[0], rtol=1e-12)
     ref_h, ref_c = lstm_cell_forward(Tensor(np.array([[x_val]])), Tensor(h_val[None, :]),
@@ -128,7 +128,24 @@ def test_lstm_gradients_match_finite_differences():
     store.add("c0", rng.standard_normal((2, 2)))
 
     def loss_fn(p):
-        h = lstm_sequence(p["x"], p["c0"], p["w"], p["b"], 3)
+        h = lstm_sequence([p["x"]], p["c0"], p["w"], p["b"], 3)
+        return sum_all(mul(h, h))
+
+    assert grad_check(loss_fn, store, eps=1e-5) < 1e-4
+
+
+def test_lstm_block_gradients_match_finite_differences():
+    # a second block of one row per sentence, read by all 3 steps
+    rng = np.random.default_rng(8)
+    store = ParamStore()
+    store.add("w", rng.standard_normal((3 + 2 + 2, 4 * 2)))
+    store.add("b", rng.standard_normal(4 * 2))
+    store.add("x", rng.standard_normal((3 * 2, 3)))
+    store.add("z", rng.standard_normal((2, 2)))
+    store.add("c0", rng.standard_normal((2, 2)))
+
+    def loss_fn(p):
+        h = lstm_sequence([p["x"], p["z"]], p["c0"], p["w"], p["b"], 3)
         return sum_all(mul(h, h))
 
     assert grad_check(loss_fn, store, eps=1e-5) < 1e-4
@@ -138,13 +155,15 @@ def test_lstm_shape_mismatch_names_offender():
     x = Tensor(np.zeros((1, 3)))
     c = Tensor(np.zeros((1, 2)))
     with pytest.raises(ValueError, match="lstm weight w"):
-        lstm_sequence(x, c, Tensor(np.zeros((4, 8))), Tensor(np.zeros(8)), 1)
+        lstm_sequence([x], c, Tensor(np.zeros((4, 8))), Tensor(np.zeros(8)), 1)
     with pytest.raises(ValueError, match="lstm bias b"):
-        lstm_sequence(x, c, Tensor(np.zeros((5, 8))), Tensor(np.zeros(7)), 1)
-    with pytest.raises(ValueError, match="lstm input x"):
-        lstm_sequence(x, c, Tensor(np.zeros((5, 8))), Tensor(np.zeros(8)), 2)
-    with pytest.raises(ValueError, match="rank-2 x and c0"):
-        lstm_sequence(Tensor(np.zeros(3)), c, Tensor(np.zeros((5, 8))), Tensor(np.zeros(8)), 1)
+        lstm_sequence([x], c, Tensor(np.zeros((5, 8))), Tensor(np.zeros(7)), 1)
+    # 3 rows are neither T*B = 2 nor B = 1: the second block is named
+    with pytest.raises(ValueError, match="lstm input block 1"):
+        lstm_sequence([x, Tensor(np.zeros((3, 1)))], c, Tensor(np.zeros((6, 8))),
+                      Tensor(np.zeros(8)), 2)
+    with pytest.raises(ValueError, match="rank-2 input blocks and c0"):
+        lstm_sequence([Tensor(np.zeros(3))], c, Tensor(np.zeros((5, 8))), Tensor(np.zeros(8)), 1)
 
 
 def test_lstm_forget_bias_initialized_to_one():
@@ -205,7 +224,7 @@ def test_lstm_sequence_matches_unrolled_cell(steps, zero_start):
     upstream = np.random.default_rng(200 + steps).standard_normal((steps * rows, hidden))
     x, *kernel_rest = inputs()
     kernel_x = Tensor(x)
-    out = lstm_sequence(kernel_x, *kernel_rest, steps)
+    out = lstm_sequence([kernel_x], *kernel_rest, steps)
     sum_all(mul(out, Tensor(upstream))).backward()
 
     x, *ref_rest = inputs()
@@ -220,6 +239,46 @@ def test_lstm_sequence_matches_unrolled_cell(steps, zero_start):
     assert_close_to(kernel_x.grad, np.concatenate([x_t.grad for x_t in x_steps]))
     for k, r in zip(kernel_rest, ref_rest):
         assert_close_to(k.grad, r.grad)
+
+
+def _block_inputs(steps, rows, per_sentence_first=False):
+    """Three column blocks, (T*B, 2), (B, 3) and (T*B, 1), the (B, 3) one
+    per sentence, with c0, w and b for a hidden size of 4."""
+    r = np.random.default_rng(300 + steps)
+    blocks = [r.standard_normal((steps * rows, 2)), r.standard_normal((rows, 3)),
+              r.standard_normal((steps * rows, 1))]
+    if per_sentence_first:
+        blocks = blocks[1:] + blocks[:1]
+    return ([Tensor(x) for x in blocks], Tensor(r.standard_normal((rows, 4))),
+            Tensor(0.5 * r.standard_normal((6 + 4, 16))), Tensor(r.standard_normal(16)))
+
+
+# The per-sentence block's term is one (B, 4H) GEMM added to every step, and
+# its gradient is dG summed over the steps before the GEMMs, where the tiled
+# twin sums after them: both sides agree to KERNEL_RTOL (stated above).
+@pytest.mark.parametrize("steps", [1, 3, 6])
+@pytest.mark.parametrize("per_sentence_first", [False, True])
+def test_per_sentence_block_equals_its_tiled_per_step_twin(steps, per_sentence_first):
+    rows = 3
+    upstream = Tensor(np.random.default_rng(400 + steps).standard_normal((steps * rows, 4)))
+    blocks, *rest = _block_inputs(steps, rows, per_sentence_first)
+    out = lstm_sequence(blocks, *rest, steps)
+    sum_all(mul(out, upstream)).backward()
+
+    twin_blocks, *twin_rest = _block_inputs(steps, rows, per_sentence_first)
+    k = 0 if per_sentence_first else 1
+    twin_blocks[k] = Tensor(np.tile(twin_blocks[k].data, (steps, 1)))
+    twin = lstm_sequence(twin_blocks, *twin_rest, steps)
+    sum_all(mul(twin, upstream)).backward()
+
+    assert_close_to(out.data, twin.data)
+    step_sum = twin_blocks[k].grad.reshape(steps, rows, -1).sum(axis=0)
+    assert_close_to(blocks[k].grad, step_sum)
+    for block, twin_block in zip(blocks, twin_blocks):
+        if block is not blocks[k]:
+            assert_close_to(block.grad, twin_block.grad)
+    for t, twin_t in zip(rest, twin_rest):
+        assert_close_to(t.grad, twin_t.grad)
 
 
 def test_row_blocks_cover_the_rows_in_order_at_least_one_row_each():

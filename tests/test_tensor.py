@@ -84,6 +84,25 @@ def test_gather_rows_repeated_indices():
     fd_check(build, 1, [(4, 3)])
 
 
+@pytest.mark.parametrize("gather_last", [False, True])
+def test_gather_rows_of_an_interior_table_hands_its_scatter_to_accum(gather_last):
+    # an interior table read by a gather with repeated ids and by another
+    # op: the gather's backward meets an empty slot or, when the other op's
+    # backward ran first, one that op has filled, and adds to it either way
+    idx = np.array([0, 2, 2, 1, 2])
+    met_filled = []
+
+    def build(a, b):
+        table = matmul(a, b)
+        rows = gather_rows(table, idx)
+        bw = rows._backward
+        rows._backward = lambda g: (met_filled.append(table.grad is not None), bw(g))
+        terms = [sum_all(mul(rows, rows)), sum_all(mul(table, table))]
+        return add(*(terms[::-1] if gather_last else terms))
+    fd_check(build, 2, [(3, 4), (4, 2)])
+    assert met_filled and set(met_filled) == {gather_last}
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_three_gathers_give_a_sliced_gradient_equal_to_dense_add_at(dtype):
     # one table gathered three times with repeated, overlapping ids, as the
@@ -568,10 +587,6 @@ GRAD_WRITERS = {
     ("numerics/tensor.py", "Tensor.backward"),
     ("numerics/tensor.py", "_accum"),
     ("numerics/tensor.py", "_sliced_rows"),
-    # an interior table's zeros: its rows are added into the gradient in
-    # place, since z already holds one when the decoder's gather of it runs
-    # its backward, and a scatter handed to ``_accum`` sums in another order
-    ("numerics/tensor.py", "gather_rows.bw"),
     ("numerics/tensor.py", "sampled_logits.bw"),
     ("numerics/params.py", "ParamStore.zero_grads"),
 }
