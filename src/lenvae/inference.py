@@ -8,9 +8,9 @@ termination; end-of-sentence stays an ordinary predicted token.
 
 The beam lives in stacked arrays, one row per live hypothesis: emitted token
 ids (rows, t), cumulative log-probabilities (rows,) and each decoder layer's
-(h, c) pair, (rows, cell_size) apiece. All rows advance in lockstep, so they
-share one countdown; after every step each array is re-gathered by the
-parent-row index of the selected expansions, in selection order.
+(h, c) pair, (rows, cell_size) apiece. All rows advance in lockstep and read
+z and the countdown as one shared row; after each step every array is
+re-gathered by the selected expansions' parent rows, in selection order.
 
 A search writes every step's scores into one (beam_width, V) buffer: the
 output GEMM and bias (``decode_step(out=)``), the log-softmax
@@ -145,8 +145,9 @@ def beam_search(z: np.ndarray, request: DecodeRequest, params: ParamStore,
     dtype = params["out.W"].data.dtype
     z = np.asarray(z, dtype=dtype)
     state = init_decoder_state(z[None, :], params, hp)
-    # every beam row shares the countdown, so step t's one row serves them all
+    # every beam row shares z and the countdown, so step t's one row serves them all
     len_rows = length_input(initial_length - np.arange(request.max_tokens), params, hp).data
+    shared = np.concatenate([np.broadcast_to(z, (request.max_tokens, z.size)), len_rows], axis=1)
     embed = params["embed.W"].data
     ids = np.zeros((1, 0), dtype=np.intp)
     log_prob = np.zeros(1, dtype)
@@ -157,11 +158,8 @@ def beam_search(z: np.ndarray, request: DecodeRequest, params: ParamStore,
     buffer = np.empty((width, hp.vocab_size), dtype)
 
     for steps in range(1, request.max_tokens + 1):
-        n = log_prob.size
-        len_emb = np.repeat(len_rows[steps - 1:steps], n, axis=0)
-        z_rows = np.repeat(z[None, :], n, axis=0)
-        logits, new_state = decode_step(z_rows, embed[prev_ids], len_emb, state, params, hp,
-                                        out=buffer)
+        logits, new_state = decode_step(embed[prev_ids], shared[steps - 1:steps], state,
+                                        params, hp, out=buffer)
         scores = log_softmax_rows(logits, out=logits)
         if forbidden:
             scores[:, forbidden] = -np.inf

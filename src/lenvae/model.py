@@ -41,8 +41,8 @@ batch row r at row t*B + r, a layout ``batch_rows`` owns. Teacher forcing
 knows every decoder input up front, so the decoder runs that way too
 (``decoder_states``, z one row per sentence); the loss gathers the real
 top-layer rows once for one dropout mask, candidate draw and cross-entropy.
-Inference steps the decoder on plain arrays with no graph (``decode_step``),
-through the packed [x, h] @ W + b GEMM and the same cell nonlinearity.
+Inference steps the same column blocks on plain arrays with no graph
+(``decode_step``), z and the countdown's length input one shared row a step.
 """
 
 from dataclasses import dataclass, replace
@@ -302,32 +302,28 @@ def init_decoder_state(z: np.ndarray, params: ParamStore, hp: HyperParams) -> li
     return state
 
 
-def decoder_stack_step(z: np.ndarray, prev_emb: np.ndarray, len_emb: np.ndarray, state: list,
+def decoder_stack_step(prev_emb: np.ndarray, shared: np.ndarray, state: list,
                        params: ParamStore, hp: HyperParams):
-    """One step through all layers on arrays; returns (top hidden, new state)."""
-    step_input = np.concatenate([prev_emb, z, len_emb], axis=1)
-    new_state = []
-    below = None
+    """One step of every layer on [h below, prev_emb, shared]: (top hidden, new state)."""
+    new_state, below = [], []
     for layer in range(hp.decoder_layers):
-        layer_in = step_input if layer == 0 else np.concatenate([below, step_input], axis=1)
-        h_prev, c_prev = state[layer]
-        h, c = lstm_cell(layer_in, h_prev, c_prev,
+        h, c = lstm_cell([*below, prev_emb, shared], *state[layer],
                          params[f"dec_l{layer}.W"].data, params[f"dec_l{layer}.b"].data)
         new_state.append((h, c))
-        below = h
-    return below, new_state
+        below = [h]
+    return h, new_state
 
 
-def decode_step(z: np.ndarray, prev_emb: np.ndarray, len_emb: np.ndarray, state: list,
+def decode_step(prev_emb: np.ndarray, shared: np.ndarray, state: list,
                 params: ParamStore, hp: HyperParams, out: np.ndarray | None = None):
-    """One inference step on arrays, no graph: returns (vocabulary logits
-    (B, V), new state). ``z`` is (B, latent), one row per decoded row.
+    """One inference step on arrays, no graph: (vocabulary logits (B, V), new
+    state) for B rows ``prev_emb`` and one row [z, length input] ``shared``.
 
     With ``out`` (a C-contiguous array of at least B rows of V values) the
     logits are written into its first B rows and that view is returned; the
     values are the same bit for bit either way.
     """
-    hidden, new_state = decoder_stack_step(z, prev_emb, len_emb, state, params, hp)
+    hidden, new_state = decoder_stack_step(prev_emb, shared, state, params, hp)
     logits = np.matmul(hidden, params["out.W"].data,
                        out=None if out is None else out[:hidden.shape[0]])
     logits += params["out.b"].data

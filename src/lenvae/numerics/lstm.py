@@ -29,10 +29,12 @@ dX_k = dG @ w[rows_k].T and dw[rows_k] = X_k.T @ dG (dG summed over the steps
 for a (B, I_k) block) and dw[I:] = [h_{-1}, ..., h_{T-2}].T @ dG; the bias
 gradient is dG summed over rows, and c0's is dc_0 * f_0.
 
-``lstm_cell`` is one step on plain arrays for inference: the packed
-[x, h] @ w + b GEMM, then the same nonlinearity (``lstm_gates``) as the
-sequence forward.
+``lstm_cell`` is one step on plain arrays for inference. Its column blocks
+are (B, I_k) or (1, I_k), one row that every batch row reads; the gates are
+b + h @ w[I:] plus one GEMM per block, then the nonlinearity ``lstm_gates``.
 """
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -67,11 +69,15 @@ def lstm_gates(scaled: np.ndarray, c_prev: np.ndarray, scale: np.ndarray,
     np.multiply(scaled[:, 3 * hidden:], tanh_c, out=h)
 
 
-def lstm_cell(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
+def lstm_cell(inputs: list, h_prev: np.ndarray, c_prev: np.ndarray,
               w: np.ndarray, b: np.ndarray):
-    """One step on arrays, no graph: returns (h, c), both (B, H)."""
+    """One step on arrays, no graph: returns (h, c), both (B, H). h's GEMM
+    reads ``w[I:]``, so ``inputs`` that do not cover ``w[:I]`` raise ValueError."""
+    bounds = [0, *accumulate(x.shape[1] for x in inputs)]
+    gates = h_prev @ w[bounds[-1]:] + b
+    for x, lo, hi in zip(inputs, bounds, bounds[1:]):
+        gates += x @ w[lo:hi]
     scale = _gate_scale(c_prev.shape[1], w.dtype)
-    gates = np.concatenate([x, h_prev], axis=1) @ w + b
     gates *= scale
     c, tanh_c, h = (np.empty_like(c_prev) for _ in range(3))
     lstm_gates(gates, c_prev, scale, c, tanh_c, h)
@@ -102,7 +108,7 @@ def lstm_sequence(inputs: list, c0: Tensor, w: Tensor, b: Tensor, steps: int) ->
     """
     _check_shapes([x.data for x in inputs], c0.data, w.data, b.data, steps)
     rows, hidden = c0.data.shape
-    bounds = np.cumsum([0] + [x.data.shape[1] for x in inputs])
+    bounds = [0, *accumulate(x.data.shape[1] for x in inputs)]
     blocks, in_dim = list(zip(inputs, bounds, bounds[1:])), bounds[-1]
     scale = _gate_scale(hidden, w.data.dtype)
     # pre-activations, then activations; scaling by 0.5 is exact, so scaling

@@ -49,7 +49,7 @@ def test_decoding_encodes_through_the_traced_encoder(tracing):
 
 def test_decode_spans_once_per_beam_step(tracing):
     # the benchmark's per-step decode buckets count one decode_step and one
-    # log_softmax_rows span per step, and read the rows from args[0] (z)
+    # log_softmax_rows span per step, and read the rows from args[0] (prev_emb)
     vocab = build_vocab([["the", "cat", "runs", "a", "dog", "sleeps"]], top_k=10)
     hp = HyperParams(vocab_size=vocab.size, cell_size=6, embed_size=5,
                      latent_dim=4, bow_width=5, len_embed_size=3,

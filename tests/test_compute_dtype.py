@@ -69,11 +69,11 @@ def test_one_train_step_and_one_summarize_stay_float32(monkeypatch):
 
     decode_step, best_entries = inference.decode_step, inference.best_entries
 
-    def watched_decode_step(z, prev_emb, len_emb, state, params, hp, out):
-        seen.extend([("decode z", z.dtype), ("decode embedding", prev_emb.dtype),
-                     ("decode length input", len_emb.dtype), ("score buffer", out.dtype)]
+    def watched_decode_step(prev_emb, shared, state, params, hp, out):
+        seen.extend([("decode embedding", prev_emb.dtype),
+                     ("decode z and length input", shared.dtype), ("score buffer", out.dtype)]
                     + [("decode state", a.dtype) for pair in state for a in pair])
-        logits, new_state = decode_step(z, prev_emb, len_emb, state, params, hp, out=out)
+        logits, new_state = decode_step(prev_emb, shared, state, params, hp, out=out)
         seen.extend([("logits", logits.dtype)]
                     + [("decode state", a.dtype) for pair in new_state for a in pair])
         return logits, new_state

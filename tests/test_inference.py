@@ -15,7 +15,7 @@ from lenvae.inference import (
     summarize,
 )
 from lenvae.model import HyperParams, init_params
-from lenvae.numerics import Tensor, gather_rows, log_softmax_rows, zeros
+from lenvae.numerics import Tensor, concat_cols, gather_rows, log_softmax_rows, zeros
 from lenvae.textpipe import BOS_ID, EOS_ID, PAD_ID, build_vocab
 # the Tensor decoder step, an implementation independent of the array one
 from lstm_reference import decode_step, init_decoder_state
@@ -37,16 +37,22 @@ def random_model(seed, hp, dtype=np.float64):
     return params, z
 
 
-def step_log_probs(prev_id, state, z, params, hp, remaining):
-    """Single decode step on raw arrays; returns (log_probs, new state)."""
-    z_row = Tensor(z[None, :])
-    prev = gather_rows(params["embed.W"], np.array([prev_id]))
+def shared_row(z, remaining, params, hp):
+    """The (1, latent + len_embed) Tensor row [z, length input] that every
+    row of a step reads, for the countdown value ``remaining``."""
     if hp.lenemb:
         idx = np.array([min(remaining, hp.max_len_index)])
         len_emb = gather_rows(params["len_table.W"], idx)
     else:
         len_emb = zeros((1, hp.len_embed_size), z.dtype)
-    logits, new_state = decode_step(z_row, prev, len_emb, state, params, hp)
+    return concat_cols([Tensor(z[None, :]), len_emb])
+
+
+def step_log_probs(prev_id, state, z, params, hp, remaining):
+    """Single decode step on raw arrays; returns (log_probs, new state)."""
+    prev = gather_rows(params["embed.W"], np.array([prev_id]))
+    logits, new_state = decode_step(prev, shared_row(z, remaining, params, hp), state,
+                                    params, hp)
     return log_softmax_rows(logits.data)[0], new_state
 
 
@@ -227,19 +233,14 @@ def reference_beam_search(z, request, params, hp, initial_length,
     forbidden = [i for i in forbidden_ids if i < hp.vocab_size]
 
     for _ in range(request.max_tokens):
-        n = len(beams)
         prev_ids = np.array([b.ids[-1] if b.ids else BOS_ID for b in beams], dtype=np.intp)
-        z_batch = Tensor(np.repeat(np.asarray(z, dtype=dtype)[None, :], n, axis=0))
         state = [(Tensor(np.stack([b.state[l][0][0] for b in beams])),
                   Tensor(np.stack([b.state[l][1][0] for b in beams])))
                  for l in range(hp.decoder_layers)]
         prev_emb = gather_rows(params["embed.W"], prev_ids)
-        if hp.lenemb:
-            idx = np.array([min(b.remaining, hp.max_len_index) for b in beams], dtype=np.intp)
-            len_emb = gather_rows(params["len_table.W"], idx)
-        else:
-            len_emb = zeros((n, hp.len_embed_size), dtype)
-        logits, new_state = decode_step(z_batch, prev_emb, len_emb, state, params, hp)
+        (remaining,) = {b.remaining for b in beams}  # the rows advance in lockstep
+        shared = shared_row(np.asarray(z, dtype=dtype), remaining, params, hp)
+        logits, new_state = decode_step(prev_emb, shared, state, params, hp)
         log_probs = log_softmax_rows(logits.data)
         if forbidden:
             log_probs[:, forbidden] = -np.inf

@@ -74,8 +74,8 @@ def test_encoder_mean_single_token_equals_state():
     emb = Tensor(params["embed.W"].data[[5]])
     h0 = zeros((1, hp.cell_size), np.float64)
     c0 = zeros((1, hp.cell_size), np.float64)
-    fh, _ = lstm_cell_forward(emb, h0, c0, params["enc_fwd.W"], params["enc_fwd.b"])
-    bh, _ = lstm_cell_forward(emb, h0, c0, params["enc_bwd.W"], params["enc_bwd.b"])
+    fh, _ = lstm_cell_forward([emb], h0, c0, params["enc_fwd.W"], params["enc_fwd.b"])
+    bh, _ = lstm_cell_forward([emb], h0, c0, params["enc_bwd.W"], params["enc_bwd.b"])
     np.testing.assert_allclose(mean, np.concatenate([fh.data[0], bh.data[0]]), rtol=1e-12)
 
 
@@ -105,7 +105,7 @@ def _unrolled_direction(ids, params, hp, prefix):
     states = []
     for i in ids:
         emb = Tensor(params["embed.W"].data[[i]])
-        h, c = lstm_cell_forward(emb, h, c, params[f"{prefix}.W"], params[f"{prefix}.b"])
+        h, c = lstm_cell_forward([emb], h, c, params[f"{prefix}.W"], params[f"{prefix}.b"])
         states.append(h.data[0])
     return states
 
@@ -261,28 +261,30 @@ def test_length_embed_lookup_and_clamp():
 # ---------------------------------------------------------------------------
 
 def _step_inputs(hp, params, seed, rows=1):
+    """z (1, latent), ``rows`` previous-word rows, the shared row [z, length
+    input] and z's start state, one row per decoded row."""
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((rows, hp.latent_dim))
+    z = rng.standard_normal((1, hp.latent_dim))
     prev = rng.standard_normal((rows, hp.embed_size))
-    len_emb = rng.standard_normal((rows, hp.len_embed_size))
-    state = init_decoder_state(z, params, hp)
-    return z, prev, len_emb, state
+    shared = np.concatenate([z, rng.standard_normal((1, hp.len_embed_size))], axis=1)
+    state = init_decoder_state(np.repeat(z, rows, axis=0), params, hp)
+    return z, prev, shared, state
 
 
 def test_decode_step_deterministic():
     hp, params = TINY, tiny_params(7)
-    z, prev, len_emb, state = _step_inputs(hp, params, 0)
-    logits_a, _ = decode_step(z, prev, len_emb, state, params, hp)
-    logits_b, _ = decode_step(z, prev, len_emb, state, params, hp)
+    _, prev, shared, state = _step_inputs(hp, params, 0)
+    logits_a, _ = decode_step(prev, shared, state, params, hp)
+    logits_b, _ = decode_step(prev, shared, state, params, hp)
     np.testing.assert_array_equal(logits_a, logits_b)
 
 
 def test_decode_step_into_buffer_byte_equal():
     hp, params = TINY, tiny_params(8)
-    z, prev, len_emb, state = _step_inputs(hp, params, 1, rows=3)
-    logits, new_state = decode_step(z, prev, len_emb, state, params, hp)
+    _, prev, shared, state = _step_inputs(hp, params, 1, rows=3)
+    logits, new_state = decode_step(prev, shared, state, params, hp)
     buffer = np.full((5, hp.vocab_size), np.nan)
-    into, into_state = decode_step(z, prev, len_emb, state, params, hp, out=buffer)
+    into, into_state = decode_step(prev, shared, state, params, hp, out=buffer)
     assert into.base is buffer and into.shape == (3, hp.vocab_size)
     assert into.tobytes() == logits.tobytes()
     assert np.isnan(buffer[3:]).all()
@@ -294,10 +296,12 @@ def test_decode_step_into_buffer_byte_equal():
 def test_decode_step_sensitive_to_latent(seed):
     hp = TINY
     params = tiny_params(100 + seed)
-    z, prev, len_emb, state = _step_inputs(hp, params, seed)
-    logits_a, _ = decode_step(z, prev, len_emb, state, params, hp)
+    z, prev, shared, state = _step_inputs(hp, params, seed)
+    logits_a, _ = decode_step(prev, shared, state, params, hp)
     z_shift = z + 0.5
-    logits_b, _ = decode_step(z_shift, prev, len_emb, init_decoder_state(z_shift, params, hp),
+    shared_shift = shared.copy()
+    shared_shift[:, :hp.latent_dim] = z_shift
+    logits_b, _ = decode_step(prev, shared_shift, init_decoder_state(z_shift, params, hp),
                               params, hp)
     assert np.abs(logits_a - logits_b).max() > 1e-6
 
@@ -305,17 +309,18 @@ def test_decode_step_sensitive_to_latent(seed):
 @pytest.mark.parametrize("layers", [1, 2, 3])
 @pytest.mark.parametrize("seed", range(3))
 def test_decode_step_byte_equal_to_tensor_step(seed, layers):
-    # the graph-free step keeps the packed [x, h] @ W + b GEMM and the
-    # Tensor ops' arithmetic, so beams match the Tensor decoder bit for bit
+    # the graph-free step sums each layer's gate terms in the reference
+    # cell's order, with the Tensor ops' arithmetic, so beams match the
+    # Tensor decoder bit for bit
     hp = replace(TINY, decoder_layers=layers)
     params = tiny_params(300 + seed, hp)
-    z, prev, len_emb, _ = _step_inputs(hp, params, seed, rows=4)
+    z, prev, shared, _ = _step_inputs(hp, params, seed, rows=4)
     rng = np.random.default_rng(400 + seed)
     state = [(rng.standard_normal((4, hp.cell_size)), rng.standard_normal((4, hp.cell_size)))
              for _ in range(layers)]
-    logits, new_state = decode_step(z, prev, len_emb, state, params, hp)
+    logits, new_state = decode_step(prev, shared, state, params, hp)
     ref_logits, ref_state = lstm_reference.decode_step(
-        Tensor(z), Tensor(prev), Tensor(len_emb), lstm_reference.as_tensors(state), params, hp)
+        Tensor(prev), Tensor(shared), lstm_reference.as_tensors(state), params, hp)
     assert logits.tobytes() == ref_logits.data.tobytes()
     for (h, c), (ref_h, ref_c) in zip(new_state, ref_state):
         assert h.tobytes() == ref_h.data.tobytes()
@@ -324,6 +329,42 @@ def test_decode_step_byte_equal_to_tensor_step(seed, layers):
     for (h, c), (ref_h, ref_c) in zip(init_decoder_state(z, params, hp), start):
         assert h.tobytes() == ref_h.data.tobytes()
         assert c.tobytes() == ref_c.data.tobytes()
+
+
+@pytest.mark.parametrize("lenemb", [True, False])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_decoding_along_teacher_forcing_reproduces_the_training_decoder(layers, lenemb):
+    # decode_step (lstm_cell, z and the length input one shared row) and
+    # decoder_states (lstm_sequence, z one row per sentence) must read the
+    # same rows of every layer's weight. They sum the gates in different
+    # orders, so they agree to rounding: rtol 1e-12 plus 1e-12 of the
+    # largest |entry|. One sentence is longer than the length table.
+    hp = replace(TINY, decoder_layers=layers, lenemb=lenemb)
+    params = tiny_params(600 + layers, hp)
+    rng = np.random.default_rng(700 + layers)
+    for _, t in params.items():
+        t.data[:] = rng.uniform(-1.0, 1.0, t.data.shape)
+    sentences = [[5, 6, 5], [6], [5, 5, 6, 6, 5, 6, 5, 6]]
+    rows = batch_rows(make_batch(sentences, hp.vocab_size))
+    n, steps = rows.dec_in.shape
+    z = rng.standard_normal((n, hp.latent_dim))
+    states = decoder_states(Tensor(z), rows.dec_in, rows.countdown, params, hp)
+    logits = sampled_logits(states, params["out.W"], params["out.b"], np.arange(hp.vocab_size))
+
+    decoded_states = np.empty((steps, n, hp.cell_size))
+    decoded_logits = np.empty((steps, n, hp.vocab_size))
+    for r, sentence in enumerate(sentences):
+        state = init_decoder_state(z[r:r + 1], params, hp)
+        for t in range(steps):
+            len_row = length_input(np.array([len(sentence) - t]), params, hp).data
+            shared = np.concatenate([z[r:r + 1], len_row], axis=1)
+            prev = params["embed.W"].data[rows.dec_in[r, t:t + 1]]
+            decoded_logits[t, r], state = decode_step(prev, shared, state, params, hp)
+            decoded_states[t, r] = state[-1][0]
+    for actual, expected in [(decoded_states, states.data), (decoded_logits, logits.data)]:
+        expected = expected.reshape(actual.shape)
+        np.testing.assert_allclose(actual, expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
 
 
 def test_z_enters_the_teacher_forced_decoder_once_per_sentence():

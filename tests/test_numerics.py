@@ -80,7 +80,7 @@ def test_lstm_zero_weights_zero_output():
     w = Tensor(np.zeros((6, 8)))
     b = Tensor(np.zeros(8))
     np.testing.assert_array_equal(lstm_sequence([x], c0, w, b, 2).data, np.zeros((6, 2)))
-    h, c = lstm_cell(x.data[:3], np.zeros((3, 2)), c0.data, w.data, b.data)
+    h, c = lstm_cell([x.data[:3]], np.zeros((3, 2)), c0.data, w.data, b.data)
     np.testing.assert_array_equal(h, np.zeros((3, 2)))
     np.testing.assert_array_equal(c, np.zeros((3, 2)))
 
@@ -106,17 +106,47 @@ def test_lstm_hand_evaluated_two_unit_cell():
         return o * np.tanh(c_new), c_new
 
     h_expected, c_expected = cell_by_hand(h_val)
-    h, c = lstm_cell(np.array([[x_val]]), h_val[None, :], c_val[None, :], w, b)
+    h, c = lstm_cell([np.array([[x_val]])], h_val[None, :], c_val[None, :], w, b)
     np.testing.assert_allclose(c[0], c_expected, rtol=1e-12)
     np.testing.assert_allclose(h[0], h_expected, rtol=1e-12)
     # the sequence kernel starts from h = 0
     h_seq = lstm_sequence([Tensor(np.array([[x_val]]))], Tensor(c_val[None, :]),
                           Tensor(w), Tensor(b), 1)
     np.testing.assert_allclose(h_seq.data[0], cell_by_hand(np.zeros(2))[0], rtol=1e-12)
-    ref_h, ref_c = lstm_cell_forward(Tensor(np.array([[x_val]])), Tensor(h_val[None, :]),
+    ref_h, ref_c = lstm_cell_forward([Tensor(np.array([[x_val]]))], Tensor(h_val[None, :]),
                                      Tensor(c_val[None, :]), Tensor(w), Tensor(b))
     np.testing.assert_allclose(ref_c.data[0], c_expected, rtol=1e-12)
     np.testing.assert_allclose(ref_h.data[0], h_expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("shared_at", [0, 1, 2])
+def test_lstm_cell_one_shared_row_equals_its_repeated_twin(shared_at):
+    # a (1, I_k) block is read by every batch row; the (B, I_k) twin spells
+    # that row out, and the GEMM of one row may round differently
+    rng = np.random.default_rng(40 + shared_at)
+    rows, widths, hidden = 4, [3, 2, 5], 3
+    blocks = [rng.standard_normal((rows, k)) for k in widths]
+    blocks[shared_at] = blocks[shared_at][:1]
+    twins = list(blocks)
+    twins[shared_at] = np.repeat(blocks[shared_at], rows, axis=0)
+    h_prev, c_prev = rng.standard_normal((2, rows, hidden))
+    w = rng.standard_normal((sum(widths) + hidden, 4 * hidden))
+    b = rng.standard_normal(4 * hidden)
+    h, c = lstm_cell(blocks, h_prev, c_prev, w, b)
+    twin_h, twin_c = lstm_cell(twins, h_prev, c_prev, w, b)
+    assert h.shape == c.shape == (rows, hidden)
+    assert_close_to(h, twin_h)
+    assert_close_to(c, twin_c)
+
+
+@pytest.mark.parametrize("widths", [[3], [2, 2, 1], [3, 3]], ids=["short", "long", "all-of-w"])
+def test_lstm_cell_blocks_that_do_not_cover_the_input_rows_raise(widths):
+    # w holds 4 input rows and 2 of h; h's GEMM reads w[I:] for the blocks' I
+    rng = np.random.default_rng(0)
+    blocks = [rng.standard_normal((3, k)) for k in widths]
+    w, b = rng.standard_normal((4 + 2, 8)), np.zeros(8)
+    with pytest.raises(ValueError):
+        lstm_cell(blocks, np.zeros((3, 2)), np.zeros((3, 2)), w, b)
 
 
 def test_lstm_gradients_match_finite_differences():
@@ -192,8 +222,9 @@ def test_init_holds_one_copy_of_parameters():
     assert peak < 1.1 * param_bytes
 
 
-# The kernel splits each step's packed GEMM into x @ w[:I] + b and h @ w[I:]
-# and runs its own backward, so it agrees with the chained cell to rounding:
+# The kernel sums each step's gates in another order than the chained cell
+# (b and the input GEMMs first, h @ w[I:] last, all pre-scaled) and runs its
+# own backward, so it agrees with the chained cell to rounding:
 # rtol 1e-12 plus an atol of 1e-12 times the largest entry, for entries that
 # cancel to near zero.
 KERNEL_RTOL = 1e-12
